@@ -7,7 +7,7 @@ from fractions import Fraction as Q
 from typing import List, Sequence, Tuple, Union
 
 from .polyhedra import rref, solve_lp
-from .qvec import Vector, dot, is_zero, primitive, qvec, sub
+from .qvec import Vector, dot, primitive, qvec, sub
 from .rootdata import RelativeDatum
 from .valfield import PuiseuxElement
 
@@ -27,17 +27,6 @@ PointLike = Union[ApartmentPoint, Sequence]
 
 def point_coords(z: PointLike) -> Vector:
     return z.coords if isinstance(z, ApartmentPoint) else qvec(z)
-
-
-@dataclass(frozen=True)
-class AffineRoot:
-    """An affine functional alpha(z) + n on the apartment."""
-
-    alpha: Vector
-    n: Q
-
-    def value(self, z: PointLike) -> Q:
-        return dot(self.alpha, point_coords(z)) + self.n
 
 
 @dataclass(frozen=True)

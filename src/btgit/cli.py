@@ -15,7 +15,7 @@ import jsonschema
 from .interval import interval_A, interval_A_chi
 from .models import (ModelPoint, act, make_point, model_relative, project,
                      weighted_coordinates)
-from .polyhedra import polyhedron_vertices
+from .polyhedra import PivotLimitExceeded, polyhedron_vertices
 from .rootdata import RelativeDatum, build_root_system, preset_relative
 from .torusgit import (chamber_of, chi_status, classify_regular_weights,
                        root_hyperplanes, stability_status)
@@ -57,7 +57,10 @@ def validate_payload(command: str, payload) -> None:
 
 def _rat(x) -> Q:
     if isinstance(x, str):
-        v = parse_rational(x)
+        try:
+            v = parse_rational(x)
+        except ZeroDivisionError as exc:
+            raise ValidationFailure(f"zero denominator in {x!r}") from exc
         if v == INF:
             raise ValidationFailure("'inf' is not accepted on input")
         return v
@@ -77,6 +80,8 @@ def _element(x) -> PuiseuxElement:
         return parse_puiseux(x)
     except ValueError as exc:
         raise ValidationFailure(str(exc)) from exc
+    except ZeroDivisionError as exc:
+        raise ValidationFailure(f"zero denominator in {x!r}") from exc
 
 
 def _element_vec(xs) -> tuple:
@@ -110,7 +115,10 @@ def _decode_point(model: str, raw) -> ModelPoint:
     if model.startswith("proj(") or model in ("sp4_line", "sp4_quadric"):
         coords = _element_vec(raw)
     elif model.startswith("grass("):
-        j, n = (int(a) for a in model[6:-1].split(","))
+        try:
+            j, n = (int(a) for a in model[6:-1].split(","))
+        except ValueError as exc:
+            raise ValidationFailure(f"malformed model {model!r}") from exc
         if len(raw) == j and all(isinstance(r, list) and len(r) == n for r in raw):
             coords = [_element_vec(r) for r in raw]
         else:
@@ -123,6 +131,13 @@ def _decode_point(model: str, raw) -> ModelPoint:
         raise Unsupported(f"unsupported model {model!r}")
     try:
         return make_point(model, coords)
+    except ValueError as exc:
+        raise ValidationFailure(str(exc)) from exc
+
+
+def _model_relative(p: ModelPoint) -> RelativeDatum:
+    try:
+        return model_relative(p.model)
     except ValueError as exc:
         raise ValidationFailure(str(exc)) from exc
 
@@ -214,7 +229,7 @@ def _cmd_chambers(payload) -> dict:
 
 def _cmd_status(payload) -> dict:
     p = _decode_point(payload["model"], payload["point"])
-    rel = model_relative(p.model)
+    rel = _model_relative(p)
     wp = _weighted(payload, p)
     if "chi" in payload:
         return {"status": chi_status(wp, rel, _rat_vec(payload["chi"]))}
@@ -223,7 +238,7 @@ def _cmd_status(payload) -> dict:
 
 def _cmd_interval(payload) -> dict:
     p = _decode_point(payload["model"], payload["point"])
-    rel = model_relative(p.model)
+    rel = _model_relative(p)
     wp = _weighted(payload, p)
     res = interval_A(wp, rel)
     out = {
@@ -299,7 +314,7 @@ def _cmd_chi(payload) -> dict:
         if "point" not in payload:
             raise ValidationFailure("a model request needs a point")
         p = _decode_point(payload["model"], payload["point"])
-        rel = model_relative(p.model)
+        rel = _model_relative(p)
     else:
         rel = _relative(payload)
         p = None
@@ -509,7 +524,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValidationFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Unsupported as exc:
+    except (Unsupported, PivotLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     doc = serialize(result)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import combinations, permutations
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .qvec import Vector, dot, qvec
 from .rootdata import RelativeDatum, build_root_system, preset_relative
@@ -88,22 +88,8 @@ def model_relative(model: str) -> RelativeDatum:
 
 
 def _plucker(rows: Sequence[PVec], j: int, n: int) -> PVec:
-    out = []
-    for cols in combinations(range(n), j):
-        s = ZERO
-        for perm in permutations(range(j)):
-            sign = 1
-            p = list(perm)
-            for a in range(j):
-                for b in range(a + 1, j):
-                    if p[a] > p[b]:
-                        sign = -sign
-            term = ONE
-            for r in range(j):
-                term = term * rows[r][cols[perm[r]]]
-            s = s + (term if sign > 0 else -term)
-        out.append(s)
-    return tuple(out)
+    return tuple(_det([[row[c] for c in cols] for row in rows])
+                 for cols in combinations(range(n), j))
 
 
 def make_point(model: str, raw) -> ModelPoint:
@@ -296,6 +282,10 @@ def act(g, p: ModelPoint) -> ModelPoint:
     """Translate a point by a group element, checking the group's constraints."""
     kind, args = _parse_model(p.model)
     m = _pmat(g)
+    # the matrix acts on the defining representation of the model's group
+    size = args[-1] if args else (4 if kind.startswith("sp4") else 3)
+    if len(m) != size or any(len(row) != size for row in m):
+        raise ValueError(f"need a {size}x{size} matrix")
     if kind in ("proj", "grass", "sl3_flag"):
         if _det(m) != ONE:
             raise ValueError("matrix determinant must be 1")
@@ -318,8 +308,6 @@ def act(g, p: ModelPoint) -> ModelPoint:
             newc.append(s)
         return ModelPoint(p.model, (tuple(newc),))
     if kind in ("sp4_flag", "sp4_line"):
-        if len(m) != 4:
-            raise ValueError("need a 4x4 matrix")
         cols = [tuple(m[i][j] for i in range(4)) for j in range(4)]
         for a in range(4):
             for b in range(a, 4):
@@ -330,8 +318,6 @@ def act(g, p: ModelPoint) -> ModelPoint:
                     raise ValueError("matrix does not preserve the symplectic form")
         return ModelPoint(p.model, tuple(_mat_vec(m, vec) for vec in p.data))
     if kind == "su3_pair":
-        if len(m) != 3:
-            raise ValueError("need a 3x3 matrix")
         if _det(m) != ONE:
             raise ValueError("matrix determinant must be 1")
         mt = [[m[j][i].tau_twist() for j in range(3)] for i in range(3)]

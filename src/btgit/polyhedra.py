@@ -3,7 +3,9 @@
 Everything is computed with Fraction arithmetic; no floating point is used
 anywhere.  The linear programs are solved by a two-phase simplex with Bland's
 rule, so termination is guaranteed; the environment variable
-BTGIT_LP_PIVOT_LIMIT caps the pivot count (default: unlimited).
+BTGIT_LP_PIVOT_LIMIT caps the pivot count (default: unlimited).  Cone
+generators, cone facets, polyhedron vertices and hull skeletons all come from
+one double-description routine, with no LP and no subset enumeration.
 """
 
 from __future__ import annotations
@@ -75,13 +77,6 @@ def nullspace(rows: Sequence[Sequence[Q]], dim: int) -> List[Vector]:
     return basis
 
 
-def in_span(rows: Sequence[Vector], v: Vector) -> bool:
-    if is_zero(v):
-        return True
-    base = [list(r) for r in rows]
-    return matrix_rank(base + [list(v)]) == matrix_rank(base)
-
-
 # ---------------------------------------------------------------------------
 # exact simplex
 
@@ -92,6 +87,23 @@ class LPResult:
     value: Optional[Q] = None
     x: Optional[Vector] = None
     ray: Optional[Vector] = None  # an improving direction when unbounded
+
+
+def _pivot(rows: List[List[Q]], r: int, col: int) -> None:
+    """Scale row r to a unit entry in col and clear col from the other rows.
+
+    The tableau is mostly zeros, so zero entries are passed over."""
+    p = rows[r][col]
+    piv = [x / p if x else x for x in rows[r]]
+    rows[r] = piv
+    nz = [j for j, y in enumerate(piv) if y]
+    for i, row in enumerate(rows):
+        f = row[col]
+        if i != r and f:
+            row = row[:]
+            for j in nz:
+                row[j] -= f * piv[j]
+            rows[i] = row
 
 
 def solve_lp(objective: Sequence[Q], eq=(), ub=(), maximize: bool = True) -> LPResult:
@@ -135,12 +147,14 @@ def solve_lp(objective: Sequence[Q], eq=(), ub=(), maximize: bool = True) -> LPR
         while True:
             if limit is not None and pivots > limit:
                 raise PivotLimitExceeded("LP pivot limit exceeded")
-            dual = [costs[b] for b in basis]
+            # reduced costs over the rows whose basic variable has a cost
+            priced = [(costs[b], rows[i]) for i, b in enumerate(basis) if costs[b]]
             entering = None
+            in_basis = set(basis)
             for j in range(width):
-                if j in banned or j in basis:
+                if j in banned or j in in_basis:
                     continue
-                rc = costs[j] - sum(dual[i] * rows[i][j] for i in range(len(rows)))
+                rc = costs[j] - sum(c * row[j] for c, row in priced if row[j])
                 if rc > 0:
                     entering = j
                     break
@@ -156,12 +170,7 @@ def solve_lp(objective: Sequence[Q], eq=(), ub=(), maximize: bool = True) -> LPR
                         leaving = i
             if leaving is None:
                 return "unbounded", entering
-            p = rows[leaving][entering]
-            rows[leaving] = [x / p for x in rows[leaving]]
-            for i in range(len(rows)):
-                if i != leaving and rows[i][entering] != 0:
-                    f = rows[i][entering]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[leaving])]
+            _pivot(rows, leaving, entering)
             basis[leaving] = entering
             pivots += 1
 
@@ -179,12 +188,7 @@ def solve_lp(objective: Sequence[Q], eq=(), ub=(), maximize: bool = True) -> LPR
             col = next((j for j in range(art0) if rows[i][j] != 0), None)
             if col is None:
                 continue  # redundant constraint
-            p = rows[i][col]
-            rows[i] = [x / p for x in rows[i]]
-            for k2 in range(len(rows)):
-                if k2 != i and rows[k2][col] != 0:
-                    f = rows[k2][col]
-                    rows[k2] = [x - f * y for x, y in zip(rows[k2], rows[i])]
+            _pivot(rows, i, col)
             basis[i] = col
         keep.append(i)
     rows[:] = [rows[i] for i in keep]
@@ -257,10 +261,6 @@ class QPolyhedron:
     def contains(self, z: Sequence) -> bool:
         z = qvec(z)
         return all(dot(nrm, z) >= off for nrm, off in self.halfspaces)
-
-    def contains_strictly(self, z: Sequence) -> bool:
-        z = qvec(z)
-        return all(dot(nrm, z) > off for nrm, off in self.halfspaces)
 
     def with_equality(self, normal: Sequence, value) -> "QPolyhedron":
         normal = qvec(normal)
@@ -389,41 +389,58 @@ def hull_member_bruteforce(points: Sequence[Sequence], q: Sequence) -> bool:
 # cones
 
 
+def _double_description(rows: Sequence[Vector],
+                        dim: int) -> Tuple[List[Vector], List[Vector]]:
+    """Lines and primitive extreme rays of the cone {x : a . x >= 0 for every row a}.
+
+    Double description (Motzkin et al. 1953; Fukuda-Prodon 1996): start from
+    the whole space and add the inequalities one at a time, tracking the rows
+    tight on each ray.  The lines come out as the kernel basis that
+    `nullspace` gives for the same rows, and every ray vanishes on the
+    coordinates where those lines carry their unit entries.
+    """
+    lines = [tuple(Q(1) if j == i else Q(0) for j in range(dim)) for i in range(dim)]
+    rays: List[Tuple[Vector, frozenset]] = []  # (ray, indices of rows tight on it)
+    for k, a in enumerate(rows):
+        pivot = next((l for l in lines if dot(a, l) != 0), None)
+        if pivot is not None:
+            # the line leaves as a ray on the side a > 0; everything else is
+            # moved along it onto a = 0
+            lines.remove(pivot)
+            ap = dot(a, pivot)
+            if ap < 0:
+                pivot, ap = neg(pivot), -ap
+            lines = [sub(l, scale(dot(a, l) / ap, pivot)) for l in lines]
+            rays = [(primitive(sub(r, scale(dot(a, r) / ap, pivot))), z | {k})
+                    for r, z in rays]
+            rays.append((primitive(pivot), frozenset(range(k))))
+            continue
+        vals = [dot(a, r) for r, _ in rays]
+        kept = [(r, z | {k} if v == 0 else z) for v, (r, z) in zip(vals, rays) if v >= 0]
+        for i, (vp, (p, zp)) in enumerate(zip(vals, rays)):
+            if vp <= 0:
+                continue
+            for j, (vn, (n, zn)) in enumerate(zip(vals, rays)):
+                if vn >= 0:
+                    continue
+                common = zp & zn
+                # adjacent: no third ray is tight wherever both are
+                if not any(common <= z for m, (_, z) in enumerate(rays) if m not in (i, j)):
+                    kept.append((primitive(sub(scale(vp, n), scale(vn, p))), common | {k}))
+        rays = kept
+    return lines, [r for r, _ in rays]
+
+
 def cone_h_rep(generators: Sequence[Sequence], dim: int) -> QPolyhedron:
     """H-representation of the conic hull of finitely many generators.
 
-    Facets are found by brute force over subsets spanning hyperplanes of the
-    linear span; directions orthogonal to the span become equality pairs.
+    The facet normals are the extreme rays of the dual cone
+    {n : n . g >= 0 for every generator g}; its lines, the directions
+    orthogonal to the span, become equality pairs.
     """
-    gens = [qvec(g) for g in generators if not is_zero(qvec(g))]
-    halfspaces: List[Tuple[Vector, Q]] = []
-    comp = nullspace(gens, dim) if gens else nullspace([], dim)
-    for v in comp:
-        halfspaces.append((v, Q(0)))
-        halfspaces.append((neg(v), Q(0)))
-    if not gens:
-        return QPolyhedron(halfspaces, dim)
-    span_basis = [tuple(r) for r in rref(gens)[0]]
-    s = len(span_basis)
-    normals = set()
-    for subset in combinations(range(len(gens)), s - 1):
-        m = [[dot(span_basis[i], gens[j]) for i in range(s)] for j in subset]
-        ker = nullspace(m, s)
-        if len(ker) != 1:
-            continue
-        nrm = zero(dim)
-        for c, b in zip(ker[0], span_basis):
-            nrm = add(nrm, scale(c, b))
-        if is_zero(nrm):
-            continue
-        vals = [dot(nrm, g) for g in gens]
-        if all(v <= 0 for v in vals):
-            normals.add(primitive(neg(nrm)))
-        elif all(v >= 0 for v in vals):
-            normals.add(primitive(nrm))
-    for nrm in sorted(normals):
-        halfspaces.append((nrm, Q(0)))
-    return QPolyhedron(halfspaces, dim)
+    lines, rays = _double_description([qvec(g) for g in generators], dim)
+    halfspaces = [(w, Q(0)) for v in lines for w in (v, neg(v))]
+    return QPolyhedron(halfspaces + [(r, Q(0)) for r in sorted(rays)], dim)
 
 
 def tangent_cone(p: QPolytope, at: Optional[Sequence] = None) -> QPolyhedron:
@@ -449,47 +466,10 @@ def cone_generators(cone: QPolyhedron) -> List[Vector]:
 
     Assumes every offset is zero.  Returns [] exactly when the cone is {0}.
     """
-    dim = cone.dim
-    rows = []
-    seen_rows = set()
-    for nrm, off in cone.halfspaces:
-        if off != 0:
-            raise ValueError("not a cone")
-        if not is_zero(nrm):
-            key = primitive(nrm)
-            if key not in seen_rows:
-                seen_rows.add(key)
-                rows.append(list(key))
-    lin = nullspace(rows, dim) if rows else nullspace([], dim)
-    gens: List[Vector] = []
-    seen = set()
-    for v in lin:
-        for w in (v, neg(v)):
-            pv = primitive(w)
-            if pv not in seen:
-                seen.add(pv)
-                gens.append(pv)
-    lin_rank = len(lin)
-    target = lin_rank + 1
-    if rows:
-        max_size = min(len(rows), dim)
-        for size in range(0, max_size + 1):
-            for subset in combinations(range(len(rows)), size):
-                ker = nullspace([rows[i] for i in subset], dim)
-                if len(ker) != target:
-                    continue
-                for v in ker:
-                    if lin and in_span(lin, v):
-                        continue
-                    for w in (v, neg(v)):
-                        if all(dot(qvec(r), w) >= 0 for r in rows):
-                            pv = primitive(w)
-                            if pv not in seen:
-                                seen.add(pv)
-                                gens.append(pv)
-    else:
-        pass  # whole space: lineality basis already added
-    return sorted(gens)
+    if any(off != 0 for _, off in cone.halfspaces):
+        raise ValueError("not a cone")
+    lines, rays = _double_description([nrm for nrm, _ in cone.halfspaces], cone.dim)
+    return sorted({primitive(w) for v in lines for w in (v, neg(v))} | set(rays))
 
 
 def cone_contains(cone: QPolyhedron, v: Sequence) -> bool:
@@ -591,63 +571,40 @@ def min_enclosing_ball(points: Sequence[Sequence], gram=None) -> Tuple[Vector, Q
 
 
 def hull_skeleton(p: QPolytope):
-    """Vertices and edges (with primitive directions) of the hull; dim <= 4."""
+    """Vertices and edges (with primitive directions) of the hull; dim <= 4.
+
+    Both come from the facets of the cone over the points lifted to height 1:
+    a point is a vertex when the facets through it have rank dim, and two
+    vertices span an edge when the facets through both have rank dim - 1.
+    """
     if p.dim > 4:
         raise ValueError("hull skeleton supported up to ambient dimension 4")
-    pts = list(p.points)
-    vertices = []
-    for i, pt in enumerate(pts):
-        others = [q for j, q in enumerate(pts) if j != i]
-        if not others or not hull_member(QPolytope(others), pt, "closure"):
-            vertices.append(pt)
-    if len(vertices) <= 1:
-        return vertices, []
-    edges = []
-    d = p.dim
-    for a in range(len(vertices)):
-        for b in range(a + 1, len(vertices)):
-            va, vb = vertices[a], vertices[b]
-            others = [v for k, v in enumerate(vertices) if k not in (a, b)]
-            if not others:
-                edges.append((va, vb, primitive(sub(vb, va))))
-                continue
-            # is conv{va, vb} a face? need c with c.va = c.vb > c.r for others
-            # vars: c (d), delta; maximize delta with box -1 <= c_i <= 1
-            obj = [Q(0)] * d + [Q(1)]
-            eq = [(tuple(sub(va, vb)) + (Q(0),), Q(0))]
-            ub = []
-            for r in others:
-                ub.append((tuple(sub(r, va)) + (Q(1),), Q(0)))
-            for i in range(d):
-                e = tuple(Q(1) if j == i else Q(0) for j in range(d))
-                ub.append((e + (Q(0),), Q(1)))
-                ub.append((tuple(neg(e)) + (Q(0),), Q(1)))
-            res = solve_lp(obj, eq=eq, ub=ub)
-            if res.status == "optimal" and res.value > 0:
-                edges.append((va, vb, primitive(sub(vb, va))))
+    lifted = [pt + (Q(1),) for pt in p.points]
+    facets = [nrm for nrm, _ in cone_h_rep(lifted, p.dim + 1).halfspaces]
+    tight = {}
+    for pt, q in zip(p.points, lifted):
+        through = frozenset(i for i, nrm in enumerate(facets) if dot(nrm, q) == 0)
+        if matrix_rank([facets[i] for i in through]) == p.dim:
+            tight[pt] = through
+    vertices = list(tight)
+    edges = [(va, vb, primitive(sub(vb, va)))
+             for va, vb in combinations(vertices, 2)
+             if matrix_rank([facets[i] for i in tight[va] & tight[vb]]) == p.dim - 1]
     return vertices, edges
 
 
 # ---------------------------------------------------------------------------
-# vertex enumeration for bounded H-polyhedra (small dimension)
+# vertex enumeration for H-polyhedra
 
 
 def polyhedron_vertices(poly: QPolyhedron) -> List[Vector]:
-    """Vertices of a bounded polyhedron by brute force over active subsets."""
-    dim = poly.dim
-    hs = list(poly.halfspaces)
-    out = set()
-    for subset in combinations(range(len(hs)), dim):
-        rows = [list(hs[i][0]) for i in subset]
-        rhs = [hs[i][1] for i in subset]
-        aug = [r + [rhs[k]] for k, r in enumerate(rows)]
-        red, pivots = rref(aug)
-        if len(pivots) != dim or dim in pivots:
-            continue
-        v = [Q(0)] * dim
-        for r, col in enumerate(pivots):
-            v[col] = red[r][dim]
-        v = tuple(v)
-        if poly.contains(v):
-            out.add(v)
-    return sorted(out)
+    """Vertices of a polyhedron: the rays of its homogenization at height t > 0.
+
+    n . z >= o becomes n . z - o t >= 0 together with t >= 0.
+    """
+    rows = [nrm + (-off,) for nrm, off in poly.halfspaces]
+    rows.append(zero(poly.dim) + (Q(1),))
+    lines, rays = _double_description(rows, poly.dim + 1)
+    if lines:
+        return []  # a polyhedron that contains a line has no vertices
+    return sorted(scale(1 / r[-1], r[:-1]) for r in rays if r[-1] > 0)

@@ -16,7 +16,8 @@ def qvec(xs: Iterable) -> Vector:
 def dot(x: Vector, y: Vector) -> Q:
     if len(x) != len(y):
         raise ValueError("dimension mismatch")
-    return sum(a * b for a, b in zip(x, y))
+    # weights and dual rows are mostly zeros; skip those products
+    return sum((a * b for a, b in zip(x, y) if a and b), Q(0))
 
 
 def add(x: Vector, y: Vector) -> Vector:

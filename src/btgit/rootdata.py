@@ -9,11 +9,11 @@ reduced coordinates of dimension equal to the relative rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from .qvec import Vector, add, dot, is_zero, neg, qvec, scale, sub, zero
+from .qvec import Vector, add, dot, is_zero, qvec, scale, sub, zero
 
 ROOT_COUNTS = {"A": lambda l: l * (l + 1), "B": lambda l: 2 * l * l,
                "C": lambda l: 2 * l * l, "D": lambda l: 2 * l * (l - 1)}
@@ -46,17 +46,6 @@ class RootDatum:
     simple_roots: Tuple[Vector, ...]
     all_roots: Tuple[Vector, ...]
     fundamental_weights: Tuple[Vector, ...]
-
-    def positive_roots(self) -> Tuple[Vector, ...]:
-        pos = []
-        for a in self.all_roots:
-            for x in a:
-                if x > 0:
-                    pos.append(a)
-                    break
-                if x < 0:
-                    break
-        return tuple(pos)
 
 
 def _simple_basis(family: str, rank: int) -> List[Vector]:
@@ -161,49 +150,6 @@ def weyl_orbit(datum: RootDatum, weight: Vector) -> Tuple[Vector, ...]:
     return tuple(sorted(orbit))
 
 
-Matrix = Tuple[Vector, ...]
-
-
-def _reflection_matrix(alpha: Vector, dim: int) -> Matrix:
-    cols = []
-    for j in range(dim):
-        e = tuple(Q(1) if k == j else Q(0) for k in range(dim))
-        cols.append(reflect(e, alpha))
-    # store rows: row i of the matrix sending e_j to cols[j]
-    return tuple(tuple(cols[j][i] for j in range(dim)) for i in range(dim))
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
-def _mat_apply(a: Matrix, v: Vector) -> Vector:
-    return tuple(dot(row, v) for row in a)
-
-
-def weyl_elements(datum: RootDatum) -> Tuple[Matrix, ...]:
-    """Every Weyl-group element as an ambient matrix (closure under generators)."""
-    dim = datum.ambient_dim
-    gens = [_reflection_matrix(a, dim) for a in datum.simple_roots]
-    ident = tuple(tuple(Q(1) if i == j else Q(0) for j in range(dim)) for i in range(dim))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                img = _mat_mul(g, w)
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return tuple(seen)
-
-
 def weyl_order(datum: RootDatum) -> int:
     """Order of the Weyl group, via the orbit of a regular weight."""
     rho = zero(datum.ambient_dim)
@@ -240,9 +186,6 @@ class RelativeDatum:
             if root == alpha:
                 return step
         raise ValueError(f"{alpha} is not a relative root")
-
-    def is_split(self) -> bool:
-        return self.name.startswith("split")
 
 
 def _split_relative(datum: RootDatum) -> RelativeDatum:

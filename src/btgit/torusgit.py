@@ -73,11 +73,11 @@ def mu_residue(x: WeightedPoint, rel: RelativeDatum, z: Sequence) -> QPolytope:
     shifted = []
     for w, _, c in x.entries:
         if c:
-            shifted.append((c.valuation() + dot(rel.restrict(w), zc), w))
+            rw = rel.restrict(w)
+            shifted.append((c.valuation() + dot(rw, zc), rw))
     m = min(v for v, _ in shifted)
     verts: List[Vector] = []
-    for v, w in shifted:
-        rw = rel.restrict(w)
+    for v, rw in shifted:
         if v == m and rw not in verts:
             verts.append(rw)
     return QPolytope(verts)

@@ -153,6 +153,31 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["--command", "classify", "--in", str(req)]) == 2
 
 
+@pytest.mark.parametrize("command,payload,pivot_limit,code", [
+    ("status", {"model": "grass(x,4)", "point": ["1", "1", "1", "1", "1", "1"]},
+     None, 2),
+    ("status", {"model": "proj(1)", "point": ["1"]}, None, 2),
+    ("status", {"model": "proj(2)", "point": ["1", "t^{1/0}"]}, None, 2),
+    ("status", {"model": "proj(2)", "point": ["1", "t"], "chi": ["1/0"]}, None, 2),
+    ("models", {"model": "proj(2)", "point": ["1", "t"],
+                "act": [["1", "0"], ["1"]]}, None, 2),
+    ("models", {"model": "proj(2)", "point": ["1", "t"],
+                "act": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
+     None, 2),
+    ("interval", {"model": "proj(2)", "point": ["1", "t^{1/2}"]}, "1", 3),
+], ids=["malformed-grass", "proj-1", "zero-exponent-denominator",
+        "zero-chi-denominator", "ragged-act", "act-size-mismatch",
+        "pivot-limit"])
+def test_bad_inputs_exit_without_output(tmp_path, capsys, monkeypatch,
+                                        command, payload, pivot_limit, code):
+    if pivot_limit is not None:
+        monkeypatch.setenv("BTGIT_LP_PIVOT_LIMIT", pivot_limit)
+    req = tmp_path / "req.json"
+    req.write_text(json.dumps(payload))
+    assert main(["--command", command, "--in", str(req)]) == code
+    assert capsys.readouterr().out == ""
+
+
 def test_serialize_is_byte_stable():
     payload = {"model": "proj(2)", "point": ["1", "t^{1/2}"]}
     a = serialize(run("interval", payload))

@@ -1,16 +1,18 @@
 """Exact convex geometry: membership, cones, minimax faces, enclosing balls."""
 
 from fractions import Fraction as Q
+from itertools import combinations
 
 import pytest
 from helpers import rng
 
-from btgit.polyhedra import (PivotLimitExceeded, QPolytope, cone_contains,
-                             cone_generators, hull_member,
-                             hull_member_bruteforce, hull_skeleton,
-                             min_enclosing_ball, minimax_face, polar_cone,
-                             polyhedron_vertices, solve_lp, tangent_cone)
-from btgit.qvec import line_rep, qvec
+from btgit.polyhedra import (PivotLimitExceeded, QPolyhedron, QPolytope,
+                             cone_contains, cone_generators, cone_h_rep,
+                             hull_member, hull_member_bruteforce,
+                             hull_skeleton, min_enclosing_ball, minimax_face,
+                             polar_cone, polyhedron_vertices, rref, solve_lp,
+                             tangent_cone)
+from btgit.qvec import line_rep, neg, primitive, qvec, sub
 
 
 def test_hull_member_examples():
@@ -29,6 +31,22 @@ def test_hull_member_matches_bruteforce():
         pts = [tuple(Q(r.randint(-3, 3), r.randint(1, 2)) for _ in range(dim))
                for _ in range(r.randint(1, 6))]
         q = tuple(Q(r.randint(-3, 3), r.randint(1, 2)) for _ in range(dim))
+        assert hull_member(QPolytope(pts), q, "closure") == \
+            hull_member_bruteforce(pts, q)
+
+
+def test_hull_member_closure_on_degenerate_hulls():
+    # lower-dimensional point sets, repeated points, and q on a vertex or an
+    # edge, where the simplex pivots are degenerate
+    r = rng(29)
+    for _ in range(300):
+        dim = r.randint(2, 4)
+        base = [tuple(Q(r.randint(-2, 2)) for _ in range(dim))
+                for _ in range(r.randint(1, 3))]
+        pts = [base[r.randrange(len(base))] for _ in range(r.randint(1, 7))]
+        a, b = pts[0], pts[-1]
+        q = r.choice([a, tuple((x + y) / 2 for x, y in zip(a, b)),
+                      tuple(Q(r.randint(-2, 2), 2) for _ in range(dim))])
         assert hull_member(QPolytope(pts), q, "closure") == \
             hull_member_bruteforce(pts, q)
 
@@ -111,3 +129,80 @@ def test_lp_pivot_limit_env(monkeypatch):
                  ub=[((Q(1), Q(0)), Q(5)), ((Q(0), Q(1)), Q(5)),
                      ((Q(-1), Q(0)), Q(5)), ((Q(0), Q(-1)), Q(5))],
                  maximize=True)
+
+
+def _rand_vec(r, dim):
+    return tuple(Q(r.randint(-3, 3), r.randint(1, 2)) for _ in range(dim))
+
+
+def _rand_points(r, dim):
+    """Random points; half the time they lie in a lower-dimensional flat."""
+    if r.random() < 0.5:
+        return [_rand_vec(r, dim) for _ in range(r.randint(1, 7))]
+    base = _rand_vec(r, dim)
+    dirs = [_rand_vec(r, dim) for _ in range(r.randint(0, dim - 1))]
+    return [tuple(b + sum(r.randint(-2, 2) * d[i] for d in dirs)
+                  for i, b in enumerate(base)) for _ in range(r.randint(1, 7))]
+
+
+def _is_edge_by_lp(va, vb, vertices):
+    """Some functional is maximal on va and vb and on no other vertex."""
+    others = [v for v in vertices if v not in (va, vb)]
+    if not others:
+        return True
+    d = len(va)
+    # vars: c (d), delta; maximize delta <= 1 with c.va = c.vb >= c.r + delta
+    eq = [(sub(va, vb) + (Q(0),), Q(0))]
+    ub = [(sub(v, va) + (Q(1),), Q(0)) for v in others]
+    ub.append(((Q(0),) * d + (Q(1),), Q(1)))
+    res = solve_lp([Q(0)] * d + [Q(1)], eq=eq, ub=ub)
+    return res.value > 0
+
+
+def _basic_feasible_points(poly):
+    """Points of the polyhedron where dim independent facets are tight."""
+    out = set()
+    for subset in combinations(poly.halfspaces, poly.dim):
+        red, pivots = rref([list(n) + [o] for n, o in subset])
+        if len(pivots) == poly.dim and poly.dim not in pivots:
+            v = tuple(row[poly.dim] for row in red)
+            if poly.contains(v):
+                out.add(v)
+    return sorted(out)
+
+
+def test_double_description_routines_match_independent_oracles():
+    r = rng(31)
+    for _ in range(80):
+        dim = r.randint(1, 4)
+
+        pts = sorted(set(_rand_points(r, dim)))
+        verts, edges = hull_skeleton(QPolytope(pts))
+        assert verts == [p for p in pts if not hull_member_bruteforce(
+            [q for q in pts if q != p], p)]
+        want = [(a, b) for a, b in combinations(verts, 2)
+                if _is_edge_by_lp(a, b, verts)]
+        assert [(a, b) for a, b, _ in edges] == want
+        assert all(d == primitive(sub(b, a)) for a, b, d in edges)
+
+        halves = [(_rand_vec(r, dim), Q(r.randint(-4, 1)))
+                  for _ in range(r.randint(0, 6))]
+        if r.random() < 0.5:  # a box makes it bounded
+            for i in range(dim):
+                e = tuple(Q(1) if j == i else Q(0) for j in range(dim))
+                halves += [(e, Q(-2)), (neg(e), Q(-2))]
+        poly = QPolyhedron(halves, dim)
+        assert polyhedron_vertices(poly) == _basic_feasible_points(poly)
+
+        # fewer rows than dim, or a row with its negative, give lineality
+        rows = [_rand_vec(r, dim) for _ in range(r.randint(0, dim + 2))]
+        if rows and r.random() < 0.3:
+            rows.append(neg(rows[0]))
+        cone = QPolyhedron([(a, 0) for a in rows], dim)
+        gens = cone_generators(cone)
+        back = cone_h_rep(gens, dim)
+        probes = [_rand_vec(r, dim) for _ in range(10)]
+        probes += [tuple(sum(r.randint(0, 1) * g[i] for g in gens)
+                         for i in range(dim)) for _ in range(10)]
+        for v in probes:
+            assert back.contains(v) == cone.contains(v)
