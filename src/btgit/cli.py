@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -48,10 +49,19 @@ def _load_schema(name: str) -> dict:
     return schema
 
 
+@functools.lru_cache(maxsize=None)
+def _validator(command: str):
+    """The command's schema, checked and compiled once per process."""
+    schema = _load_schema(command)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def validate_payload(command: str, payload) -> None:
-    try:
-        jsonschema.validate(payload, _load_schema(command))
-    except jsonschema.ValidationError as exc:
+    # the error jsonschema.validate would raise: the best match of all errors
+    exc = jsonschema.exceptions.best_match(_validator(command).iter_errors(payload))
+    if exc is not None:
         raise ValidationFailure(f"payload: {exc.message}") from exc
 
 

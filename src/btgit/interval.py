@@ -56,13 +56,6 @@ def interval_A(x: WeightedPoint, rel: RelativeDatum) -> IntervalResult:
     return IntervalResult(face, res.value, face.is_bounded(), singleton, bounds)
 
 
-def wall_bounds(res: IntervalResult, rel: RelativeDatum) -> Dict[Vector, object]:
-    """Supremum of each relative root over the interval (+inf if unbounded)."""
-    if res.is_empty():
-        raise ValueError("the interval is empty")
-    return {a: res.polyhedron.sup_linear(a) for a in rel.relative_roots}
-
-
 def wall_h_rep(bounds: Dict[Vector, object]) -> QPolyhedron:
     """Polyhedron cut out by the finite wall bounds alone."""
     halves = []

@@ -61,22 +61,6 @@ def matrix_rank(rows: Sequence[Sequence[Q]]) -> int:
     return len(rref(rows)[0])
 
 
-def nullspace(rows: Sequence[Sequence[Q]], dim: int) -> List[Vector]:
-    """Basis of the kernel of the linear map given by the rows."""
-    if not rows:
-        return [tuple(Q(1) if i == j else Q(0) for j in range(dim)) for i in range(dim)]
-    red, pivots = rref(rows)
-    free = [j for j in range(dim) if j not in pivots]
-    basis = []
-    for j in free:
-        v = [Q(0)] * dim
-        v[j] = Q(1)
-        for i, col in enumerate(pivots):
-            v[col] = -red[i][j]
-        basis.append(tuple(v))
-    return basis
-
-
 # ---------------------------------------------------------------------------
 # exact simplex
 
@@ -395,9 +379,9 @@ def _double_description(rows: Sequence[Vector],
 
     Double description (Motzkin et al. 1953; Fukuda-Prodon 1996): start from
     the whole space and add the inequalities one at a time, tracking the rows
-    tight on each ray.  The lines come out as the kernel basis that
-    `nullspace` gives for the same rows, and every ray vanishes on the
-    coordinates where those lines carry their unit entries.
+    tight on each ray.  The lines come out as the reduced kernel basis of
+    the rows, one unit entry per free coordinate, and every ray vanishes on
+    the coordinates where those lines carry their unit entries.
     """
     lines = [tuple(Q(1) if j == i else Q(0) for j in range(dim)) for i in range(dim)]
     rays: List[Tuple[Vector, frozenset]] = []  # (ray, indices of rows tight on it)

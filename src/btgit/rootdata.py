@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
+from .polyhedra import QPolyhedron, cone_generators, rref
 from .qvec import Vector, add, dot, is_zero, qvec, scale, sub, zero
 
 ROOT_COUNTS = {"A": lambda l: l * (l + 1), "B": lambda l: 2 * l * l,
@@ -84,18 +85,7 @@ def build_root_system(family: str, rank: int) -> RootDatum:
     if rank < 1 or (family in ("B", "C") and rank < 2) or (family == "D" and rank < 2):
         raise ValueError(f"unsupported rank {rank} for family {family}")
     simple = _simple_basis(family, rank)
-    roots = set(simple)
-    frontier = list(simple)
-    while frontier:
-        nxt = []
-        for r in frontier:
-            for a in simple:
-                img = reflect(r, a)
-                if img not in roots:
-                    roots.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    all_roots = tuple(sorted(roots))
+    all_roots = tuple(sorted(reflection_closure(simple, _simple_reflections(simple))))
     expected = ROOT_COUNTS[family](rank)
     if len(all_roots) != expected:
         raise AssertionError(f"{family}{rank}: {len(all_roots)} roots, expected {expected}")
@@ -105,10 +95,9 @@ def build_root_system(family: str, rank: int) -> RootDatum:
     coeff_rows = [
         [2 * dot(ak, aj) / dot(aj, aj) for ak in simple] for aj in simple
     ]
+    units = [tuple(Q(int(i == j)) for j in range(rank)) for i in range(rank)]
     weights = []
-    for i in range(rank):
-        rhs = [Q(1) if j == i else Q(0) for j in range(rank)]
-        sol = _solve(coeff_rows, rhs)
+    for sol in _solve_columns(coeff_rows, units):
         w = zero(len(simple[0]))
         for c, a in zip(sol, simple):
             w = add(w, scale(c, a))
@@ -116,38 +105,44 @@ def build_root_system(family: str, rank: int) -> RootDatum:
     return RootDatum(family, rank, len(simple[0]), tuple(simple), all_roots, tuple(weights))
 
 
-def _solve(rows: List[List[Q]], rhs: List[Q]) -> List[Q]:
-    """Solve a square nonsingular rational system by Gaussian elimination."""
+def _solve_columns(rows: Sequence[Sequence[Q]],
+                   columns: Sequence[Vector]) -> List[Vector]:
+    """The solution x of rows . x = b for each column b; rows square and nonsingular."""
     n = len(rows)
-    m = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if m[r][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        p = m[col][col]
-        m[col] = [x / p for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
+    red, _ = rref([list(r) + [b[i] for b in columns] for i, r in enumerate(rows)])
+    return [tuple(red[i][n + k] for i in range(n)) for k in range(len(columns))]
+
+
+def reflection_closure(seeds: Iterable, maps: Sequence[Callable]) -> Set:
+    """Closure of the seeds under the maps, breadth first.
+
+    With the simple reflections as maps this is the union of the seeds'
+    Weyl-group orbits, since those reflections generate the group.
+    """
+    seen = set(seeds)
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for f in maps:
+                img = f(v)
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return seen
+
+
+def _simple_reflections(simple: Sequence[Vector]) -> List[Callable[[Vector], Vector]]:
+    return [lambda v, a=a: reflect(v, a) for a in simple]
 
 
 def weyl_orbit(datum: RootDatum, weight: Vector) -> Tuple[Vector, ...]:
     """Full Weyl-group orbit of a weight, by closure under simple reflections."""
     if len(weight) != datum.ambient_dim:
         raise ValueError("weight has wrong ambient dimension")
-    orbit = {tuple(weight)}
-    frontier = [tuple(weight)]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for a in datum.simple_roots:
-                img = reflect(v, a)
-                if img not in orbit:
-                    orbit.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return tuple(sorted(orbit))
+    return tuple(sorted(reflection_closure([tuple(weight)],
+                                           _simple_reflections(datum.simple_roots))))
 
 
 def weyl_order(datum: RootDatum) -> int:
@@ -186,6 +181,24 @@ class RelativeDatum:
             if root == alpha:
                 return step
         raise ValueError(f"{alpha} is not a relative root")
+
+
+def relative_weyl_orbit(rel: RelativeDatum, points: Iterable[Vector]) -> Set[Vector]:
+    """Union of the orbits of apartment (primal) points under the relative Weyl group.
+
+    The relative simple root a reflects z to z - (a . z) a^vee, with the
+    coroot a^vee = 2x/(a . x) where gram x = a.
+    """
+    xs = _solve_columns(rel.gram, rel.relative_simple)
+    coroots = [scale(2 / dot(a, x), x) for a, x in zip(rel.relative_simple, xs)]
+    maps = [lambda z, a=a, c=c: sub(z, scale(dot(a, z), c))
+            for a, c in zip(rel.relative_simple, coroots)]
+    return reflection_closure(points, maps)
+
+
+def fundamental_rays(rel: RelativeDatum) -> List[Vector]:
+    """Primitive rays of the fundamental chamber {z : a . z >= 0, a relative simple}."""
+    return cone_generators(QPolyhedron([(a, Q(0)) for a in rel.relative_simple], rel.rank))
 
 
 def _split_relative(datum: RootDatum) -> RelativeDatum:

@@ -4,16 +4,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from itertools import combinations
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from .polyhedra import (QPolytope, cone_contains, cone_h_rep,
-                        cone_interior_contains, hull_member, matrix_rank,
-                        nullspace, tangent_cone)
-from .qvec import Vector, dot, is_zero, line_rep, neg, qvec, scale, add
-from .rootdata import (RelativeDatum, RootDatum, build_root_system,
-                       preset_relative, reflect)
+                        cone_interior_contains, hull_member, tangent_cone)
+from .qvec import Vector, dot, line_rep, neg, qvec, scale, add
+from .rootdata import (RelativeDatum, build_root_system, fundamental_rays,
+                       preset_relative, reflect, reflection_closure,
+                       relative_weyl_orbit)
 from .valfield import PuiseuxElement, parse_rational, format_rational
 
 
@@ -109,18 +108,14 @@ def chi_status(x: WeightedPoint, rel: RelativeDatum, chi: Sequence) -> str:
 
 
 def root_hyperplanes(rel: RelativeDatum) -> Tuple[Vector, ...]:
-    """Primitive normals of all hyperplanes through 0 spanned by relative roots."""
-    rank = rel.rank
-    if rank == 1:
-        return ((Q(1),),)
-    lines = sorted({line_rep(a) for a in rel.relative_roots})
-    normals = set()
-    for sub in combinations(lines, rank - 1):
-        rows = [list(a) for a in sub]
-        if matrix_rank(rows) != rank - 1:
-            continue
-        normals.add(line_rep(nullspace(rows, rank)[0]))
-    return tuple(sorted(normals))
+    """Primitive normals of all hyperplanes through 0 spanned by relative roots.
+
+    Each such hyperplane is a Weyl translate of the span of all simple roots
+    but one (Bourbaki, Lie VI §1), whose normal is a ray of the fundamental
+    chamber; so the normals are the orbit of those rays, up to sign.
+    """
+    orbit = relative_weyl_orbit(rel, fundamental_rays(rel))
+    return tuple(sorted({line_rep(z) for z in orbit}))
 
 
 @dataclass(frozen=True)
@@ -154,23 +149,6 @@ def chamber_leq(lam_fine: Sequence, lam: Sequence,
     a = chamber_of(lam_fine, hyperplanes).signs
     b = chamber_of(lam, hyperplanes).signs
     return all(sa == 0 or sa == sb for sa, sb in zip(a, b))
-
-
-def _joint_orbit(datum: RootDatum, vectors: Sequence[Vector]):
-    """Orbit of a tuple of weights under simultaneous simple reflections."""
-    start = tuple(qvec(v) for v in vectors)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for tup in frontier:
-            for a in datum.simple_roots:
-                img = tuple(reflect(v, a) for v in tup)
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return seen
 
 
 def classify_regular_weights(family: Optional[str] = None,
@@ -229,7 +207,9 @@ def classify_regular_weights(family: Optional[str] = None,
     omegas = [datum.fundamental_weights[j * step - 1] for j in J]
     hyps = root_hyperplanes(rel)
     max_num = 1
-    for tup in _joint_orbit(datum, omegas):
+    reflections = [lambda tup, a=a: tuple(reflect(v, a) for v in tup)
+                   for a in datum.simple_roots]
+    for tup in reflection_closure([tuple(omegas)], reflections):
         imgs = [rel.restrict(v) for v in tup]
         for h in hyps:
             coeffs = [dot(h, img) for img in imgs]
@@ -245,7 +225,7 @@ def classify_regular_weights(family: Optional[str] = None,
     for k, w in enumerate(omegas):
         lam = add(lam, scale(Q(base) ** k, w))
     scan = True
-    for (v,) in _joint_orbit(datum, [lam]):
+    for (v,) in reflection_closure([(lam,)], reflections):
         rv = rel.restrict(v)
         if any(dot(h, rv) == 0 for h in hyps):
             scan = False

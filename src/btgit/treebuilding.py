@@ -4,16 +4,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from itertools import combinations, product
+from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
 from .apartment import ApartmentPoint
 from .models import (ModelPoint, adjugate, model_relative, p_epsilon_member,
                      weighted_coordinates)
 from .polyhedra import (QPolyhedron, cone_generators, min_enclosing_ball,
-                        polyhedron_vertices, solve_lp)
+                        polyhedron_vertices)
 from .qvec import Vector, dot, is_zero, qvec
-from .rootdata import RelativeDatum
+from .rootdata import RelativeDatum, fundamental_rays, relative_weyl_orbit
 from .torusgit import WeightedPoint
 from .valfield import INF, ONE, PuiseuxElement, ZERO
 
@@ -302,20 +302,23 @@ def interval_chi(x: ModelPoint, chi, R=Q(4), rel: Optional[RelativeDatum] = None
 
 
 def _weyl_chambers(rel: RelativeDatum):
-    """Full-dimensional sign cones of the relative root arrangement."""
+    """Full-dimensional sign cones of the relative root arrangement.
+
+    The chambers are the Weyl translates of the fundamental one, so each is
+    the sign vector of one orbit point of a point inside it; they are listed
+    with + before - in each sign, root by root.
+    """
     lines = []
     for a in rel.relative_roots:
         if a not in lines and tuple(-c for c in a) not in lines:
             lines.append(a)
+    inside = tuple(sum(c) for c in zip(*fundamental_rays(rel)))
+    signs = {tuple(1 if dot(a, z) > 0 else -1 for a in lines)
+             for z in relative_weyl_orbit(rel, [inside])}
     chambers = []
-    for signs in product((1, -1), repeat=len(lines)):
-        halves = tuple((tuple(s * c for c in a), Q(0))
-                       for s, a in zip(signs, lines))
-        cone = QPolyhedron(halves)
-        ub = [(tuple(-s * c for c in a), Q(-1)) for s, a in zip(signs, lines)]
-        res = solve_lp((Q(0),) * rel.rank, ub=ub, maximize=True)
-        if res.status != "infeasible":
-            chambers.append((signs, cone))
+    for s in sorted(signs, key=lambda s: tuple(-x for x in s)):
+        halves = tuple((tuple(x * c for c in a), Q(0)) for x, a in zip(s, lines))
+        chambers.append((s, QPolyhedron(halves)))
     return lines, chambers
 
 

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as Q
+from itertools import combinations
 from typing import List, Optional
 
 from btgit.models import make_point, symplectic_form
+from btgit.polyhedra import QPolyhedron, solve_lp
+from btgit.qvec import dot, line_rep, scale, sub
+from btgit.rootdata import build_root_system, preset_relative
 from btgit.valfield import ONE, ZERO, PuiseuxElement
 
 
@@ -132,3 +136,67 @@ def grid_points(rank: int, step: Q = Q(1, 2), radius: int = 2) -> List[tuple]:
     for _ in range(rank):
         out = [p + (t,) for p in out for t in ticks]
     return out
+
+
+def chamber_presets(max_rank: Optional[int] = None):
+    """Relative data of every preset family at the ranks the chamber oracles
+    can still scan, optionally capped at a relative rank."""
+    rels = [preset_relative("split", datum=build_root_system(f, r))
+            for f, ranks in (("A", range(1, 7)), ("B", range(2, 5)),
+                             ("C", range(2, 4)), ("D", range(2, 6)))
+            for r in ranks]
+    rels.append(preset_relative("su3"))
+    rels += [preset_relative("nonsplit_C", rank=r) for r in range(2, 8)]
+    rels += [preset_relative("sl_skew", s=s, d=d)
+             for s, d in ((1, 1), (1, 2), (2, 2), (2, 3), (3, 2))]
+    return [rel for rel in rels if max_rank is None or rel.rank <= max_rank]
+
+
+def root_hyperplanes_by_subsets(rel):
+    """Reference oracle: the kernel line of every set of rank - 1 independent
+    root lines.
+
+    Sets are grown one line at a time in lexicographic order with the kernel
+    kept up to date; a line that does not cut the kernel down makes the set
+    dependent, and such a set is not extended."""
+    rank = rel.rank
+    lines = sorted({line_rep(a) for a in rel.relative_roots})
+    normals = set()
+
+    def extend(start, kernel):
+        if len(kernel) == 1:
+            normals.add(line_rep(kernel[0]))
+            return
+        for i in range(start, len(lines)):
+            a = lines[i]
+            p = next((v for v in kernel if dot(a, v) != 0), None)
+            if p is not None:
+                extend(i + 1, [sub(v, scale(dot(a, v) / dot(a, p), p))
+                               for v in kernel if v is not p])
+
+    extend(0, [tuple(Q(int(i == j)) for j in range(rank)) for i in range(rank)])
+    return tuple(sorted(normals))
+
+
+def weyl_chambers_by_sign_patterns(rel):
+    """Reference oracle: the sign patterns on the root lines whose open cone
+    is nonempty, by one LP per pattern, listed in itertools.product order.
+
+    Patterns are extended one line at a time and a prefix whose open cone
+    is already empty is not extended."""
+    lines = []
+    for a in rel.relative_roots:
+        if a not in lines and tuple(-c for c in a) not in lines:
+            lines.append(a)
+
+    def extend(signs):
+        ub = [(tuple(-s * c for c in a), Q(-1)) for s, a in zip(signs, lines)]
+        if solve_lp((Q(0),) * rel.rank, ub=ub).status == "infeasible":
+            return []
+        if len(signs) == len(lines):
+            halves = tuple((tuple(s * c for c in a), Q(0))
+                           for s, a in zip(signs, lines))
+            return [(signs, QPolyhedron(halves))]
+        return extend(signs + (1,)) + extend(signs + (-1,))
+
+    return lines, extend(())

@@ -1,6 +1,7 @@
 """JSON front-end: frozen outputs, exit codes, byte determinism, rendering."""
 
 import json
+import time
 
 import pytest
 
@@ -176,6 +177,20 @@ def test_bad_inputs_exit_without_output(tmp_path, capsys, monkeypatch,
     req.write_text(json.dumps(payload))
     assert main(["--command", command, "--in", str(req)]) == code
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command,payload,key,size", [
+    ("rootsys", {"family": "A", "rank": 7}, "hyperplanes", 127),
+    ("chi", {"family": "B", "rank": 4, "chi": [1, 1, 1, 1]}, "chambers", 144),
+], ids=["rootsys-A7", "chi-B4"])
+def test_chamber_requests_do_bounded_work(tmp_path, capsys, command, payload,
+                                          key, size):
+    req = tmp_path / "req.json"
+    req.write_text(json.dumps(payload))
+    start = time.monotonic()
+    assert main(["--command", command, "--in", str(req)]) == 0
+    assert time.monotonic() - start < 10
+    assert len(json.loads(capsys.readouterr().out)[key]) == size
 
 
 def test_serialize_is_byte_stable():

@@ -7,8 +7,7 @@ from helpers import grid_points, random_proj_point, rng
 
 from btgit.apartment import InfinityPoint, nu
 from btgit.interval import (destabilizing_1ps, fixed_locus_possible,
-                            interval_A, interval_A_chi, lambda_A, wall_bounds,
-                            wall_h_rep)
+                            interval_A, interval_A_chi, lambda_A, wall_h_rep)
 from btgit.models import make_point, model_relative, weighted_coordinates
 from btgit.polyhedra import hull_member
 from btgit.qvec import add, dot, primitive, qvec, scale
@@ -55,11 +54,11 @@ def test_interval_empty_for_unstable():
 
 def test_wall_bounds_examples():
     res = interval_A(_p1(ONE, P.t_power(Q(1, 2))), REL_A1)
-    bounds = wall_bounds(res, REL_A1)
+    bounds = res.wall_bounds
     assert bounds[(Q(2),)] == Q(1, 2) and bounds[(Q(-2),)] == Q(-1, 2)
-    zero = wall_bounds(interval_A(_p1(ONE, ONE), REL_A1), REL_A1)
+    zero = interval_A(_p1(ONE, ONE), REL_A1).wall_bounds
     assert all(n == 0 for n in zero.values())
-    gr = wall_bounds(interval_A(GR24_LINE, GR24_REL), GR24_REL)
+    gr = interval_A(GR24_LINE, GR24_REL).wall_bounds
     # the interval is a full line, so any root not vanishing on it is unbounded
     for a, n in gr.items():
         assert (n == INF) == (dot(a, LINE_DIR) != 0)
@@ -67,7 +66,7 @@ def test_wall_bounds_examples():
 
 def test_wall_h_rep_reconstructs_the_interval():
     res = interval_A(_p1(ONE, P.t_power(Q(1, 2))), REL_A1)
-    poly = wall_h_rep(wall_bounds(res, REL_A1))
+    poly = wall_h_rep(res.wall_bounds)
     for z in grid_points(1, Q(1, 4), 2):
         assert poly.contains(z) == res.contains(z)
 

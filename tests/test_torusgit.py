@@ -4,7 +4,8 @@ from fractions import Fraction as Q
 from itertools import permutations
 
 import pytest
-from helpers import random_proj_point, rng
+from helpers import (chamber_presets, random_proj_point, rng,
+                     root_hyperplanes_by_subsets)
 
 from btgit.models import make_point, model_relative, weighted_coordinates
 from btgit.polyhedra import hull_member
@@ -88,6 +89,11 @@ def test_root_hyperplanes_counts():
     assert len(root_hyperplanes(REL_A2)) == 3
     assert len(root_hyperplanes(REL_C2)) == 4
     assert root_hyperplanes(REL_A1) == ((Q(1),),)
+
+
+def test_root_hyperplanes_match_subset_scan():
+    for rel in chamber_presets():
+        assert root_hyperplanes(rel) == root_hyperplanes_by_subsets(rel), rel.name
 
 
 def test_chamber_of_examples():
