@@ -7,10 +7,11 @@ from fractions import Fraction as Q
 from typing import Dict, Optional, Sequence, Tuple
 
 from .apartment import ApartmentPoint, InfinityPoint
-from .polyhedra import QPolyhedron, cone_generators, minimax_face, polar_cone
-from .qvec import Vector, dot, is_zero, primitive, qvec
+from .polyhedra import (QPolyhedron, cone_generators, minimax_face, polar_cone,
+                        rref)
+from .qvec import Vector, dot, is_zero, neg, primitive, qvec
 from .rootdata import RelativeDatum, weyl_orbit
-from .torusgit import WeightedPoint, mu_K, stability_status
+from .torusgit import WeightedPoint, mu_K, stability_status, valuation_profile
 from .valfield import INF
 
 
@@ -31,29 +32,24 @@ class IntervalResult:
         return self.polyhedron is not None and self.polyhedron.contains(qvec(z))
 
 
-def _support_forms(x: WeightedPoint, rel: RelativeDatum):
-    """Minimal coordinate valuation per restricted support weight."""
-    forms: Dict[Vector, object] = {}
-    for w, _, c in x.entries:
-        if not c:
-            continue
-        rw = rel.restrict(w)
-        v = c.valuation()
-        if rw not in forms or v < forms[rw]:
-            forms[rw] = v
-    return [(rw, n) for rw, n in sorted(forms.items())]
-
-
 def interval_A(x: WeightedPoint, rel: RelativeDatum) -> IntervalResult:
-    """Apartment points where the reduction of x stays semistable."""
-    res = minimax_face(_support_forms(x, rel))
+    """Apartment points where the reduction of x stays semistable.
+
+    The relative roots are symmetric and span the dual space, so their wall
+    bounds decide the shape: the face is bounded when every bound is finite,
+    and a point when every root is constant on it, sup a = -sup(-a).
+    """
+    res = minimax_face(sorted(valuation_profile(x, rel).items()))
     if res.value == INF:
         return IntervalResult(None, INF, False, None, {})
     face = res.face
-    point = face.single_point()
-    singleton = ApartmentPoint(point) if point is not None else None
     bounds = {a: face.sup_linear(a) for a in rel.relative_roots}
-    return IntervalResult(face, res.value, face.is_bounded(), singleton, bounds)
+    bounded = INF not in bounds.values()
+    singleton = None
+    if bounded and all(bounds[a] == -bounds[neg(a)] for a in bounds):
+        red, _ = rref([a + (n,) for a, n in bounds.items()])
+        singleton = ApartmentPoint(tuple(row[-1] for row in red))
+    return IntervalResult(face, res.value, bounded, singleton, bounds)
 
 
 def wall_h_rep(bounds: Dict[Vector, object]) -> QPolyhedron:

@@ -4,8 +4,9 @@ Everything is computed with Fraction arithmetic; no floating point is used
 anywhere.  The linear programs are solved by a two-phase simplex with Bland's
 rule, so termination is guaranteed; the environment variable
 BTGIT_LP_PIVOT_LIMIT caps the pivot count (default: unlimited).  Cone
-generators, cone facets, polyhedron vertices and hull skeletons all come from
-one double-description routine, with no LP and no subset enumeration.
+generators, cone facets, polyhedron vertices, hull skeletons and hull
+membership all come from one double-description routine, with no LP and no
+subset enumeration.
 """
 
 from __future__ import annotations
@@ -308,40 +309,19 @@ def hull_member(p: QPolytope, q: Sequence, mode: str = "closure") -> bool:
     """Exact membership of q in conv(points), in the closure or the interior.
 
     Interior means interior relative to the full ambient space, so a
-    lower-dimensional hull has empty interior.
+    lower-dimensional hull has empty interior.  Both read the facets of the
+    cone over the points lifted to height 1, at q lifted the same way; a
+    lower-dimensional hull shows up there as equality pairs.
     """
     q = qvec(q)
     if len(q) != p.dim:
         raise ValueError("dimension mismatch")
     if mode not in ("closure", "interior"):
         raise ValueError(f"unknown mode {mode!r}")
-    pts = p.points
-    k = len(pts)
+    cone = cone_h_rep([pt + (Q(1),) for pt in p.points], p.dim + 1)
     if mode == "closure":
-        # feasibility: lambda >= 0, sum lambda = 1, sum lambda p = q
-        eq = [(tuple(pt[i] for pt in pts), q[i]) for i in range(p.dim)]
-        eq.append((tuple(Q(1) for _ in pts), Q(1)))
-        ub = [(tuple(Q(-1) if j == i else Q(0) for j in range(k)), Q(0)) for i in range(k)]
-        res = solve_lp([Q(0)] * k, eq=eq, ub=ub)
-        return res.status == "optimal"
-    # interior: q + eps*d must stay in the hull for both signs of each axis
-    for axis in range(p.dim):
-        for sign in (1, -1):
-            d = tuple(Q(sign) if j == axis else Q(0) for j in range(p.dim))
-            # vars: lambda_1..k, eps; maximize eps
-            eq = [
-                (tuple(pt[i] for pt in pts) + (-d[i],), q[i]) for i in range(p.dim)
-            ]
-            eq.append((tuple(Q(1) for _ in pts) + (Q(0),), Q(1)))
-            ub = [
-                (tuple(Q(-1) if j == i else Q(0) for j in range(k)) + (Q(0),), Q(0))
-                for i in range(k)
-            ]
-            obj = [Q(0)] * k + [Q(1)]
-            res = solve_lp(obj, eq=eq, ub=ub)
-            if res.status != "optimal" or res.value <= 0:
-                return False
-    return True
+        return cone.contains(q + (Q(1),))
+    return cone_interior_contains(cone, q + (Q(1),))
 
 
 def hull_member_bruteforce(points: Sequence[Sequence], q: Sequence) -> bool:
@@ -461,11 +441,12 @@ def cone_contains(cone: QPolyhedron, v: Sequence) -> bool:
 
 
 def cone_interior_contains(cone: QPolyhedron, v: Sequence) -> bool:
-    """Membership in the ambient-space interior of a cone given by halfspaces."""
+    """Membership in the ambient-space interior of a cone given by halfspaces.
+
+    A lower-dimensional cone, one with an equality pair for instance, has no
+    point strictly inside every halfspace, so it has no interior here.
+    """
     v = qvec(v)
-    dirs = {primitive(nrm) for nrm, _ in cone.halfspaces if not is_zero(nrm)}
-    if any(primitive(neg(d)) in dirs for d in dirs):
-        return False  # an equality pair flattens the cone: no ambient interior
     return all(dot(nrm, v) > off for nrm, off in cone.halfspaces)
 
 

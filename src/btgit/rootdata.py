@@ -19,21 +19,6 @@ from .qvec import Vector, add, dot, is_zero, qvec, scale, sub, zero
 ROOT_COUNTS = {"A": lambda l: l * (l + 1), "B": lambda l: 2 * l * l,
                "C": lambda l: 2 * l * l, "D": lambda l: 2 * l * (l - 1)}
 
-WEYL_ORDERS = {
-    "A": lambda l: _factorial(l + 1),
-    "B": lambda l: 2 ** l * _factorial(l),
-    "C": lambda l: 2 ** l * _factorial(l),
-    "D": lambda l: 2 ** (l - 1) * _factorial(l),
-}
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
 def reflect(v: Vector, alpha: Vector) -> Vector:
     """Reflection of v in the hyperplane orthogonal to alpha."""
     return sub(v, scale(2 * dot(v, alpha) / dot(alpha, alpha), alpha))
@@ -183,17 +168,19 @@ class RelativeDatum:
         raise ValueError(f"{alpha} is not a relative root")
 
 
-def relative_weyl_orbit(rel: RelativeDatum, points: Iterable[Vector]) -> Set[Vector]:
-    """Union of the orbits of apartment (primal) points under the relative Weyl group.
+def relative_weyl_orbit(rel: RelativeDatum,
+                        seeds: Iterable[Tuple[Vector, ...]]) -> Set[Tuple[Vector, ...]]:
+    """Union of the orbits of tuples of apartment (primal) points under the
+    relative Weyl group, which acts on each point of a tuple.
 
     The relative simple root a reflects z to z - (a . z) a^vee, with the
     coroot a^vee = 2x/(a . x) where gram x = a.
     """
     xs = _solve_columns(rel.gram, rel.relative_simple)
     coroots = [scale(2 / dot(a, x), x) for a, x in zip(rel.relative_simple, xs)]
-    maps = [lambda z, a=a, c=c: sub(z, scale(dot(a, z), c))
+    maps = [lambda zs, a=a, c=c: tuple(sub(z, scale(dot(a, z), c)) for z in zs)
             for a, c in zip(rel.relative_simple, coroots)]
-    return reflection_closure(points, maps)
+    return reflection_closure(seeds, maps)
 
 
 def fundamental_rays(rel: RelativeDatum) -> List[Vector]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import gcd
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .polyhedra import (QPolytope, cone_contains, cone_h_rep,
                         cone_interior_contains, hull_member, tangent_cone)
@@ -33,14 +33,6 @@ class WeightedPoint:
             cleaned = tuple((w, i, c * shift) for w, i, c in cleaned)
         object.__setattr__(self, "entries", cleaned)
 
-    def support(self) -> Tuple[Vector, ...]:
-        """Weights carrying a nonzero coordinate, deduplicated."""
-        out: List[Vector] = []
-        for w, _, c in self.entries:
-            if c and w not in out:
-                out.append(w)
-        return tuple(out)
-
     def to_json(self) -> dict:
         return {"entries": [{"weight": [format_rational(a) for a in w],
                              "index": i, "coord": c.to_json()}
@@ -61,25 +53,32 @@ def translate(x: WeightedPoint, vals: Sequence) -> WeightedPoint:
                           for w, i, c in x.entries])
 
 
-def mu_K(x: WeightedPoint, rel: RelativeDatum) -> QPolytope:
-    """Hull of the restricted weights of all nonzero coordinates."""
-    return QPolytope([rel.restrict(w) for w in x.support()])
-
-
-def mu_residue(x: WeightedPoint, rel: RelativeDatum, z: Sequence) -> QPolytope:
-    """Hull of the restricted weights whose shifted valuation is minimal."""
-    zc = qvec(z)
-    shifted = []
+def valuation_profile(x: WeightedPoint, rel: RelativeDatum) -> Dict[Vector, object]:
+    """Least valuation of the nonzero coordinates, per restricted weight."""
+    profile: Dict[Vector, object] = {}
     for w, _, c in x.entries:
         if c:
             rw = rel.restrict(w)
-            shifted.append((c.valuation() + dot(rw, zc), rw))
-    m = min(v for v, _ in shifted)
-    verts: List[Vector] = []
-    for v, rw in shifted:
-        if v == m and rw not in verts:
-            verts.append(rw)
-    return QPolytope(verts)
+            v = c.valuation()
+            if rw not in profile or v < profile[rw]:
+                profile[rw] = v
+    return profile
+
+
+def mu_K(x: WeightedPoint, rel: RelativeDatum) -> QPolytope:
+    """Hull of the restricted weights of all nonzero coordinates."""
+    return QPolytope(valuation_profile(x, rel))
+
+
+def mu_residue(x: WeightedPoint, rel: RelativeDatum, z: Sequence) -> QPolytope:
+    """Hull of the restricted weights whose shifted valuation is minimal.
+
+    A weight that repeats with a larger valuation never attains the minimum,
+    so only each weight's least valuation is shifted."""
+    zc = qvec(z)
+    shifted = {rw: n + dot(rw, zc) for rw, n in valuation_profile(x, rel).items()}
+    m = min(shifted.values())
+    return QPolytope([rw for rw, v in shifted.items() if v == m])
 
 
 def stability_status(x: WeightedPoint, rel: RelativeDatum) -> str:
@@ -114,8 +113,8 @@ def root_hyperplanes(rel: RelativeDatum) -> Tuple[Vector, ...]:
     but one (Bourbaki, Lie VI §1), whose normal is a ray of the fundamental
     chamber; so the normals are the orbit of those rays, up to sign.
     """
-    orbit = relative_weyl_orbit(rel, fundamental_rays(rel))
-    return tuple(sorted({line_rep(z) for z in orbit}))
+    orbit = relative_weyl_orbit(rel, [(z,) for z in fundamental_rays(rel)])
+    return tuple(sorted({line_rep(z) for (z,) in orbit}))
 
 
 @dataclass(frozen=True)

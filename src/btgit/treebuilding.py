@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import combinations
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .apartment import ApartmentPoint
 from .models import (ModelPoint, adjugate, model_relative, p_epsilon_member,
@@ -96,25 +96,32 @@ def ss_at(x: ModelPoint, z: TreePoint) -> bool:
 
 
 def interval_tree(x: ModelPoint, R=Q(4)) -> TreeInterval:
-    """Walk the tree toward x, splitting one residue digit per vertex."""
+    """Walk the tree toward x, splitting one residue digit per vertex.
+
+    The branch coordinate b grows by one digit per step; the walk keeps
+    rem = x1 - b * x0 up to date instead of b, and builds b at the exit.
+    """
     R = R if isinstance(R, Q) else Q(R)
     x0, x1 = _proj2_coords(x)
     if not x0:
         return TreeInterval((), "exact", witness=ApartmentChart.swap())
-    b = ZERO
-    while True:
-        rem = x1 - b * x0
-        e = rem.valuation() - x0.valuation()
-        if e == INF:
-            return TreeInterval((), "exact", witness=ApartmentChart.branch(b))
-        if e.denominator != 1:
-            return TreeInterval((TreePoint(b, e / 2),), "exact")
-        if e / 2 > R:
-            return TreeInterval((), "radius_limited", radius=R,
-                                witness=ApartmentChart.branch(b))
+    v0, lead = x0.valuation(), x0.leading_coefficient()
+    digits = []
+    rem = x1
+    e = rem.valuation() - v0
+    while e != INF and e.denominator == 1 and e / 2 <= R:
         q0, c0 = rem.terms[0]
-        b = b + PuiseuxElement.monomial(c0 / x0.leading_coefficient(),
-                                        q0 - x0.valuation())
+        digit = PuiseuxElement.monomial(c0 / lead, q0 - v0)
+        digits += digit.terms
+        rem = rem - digit * x0
+        e = rem.valuation() - v0
+    b = PuiseuxElement(digits)
+    if e == INF:
+        return TreeInterval((), "exact", witness=ApartmentChart.branch(b))
+    if e.denominator != 1:
+        return TreeInterval((TreePoint(b, e / 2),), "exact")
+    return TreeInterval((), "radius_limited", radius=R,
+                        witness=ApartmentChart.branch(b))
 
 
 def act_tree(g, z: TreePoint) -> TreePoint:
@@ -301,25 +308,34 @@ def interval_chi(x: ModelPoint, chi, R=Q(4), rel: Optional[RelativeDatum] = None
     return n, face
 
 
-def _weyl_chambers(rel: RelativeDatum):
-    """Full-dimensional sign cones of the relative root arrangement.
+def _chamber_rays(rel: RelativeDatum):
+    """Root lines, and the rays of every chamber of their arrangement by sign vector.
 
-    The chambers are the Weyl translates of the fundamental one, so each is
-    the sign vector of one orbit point of a point inside it; they are listed
-    with + before - in each sign, root by root.
+    The chambers are the Weyl translates of the fundamental one, so their
+    rays are the orbit images of its rays and their sign vectors those of
+    the images' sums.  They are listed with + before - in each sign, root
+    by root.
     """
     lines = []
     for a in rel.relative_roots:
         if a not in lines and tuple(-c for c in a) not in lines:
             lines.append(a)
-    inside = tuple(sum(c) for c in zip(*fundamental_rays(rel)))
-    signs = {tuple(1 if dot(a, z) > 0 else -1 for a in lines)
-             for z in relative_weyl_orbit(rel, [inside])}
-    chambers = []
-    for s in sorted(signs, key=lambda s: tuple(-x for x in s)):
-        halves = tuple((tuple(x * c for c in a), Q(0)) for x, a in zip(s, lines))
-        chambers.append((s, QPolyhedron(halves)))
-    return lines, chambers
+    rays = {}
+    for imgs in relative_weyl_orbit(rel, [tuple(fundamental_rays(rel))]):
+        inside = tuple(sum(c) for c in zip(*imgs))
+        rays[tuple(1 if dot(a, inside) > 0 else -1 for a in lines)] = imgs
+    return lines, {s: rays[s] for s in sorted(rays, reverse=True)}
+
+
+def _chamber_cone(signs: Tuple[int, ...], lines: Sequence[Vector]) -> Tuple:
+    """Halfspaces of the chamber on the given sides of the root lines."""
+    return tuple((tuple(x * c for c in a), Q(0)) for x, a in zip(signs, lines))
+
+
+def _weyl_chambers(rel: RelativeDatum):
+    """Full-dimensional sign cones of the relative root arrangement."""
+    lines, rays = _chamber_rays(rel)
+    return lines, [(s, QPolyhedron(_chamber_cone(s, lines))) for s in rays]
 
 
 @dataclass(frozen=True)
@@ -336,17 +352,12 @@ def p_chi_data(chi: Sequence, rel: RelativeDatum) -> PChiData:
     chiv = qvec(chi) if isinstance(chi, (tuple, list)) else (Q(chi),)
     if is_zero(chiv):
         raise ValueError("the character must be nonzero")
-    _, chambers = _weyl_chambers(rel)
-    kept = []
-    halves: List = []
-    for signs, cone in chambers:
-        gens = cone_generators(cone)
-        if all(dot(chiv, g) >= 0 for g in gens):
-            kept.append(signs)
-            halves.extend(cone.halfspaces)
+    lines, rays = _chamber_rays(rel)
+    kept = [s for s, gens in rays.items() if all(dot(chiv, g) >= 0 for g in gens)]
     if not kept:
         raise AssertionError("the character is negative on every chamber")
-    tau = QPolyhedron(tuple(sorted(set(halves))))
+    halves = {h for s in kept for h in _chamber_cone(s, lines)}
+    tau = QPolyhedron(tuple(sorted(halves)))
     delta = tuple(sum(g[i] for g in cone_generators(tau)) or Q(0)
                   for i in range(rel.rank))
     return PChiData(tuple(kept), tau, delta)

@@ -8,8 +8,8 @@ from itertools import combinations
 from typing import List, Optional
 
 from btgit.models import make_point, symplectic_form
-from btgit.polyhedra import QPolyhedron, solve_lp
-from btgit.qvec import dot, line_rep, scale, sub
+from btgit.polyhedra import QPolyhedron, QPolytope, solve_lp
+from btgit.qvec import dot, line_rep, qvec, scale, sub
 from btgit.rootdata import build_root_system, preset_relative
 from btgit.valfield import ONE, ZERO, PuiseuxElement
 
@@ -200,3 +200,32 @@ def weyl_chambers_by_sign_patterns(rel):
         return extend(signs + (1,)) + extend(signs + (-1,))
 
     return lines, extend(())
+
+
+def hull_member_by_lp(p: QPolytope, q, mode: str = "closure") -> bool:
+    """Reference oracle: hull membership by linear programs.
+
+    Closure is one feasibility LP over convex weights; interior asks, for
+    both signs of every axis, for a positive step from q that stays in the
+    hull."""
+    q = qvec(q)
+    pts = p.points
+    k = len(pts)
+    nonneg = [(tuple(Q(-1) if j == i else Q(0) for j in range(k)), Q(0))
+              for i in range(k)]
+    if mode == "closure":
+        eq = [(tuple(pt[i] for pt in pts), q[i]) for i in range(p.dim)]
+        eq.append((tuple(Q(1) for _ in pts), Q(1)))
+        return solve_lp([Q(0)] * k, eq=eq, ub=nonneg).status == "optimal"
+    for axis in range(p.dim):
+        for sign in (1, -1):
+            d = tuple(Q(sign) if j == axis else Q(0) for j in range(p.dim))
+            # vars: lambda_1..k, eps; maximize eps
+            eq = [(tuple(pt[i] for pt in pts) + (-d[i],), q[i])
+                  for i in range(p.dim)]
+            eq.append((tuple(Q(1) for _ in pts) + (Q(0),), Q(1)))
+            ub = [(row + (Q(0),), rhs) for row, rhs in nonneg]
+            res = solve_lp([Q(0)] * k + [Q(1)], eq=eq, ub=ub)
+            if res.status != "optimal" or res.value <= 0:
+                return False
+    return True

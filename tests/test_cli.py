@@ -179,18 +179,28 @@ def test_bad_inputs_exit_without_output(tmp_path, capsys, monkeypatch,
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("command,payload,key,size", [
+# a generic point of grass(4,8): every Plucker coordinate is nonzero
+GR48_POINT = [[f"{(j + 1) ** i} + t^{{{(i * j) % 3}/2}}" for j in range(8)]
+              for i in range(4)]
+
+
+@pytest.mark.parametrize("command,payload,key,want", [
     ("rootsys", {"family": "A", "rank": 7}, "hyperplanes", 127),
     ("chi", {"family": "B", "rank": 4, "chi": [1, 1, 1, 1]}, "chambers", 144),
-], ids=["rootsys-A7", "chi-B4"])
+    ("chi", {"family": "D", "rank": 5, "chi": [1] * 5}, "chambers", 480),
+    ("status", {"model": "grass(4,8)", "point": GR48_POINT}, "status", "stable"),
+    ("tree", {"point": ["1 + t", "1"], "R": 800}, "certificate", "radius_limited"),
+], ids=["rootsys-A7", "chi-B4", "chi-D5", "status-grass48", "tree-R800"])
 def test_chamber_requests_do_bounded_work(tmp_path, capsys, command, payload,
-                                          key, size):
+                                          key, want):
     req = tmp_path / "req.json"
     req.write_text(json.dumps(payload))
     start = time.monotonic()
     assert main(["--command", command, "--in", str(req)]) == 0
     assert time.monotonic() - start < 10
-    assert len(json.loads(capsys.readouterr().out)[key]) == size
+    got = json.loads(capsys.readouterr().out)[key]
+    # an integer is the number of entries expected under the key
+    assert (len(got) if isinstance(want, int) else got) == want
 
 
 def test_serialize_is_byte_stable():

@@ -3,12 +3,13 @@
 from fractions import Fraction as Q
 
 import pytest
-from helpers import grid_points, random_proj_point, rng
+from helpers import (grid_points, random_grass24_point, random_proj_point,
+                     random_sl3_flag, random_sp4_flag, random_su3_pair, rng)
 
 from btgit.apartment import InfinityPoint, nu
 from btgit.interval import (destabilizing_1ps, fixed_locus_possible,
                             interval_A, interval_A_chi, lambda_A, wall_h_rep)
-from btgit.models import make_point, model_relative, weighted_coordinates
+from btgit.models import make_point, model_relative, project, weighted_coordinates
 from btgit.polyhedra import hull_member
 from btgit.qvec import add, dot, primitive, qvec, scale
 from btgit.rootdata import build_root_system, preset_relative
@@ -154,3 +155,36 @@ def test_bounded_iff_stable_on_samples():
         assert res.is_empty() == (status == "unstable")
         if not res.is_empty():
             assert res.bounded == (status == "stable")
+
+
+def test_interval_shape_matches_lp_oracles():
+    # bounded and singleton are read off the wall bounds; is_bounded and
+    # single_point decide them by LPs along the coordinate axes
+    r = rng(59)
+    single = {
+        "proj(2)": lambda: random_proj_point(r, 2),
+        "proj(3)": lambda: random_proj_point(r, 3),
+        "proj(4)": lambda: random_proj_point(r, 4),
+        "grass(2,4)": lambda: random_grass24_point(r),
+        "sp4_line": lambda: project(random_sp4_flag(r), 1),
+        "sp4_quadric": lambda: project(random_sp4_flag(r), 2),
+    }
+    pairs = {"sp4_flag": lambda: random_sp4_flag(r),
+             "su3_pair": lambda: random_su3_pair(r),
+             "sl3_flag": lambda: random_sl3_flag(r)}
+    cases = [(m, draw, None) for m, draw in single.items()]
+    cases += [(m, draw, lam) for m, draw in pairs.items()
+              for lam in ((1, 1), (1, 0), (0, 1), (2, 1))]
+    shapes = set()
+    for model, draw, lam in cases:
+        rel = model_relative(model)
+        for _ in range(6):
+            res = interval_A(weighted_coordinates(draw(), lam=lam), rel)
+            if res.is_empty():
+                shapes.add("empty")
+                continue
+            point = res.polyhedron.single_point()
+            assert res.bounded == res.polyhedron.is_bounded(), model
+            assert (res.singleton.coords if res.singleton else None) == point, model
+            shapes.add("point" if point else "bounded" if res.bounded else "unbounded")
+    assert shapes == {"empty", "point", "bounded", "unbounded"}

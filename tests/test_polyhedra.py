@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 from itertools import combinations
 
 import pytest
-from helpers import rng
+from helpers import hull_member_by_lp, rng
 
 from btgit.polyhedra import (PivotLimitExceeded, QPolyhedron, QPolytope,
                              cone_contains, cone_generators, cone_h_rep,
@@ -49,6 +49,36 @@ def test_hull_member_closure_on_degenerate_hulls():
                       tuple(Q(r.randint(-2, 2), 2) for _ in range(dim))])
         assert hull_member(QPolytope(pts), q, "closure") == \
             hull_member_bruteforce(pts, q)
+
+
+def test_hull_member_matches_lp_oracle():
+    # full-dimensional, lower-dimensional and repeated point sets, with q at
+    # a point, an edge midpoint, the centroid or anywhere
+    r = rng(31)
+    seen = set()
+    for _ in range(200):
+        dim = r.randint(1, 4)
+        span = r.choice((dim + 1, r.randint(1, dim)))
+        base = [tuple(Q(r.randint(-3, 3), r.randint(1, 2)) for _ in range(dim))
+                for _ in range(span)]
+        pts = []
+        for _ in range(r.randint(1, 7)):
+            w = [Q(r.randint(0, 3)) for _ in base]
+            w[r.randrange(span)] += 1
+            pts.append(tuple(sum(c * b[i] for c, b in zip(w, base)) / sum(w)
+                             for i in range(dim)))
+        if r.random() < 0.3:
+            pts += r.sample(pts, r.randint(1, len(pts)))
+        a, b = r.choice(pts), r.choice(pts)
+        q = r.choice([a, tuple((x + y) / 2 for x, y in zip(a, b)),
+                      tuple(sum(c) / len(pts) for c in zip(*pts)),
+                      tuple(Q(r.randint(-3, 3), r.randint(1, 2)) for _ in range(dim))])
+        poly = QPolytope(pts)
+        for mode in ("closure", "interior"):
+            got = hull_member(poly, q, mode)
+            assert got == hull_member_by_lp(poly, q, mode), (pts, q, mode)
+            seen.add((mode, got))
+    assert len(seen) == 4
 
 
 def test_tangent_cone_examples():
