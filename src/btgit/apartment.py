@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import List, Sequence, Tuple, Union
 
-from .polyhedra import rref, solve_lp
+from .polyhedra import QPolyhedron, rref
 from .qvec import Vector, dot, primitive, qvec, sub
 from .rootdata import RelativeDatum
 from .valfield import PuiseuxElement
@@ -135,16 +135,10 @@ def semi_convex_hull_sphere(points: Sequence[InfinityPoint],
         return SphereHull("cone", tuple(dirs))
     if antipodal:
         raise ValueError("antipodal directions in rank > 2 are not supported")
-    if _conic_hull_is_halfspace_free(dirs, dim):
+    # no functional >= 1 on every direction: no open half-space holds them
+    if QPolyhedron([(d, Q(1)) for d in dirs], dim).is_empty():
         raise ValueError("directions not in an open half-space; unsupported in rank > 2")
     return SphereHull("cone", tuple(dirs))
-
-
-def _conic_hull_is_halfspace_free(dirs: List[Vector], dim: int) -> bool:
-    """True when no linear functional is >= 1 on every direction."""
-    ub = [(tuple(-a for a in d), Q(-1)) for d in dirs]
-    res = solve_lp(tuple(Q(0) for _ in range(dim)), ub=ub, maximize=True)
-    return res.status == "infeasible"
 
 
 def distance(z1: PointLike, z2: PointLike, rel: RelativeDatum) -> Q:

@@ -9,18 +9,18 @@ import math
 import sys
 from fractions import Fraction as Q
 from importlib import resources
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import jsonschema
 
-from .interval import interval_A, interval_A_chi
-from .models import (ModelPoint, act, make_point, model_relative, project,
-                     weighted_coordinates)
-from .polyhedra import PivotLimitExceeded, polyhedron_vertices
+from .interval import interval_A
+from .models import (ModelPoint, ModelSpec, UnknownModel, act, make_point,
+                     model_spec, project, weighted_coordinates)
+from .polyhedra import PivotLimitExceeded, QPolyhedron, polyhedron_vertices
 from .rootdata import RelativeDatum, build_root_system, preset_relative
 from .torusgit import (chamber_of, chi_status, classify_regular_weights,
                        root_hyperplanes, stability_status)
-from .treebuilding import interval_tree, p_chi_data
+from .treebuilding import TREE_MODEL, interval_tree, p_chi_data
 from .valfield import (INF, PuiseuxElement, format_rational, parse_puiseux,
                        parse_rational)
 
@@ -28,7 +28,6 @@ COMMANDS = ("rootsys", "classify", "chambers", "status", "interval",
             "tree", "models", "chi")
 _KNOWN_FAMILIES = ("A", "B", "C", "D")
 _KNOWN_PRESETS = ("split", "su3", "nonsplit_C", "sl_skew")
-_TWO_FACTOR = ("sp4_flag", "su3_pair", "sl3_flag")
 
 
 class ValidationFailure(Exception):
@@ -71,10 +70,12 @@ def _rat(x) -> Q:
             v = parse_rational(x)
         except ZeroDivisionError as exc:
             raise ValidationFailure(f"zero denominator in {x!r}") from exc
+        except ValueError as exc:
+            raise ValidationFailure(str(exc)) from exc
         if v == INF:
             raise ValidationFailure("'inf' is not accepted on input")
         return v
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Q(x)
     raise ValidationFailure(f"not a rational: {x!r}")
 
@@ -85,7 +86,11 @@ def _rat_vec(xs) -> tuple:
 
 def _element(x) -> PuiseuxElement:
     if isinstance(x, list):
+        if not all(isinstance(term, list) and len(term) == 2 for term in x):
+            raise ValidationFailure(f"not a list of [exponent, coefficient]: {x!r}")
         return PuiseuxElement((_rat(q), _rat(c)) for q, c in x)
+    if isinstance(x, bool):
+        raise ValidationFailure(f"not a coordinate: {x!r}")
     try:
         return parse_puiseux(x)
     except ValueError as exc:
@@ -121,45 +126,50 @@ def _relative(payload) -> RelativeDatum:
         raise ValidationFailure(str(exc)) from exc
 
 
-def _decode_point(model: str, raw) -> ModelPoint:
-    if model.startswith("proj(") or model in ("sp4_line", "sp4_quadric"):
-        coords = _element_vec(raw)
-    elif model.startswith("grass("):
-        try:
-            j, n = (int(a) for a in model[6:-1].split(","))
-        except ValueError as exc:
-            raise ValidationFailure(f"malformed model {model!r}") from exc
-        if len(raw) == j and all(isinstance(r, list) and len(r) == n for r in raw):
-            coords = [_element_vec(r) for r in raw]
-        else:
-            coords = _element_vec(raw)
-    elif model in _TWO_FACTOR:
-        if len(raw) != 2:
-            raise ValidationFailure(f"{model} needs two coordinate vectors")
+def _decode_point(model: str, raw) -> Tuple[ModelSpec, ModelPoint]:
+    """The model's table entry, and the point given as its coordinate rows or
+    as one flat vector."""
+    try:
+        spec = model_spec(model)
+    except UnknownModel as exc:
+        raise Unsupported(str(exc)) from exc
+    except ValueError as exc:
+        raise ValidationFailure(str(exc)) from exc
+    count, length = spec.rows or (0, 0)
+    if len(raw) == count and all(isinstance(r, list) and len(r) == length
+                                 for r in raw):
         coords = [_element_vec(r) for r in raw]
+    elif len(spec.factors) == 1:
+        coords = _element_vec(raw)
     else:
-        raise Unsupported(f"unsupported model {model!r}")
+        raise ValidationFailure(f"{model} needs {count} coordinate rows of "
+                                f"{length} entries")
     try:
-        return make_point(model, coords)
+        return spec, make_point(model, coords)
     except ValueError as exc:
         raise ValidationFailure(str(exc)) from exc
 
 
-def _model_relative(p: ModelPoint) -> RelativeDatum:
-    try:
-        return model_relative(p.model)
-    except ValueError as exc:
-        raise ValidationFailure(str(exc)) from exc
-
-
-def _weighted(payload, p: ModelPoint):
+def _weighted_point(payload):
+    """The request's group data and weighted coordinates; a two-factor point
+    weighs its coordinates by lam, (1, 1) unless given."""
+    spec, p = _decode_point(payload["model"], payload["point"])
     lam = payload.get("lam")
-    if p.model in _TWO_FACTOR:
+    if len(spec.factors) == 2:
         lam = tuple(lam) if lam is not None else (1, 1)
-        return weighted_coordinates(p, lam=lam)
-    if lam is not None:
+    elif lam is not None:
         raise ValidationFailure("'lam' only applies to two-factor models")
-    return weighted_coordinates(p)
+    try:
+        return spec.relative, weighted_coordinates(p, lam=lam)
+    except ValueError as exc:
+        raise ValidationFailure(str(exc)) from exc
+
+
+def _character(payload, rel: RelativeDatum) -> tuple:
+    chi = _rat_vec(payload["chi"])
+    if len(chi) != rel.rank:
+        raise ValidationFailure(f"chi needs {rel.rank} entries")
+    return chi
 
 
 # -- output encoding ----------------------------------------------------------
@@ -238,18 +248,14 @@ def _cmd_chambers(payload) -> dict:
 
 
 def _cmd_status(payload) -> dict:
-    p = _decode_point(payload["model"], payload["point"])
-    rel = _model_relative(p)
-    wp = _weighted(payload, p)
+    rel, wp = _weighted_point(payload)
     if "chi" in payload:
-        return {"status": chi_status(wp, rel, _rat_vec(payload["chi"]))}
+        return {"status": chi_status(wp, rel, _character(payload, rel))}
     return {"status": stability_status(wp, rel)}
 
 
 def _cmd_interval(payload) -> dict:
-    p = _decode_point(payload["model"], payload["point"])
-    rel = _model_relative(p)
-    wp = _weighted(payload, p)
+    rel, wp = _weighted_point(payload)
     res = interval_A(wp, rel)
     out = {
         "rank": rel.rank,
@@ -268,7 +274,7 @@ def _cmd_interval(payload) -> dict:
     if "chi" in payload:
         if res.is_empty():
             raise ValidationFailure("chi shift needs a nonempty interval")
-        n, face = interval_A_chi(wp, rel, _rat_vec(payload["chi"]))
+        n, face = res.chi_optimum(_character(payload, rel))
         out["chi_value"] = format_rational(n)
         out["chi_face"] = None if face is None else _fmt_halfspaces(face)
     return out
@@ -279,7 +285,7 @@ def _cmd_tree(payload) -> dict:
     if len(coords) != 2:
         raise ValidationFailure("tree points live on the projective line")
     try:
-        x = make_point("proj(2)", coords)
+        x = make_point(TREE_MODEL, coords)
     except ValueError as exc:
         raise ValidationFailure(str(exc)) from exc
     R = _rat(payload.get("R", 4))
@@ -303,7 +309,7 @@ def _cmd_tree(payload) -> dict:
 
 
 def _cmd_models(payload) -> dict:
-    p = _decode_point(payload["model"], payload["point"])
+    spec, p = _decode_point(payload["model"], payload["point"])
     if "act" in payload:
         g = [_element_vec(row) for row in payload["act"]]
         try:
@@ -312,7 +318,8 @@ def _cmd_models(payload) -> dict:
             raise ValidationFailure(str(exc)) from exc
     if "project" in payload:
         try:
-            p = project(p, 1 if payload["project"] == "sp4_line" else 2)
+            # the projection targets are the models of the point's factors
+            p = project(p, spec.factor_models.index(payload["project"]) + 1)
         except ValueError as exc:
             raise ValidationFailure(str(exc)) from exc
     return {"model": p.model, "point": p.to_json(),
@@ -323,14 +330,10 @@ def _cmd_chi(payload) -> dict:
     if "model" in payload:
         if "point" not in payload:
             raise ValidationFailure("a model request needs a point")
-        p = _decode_point(payload["model"], payload["point"])
-        rel = _model_relative(p)
+        rel, wp = _weighted_point(payload)
     else:
-        rel = _relative(payload)
-        p = None
-    chiv = _rat_vec(payload["chi"])
-    if len(chiv) != rel.rank:
-        raise ValidationFailure(f"chi needs {rel.rank} entries")
+        rel, wp = _relative(payload), None
+    chiv = _character(payload, rel)
     try:
         data = p_chi_data(chiv, rel)
     except ValueError as exc:
@@ -341,14 +344,13 @@ def _cmd_chi(payload) -> dict:
         "delta": _fmt_vec(data.delta),
         "tau_halfspaces": _fmt_halfspaces(data.tau),
     }
-    if p is not None:
-        wp = _weighted(payload, p)
+    if wp is not None:
         out["status"] = chi_status(wp, rel, chiv)
         res = interval_A(wp, rel)
         if res.is_empty():
             out["value"], out["face"] = format_rational(INF), None
         else:
-            n, face = interval_A_chi(wp, rel, chiv)
+            n, face = res.chi_optimum(chiv)
             out["value"] = format_rational(n)
             out["face"] = None if face is None else _fmt_halfspaces(face)
     return out
@@ -471,7 +473,6 @@ def _svg_interval(result: dict) -> bytes:
         body.append('<text x="0" y="40" text-anchor="middle" font-size="10">'
                     'unbounded locus</text>')
         return _svg_doc(body)
-    from .polyhedra import QPolyhedron
     halves = tuple((tuple(parse_rational(c) for c in h["normal"]),
                     parse_rational(h["offset"])) for h in result["halfspaces"])
     verts = polyhedron_vertices(QPolyhedron(halves))

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction as Q
 from typing import Dict, Optional, Sequence, Tuple
 
 from .apartment import ApartmentPoint, InfinityPoint
@@ -30,6 +29,16 @@ class IntervalResult:
 
     def contains(self, z: Sequence) -> bool:
         return self.polyhedron is not None and self.polyhedron.contains(qvec(z))
+
+    def chi_optimum(self, chi: Sequence):
+        """Optimal character value over the locus and the face attaining it."""
+        if self.is_empty():
+            raise ValueError("the interval is empty")
+        chiv = qvec(chi)
+        n = self.polyhedron.sup_linear(chiv)
+        if n == INF:
+            return INF, None
+        return n, self.polyhedron.with_equality(chiv, n)
 
 
 def interval_A(x: WeightedPoint, rel: RelativeDatum) -> IntervalResult:
@@ -70,14 +79,7 @@ def lambda_A(x: WeightedPoint, rel: RelativeDatum) -> Tuple[InfinityPoint, ...]:
 
 def interval_A_chi(x: WeightedPoint, rel: RelativeDatum, chi: Sequence):
     """Optimal character value over the interval and the face attaining it."""
-    base = interval_A(x, rel)
-    if base.is_empty():
-        raise ValueError("the interval is empty")
-    chiv = qvec(chi)
-    n = base.polyhedron.sup_linear(chiv)
-    if n == INF:
-        return INF, None
-    return n, base.polyhedron.with_equality(chiv, n)
+    return interval_A(x, rel).chi_optimum(chi)
 
 
 def fixed_locus_possible(lam: Sequence, rel: RelativeDatum) -> bool:

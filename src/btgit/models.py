@@ -4,27 +4,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import reduce
 from itertools import combinations, permutations
+from math import comb
 from typing import Optional, Sequence, Tuple
 
-from .qvec import Vector, dot, qvec
+from .qvec import Vector, add, dot, neg, qvec, zero
 from .rootdata import RelativeDatum, build_root_system, preset_relative
 from .torusgit import WeightedPoint
 from .valfield import PuiseuxElement, ZERO, ONE
 
 PVec = Tuple[PuiseuxElement, ...]
 
-# symplectic form u1*v4 - u4*v1 + u2*v3 - u3*v2 on coordinates of weights
-# (e1, e2, -e2, -e1) for the diagonal torus diag(s1, s2, 1/s2, 1/s1)
+
+class UnknownModel(ValueError):
+    """A model name outside the table.
+
+    A known prefix with malformed arguments, such as "grass(2)", raises a
+    plain ValueError instead."""
+
+
+# torus weights (e1, e2, -e2, -e1) of the defining representation of Sp4 on
+# diag(s1, s2, 1/s2, 1/s1); the symplectic form is u1*v4 - u4*v1 + u2*v3 - u3*v2
 _SP4_WEIGHTS = ((Q(1), Q(0)), (Q(0), Q(1)), (Q(0), Q(-1)), (Q(-1), Q(0)))
-# plane coordinates (p12, p13, p24, p34, p14) on the isotropic Grassmannian,
-# where p23 = -p14 identically; they satisfy q0*q3 - q1*q2 - q4^2 = 0
-_SP4_PLANE_WEIGHTS = ((Q(1), Q(1)), (Q(1), Q(-1)), (Q(-1), Q(1)),
-                      (Q(-1), Q(-1)), (Q(0), Q(0)))
-
-
-def _std_weight(i: int, n: int) -> Vector:
-    return tuple(Q(1) if k == i else Q(0) for k in range(n))
+# the plane coordinates (p12, p13, p24, p34, p14) on the isotropic
+# Grassmannian, where p23 = -p14 identically; they satisfy
+# q0*q3 - q1*q2 - q4^2 = 0
+_SP4_PLANE = ((0, 1), (0, 2), (1, 3), (2, 3), (0, 3))
 
 
 def symplectic_form(u: PVec, v: PVec) -> PuiseuxElement:
@@ -32,28 +38,106 @@ def symplectic_form(u: PVec, v: PVec) -> PuiseuxElement:
 
 
 def _pvec(raw) -> PVec:
-    out = []
-    for c in raw:
-        if isinstance(c, PuiseuxElement):
-            out.append(c)
-        else:
-            out.append(PuiseuxElement.const(c))
-    return tuple(out)
+    return tuple(c if isinstance(c, PuiseuxElement) else PuiseuxElement.const(c)
+                 for c in raw)
 
 
 def _nonzero(vec: PVec) -> bool:
     return any(bool(c) for c in vec)
 
 
-def _parse_model(model: str):
-    if model.startswith("proj(") and model.endswith(")"):
-        return "proj", (int(model[5:-1]),)
-    if model.startswith("grass(") and model.endswith(")"):
-        j, n = model[6:-1].split(",")
-        return "grass", (int(j), int(n))
-    if model in ("sp4_flag", "sp4_line", "sp4_quadric", "su3_pair", "sl3_flag"):
+# the models without arguments: (group, dim, factors, rows, factor models)
+_FIXED_MODELS = {
+    "sp4_line": (("split", "C", 2), 4, ("defining",), None, ()),
+    "sp4_quadric": (("split", "C", 2), 4, ("plane",), None, ()),
+    "sp4_flag": (("split", "C", 2), 4, ("defining", "plane"), (2, 4),
+                 ("sp4_line", "sp4_quadric")),
+    # the second factor is stored pre-twisted, so it carries dual weights
+    "su3_pair": (("su3",), 3, ("defining", "dual"), (2, 3), ()),
+    "sl3_flag": (("split", "A", 2), 3, ("defining", "dual"), (2, 3), ()),
+}
+
+
+def _parse_model(model: str) -> Tuple[str, Tuple[int, ...]]:
+    """The kind of a model name and its integer arguments."""
+    for kind, arity in (("proj", 1), ("grass", 2)):
+        if model.startswith(kind + "("):
+            parts = model[len(kind) + 1:-1].split(",")
+            if not model.endswith(")") or len(parts) != arity:
+                raise ValueError(f"malformed model {model!r}")
+            return kind, tuple(int(a) for a in parts)
+    if model in _FIXED_MODELS:
         return model, ()
-    raise ValueError(f"unknown model {model!r}")
+    raise UnknownModel(f"unknown model {model!r}")
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """What a model name fixes: its group, weights and point shape.
+
+    group is the preset of the group acting on the model; its defining
+    representation has dim coordinates.  Each factor of a point weighs its
+    coordinates by the defining weights, their negatives ("dual"), the sums
+    of j of them for grass(j,n) ("wedge") or those over _SP4_PLANE ("plane").
+    A JSON point lists rows = (count, length) coordinate rows, or, with one
+    factor, one flat vector.  factor_models names each factor's own model.
+    The group and the weights are built when asked for.
+    """
+
+    kind: str
+    args: Tuple[int, ...]
+    group: Tuple
+    dim: int
+    factors: Tuple[str, ...]
+    rows: Optional[Tuple[int, int]]
+    factor_models: Tuple[str, ...]
+
+    @property
+    def relative(self) -> RelativeDatum:
+        """Restriction data of the group acting on the model."""
+        if self.group == ("su3",):
+            return preset_relative("su3")
+        _, family, rank = self.group
+        return preset_relative("split", datum=build_root_system(family, rank))
+
+    @property
+    def defining_weights(self) -> Tuple[Vector, ...]:
+        """Torus weights of the group's defining representation."""
+        if self.kind.startswith("sp4_"):
+            return _SP4_WEIGHTS
+        return tuple(tuple(Q(int(k == i)) for k in range(self.dim))
+                     for i in range(self.dim))
+
+    @property
+    def factor_weights(self) -> Tuple[Tuple[Vector, ...], ...]:
+        """Torus weights of the coordinates of each factor of a point."""
+        w = self.defining_weights
+        return tuple(_weigh(how, w, self.args) for how in self.factors)
+
+
+def _weigh(how: str, w: Sequence[Vector], args) -> Tuple[Vector, ...]:
+    """The weights of one factor, read from the defining weights w."""
+    if how == "defining":
+        return tuple(w)
+    if how == "dual":
+        return tuple(neg(v) for v in w)
+    subsets = _SP4_PLANE if how == "plane" else combinations(range(len(w)), args[0])
+    return tuple(reduce(add, (w[i] for i in s), zero(len(w[0]))) for s in subsets)
+
+
+def model_spec(model: str) -> ModelSpec:
+    """The table entry of a model name.
+
+    Raises UnknownModel for a name outside the table, and a plain ValueError
+    for a known prefix with malformed arguments."""
+    kind, args = _parse_model(model)
+    if kind == "proj":
+        (n,) = args
+        return ModelSpec(kind, args, ("split", "A", n - 1), n, ("defining",), None, ())
+    if kind == "grass":
+        j, n = args
+        return ModelSpec(kind, args, ("split", "A", n - 1), n, ("wedge",), (j, n), ())
+    return ModelSpec(kind, args, *_FIXED_MODELS[kind])
 
 
 @dataclass(frozen=True)
@@ -75,26 +159,18 @@ class ModelPoint:
 
 def model_relative(model: str) -> RelativeDatum:
     """Restriction data of the group acting on the model."""
-    kind, args = _parse_model(model)
-    if kind == "proj":
-        return preset_relative("split", datum=build_root_system("A", args[0] - 1))
-    if kind == "grass":
-        return preset_relative("split", datum=build_root_system("A", args[1] - 1))
-    if kind.startswith("sp4"):
-        return preset_relative("split", datum=build_root_system("C", 2))
-    if kind == "su3_pair":
-        return preset_relative("su3")
-    return preset_relative("split", datum=build_root_system("A", 2))
+    return model_spec(model).relative
 
 
 def _plucker(rows: Sequence[PVec], j: int, n: int) -> PVec:
-    return tuple(_det([[row[c] for c in cols] for row in rows])
+    return tuple(determinant([[row[c] for c in cols] for row in rows])
                  for cols in combinations(range(n), j))
 
 
 def make_point(model: str, raw) -> ModelPoint:
     """Validate raw coordinates against the model's defining relations."""
-    kind, args = _parse_model(model)
+    spec = model_spec(model)
+    kind, args = spec.kind, spec.args
     if kind == "proj":
         (n,) = args
         vec = _pvec(raw)
@@ -110,7 +186,7 @@ def make_point(model: str, raw) -> ModelPoint:
             vec = _plucker([_pvec(r) for r in raw], j, n)
         else:
             vec = _pvec(raw)
-            if len(vec) != len(list(combinations(range(n), j))):
+            if len(vec) != comb(n, j):
                 raise ValueError(f"grass({j},{n}) needs {j} rows or all minors")
             if (j, n) != (2, 4):
                 raise ValueError("direct minor input is only validated for grass(2,4)")
@@ -133,78 +209,36 @@ def make_point(model: str, raw) -> ModelPoint:
         if q:
             raise ValueError("q0*q3 - q1*q2 - q4^2 != 0")
         return ModelPoint(model, (vec,))
+    # the two-factor models
+    count, length = spec.rows
+    vecs = tuple(_pvec(r) for r in raw)
+    if len(vecs) != count or any(len(v) != length or not _nonzero(v) for v in vecs):
+        raise ValueError(f"{model} needs {count} nonzero {length}-vectors")
+    x, y = vecs
     if kind == "sp4_flag":
-        u, v = _pvec(raw[0]), _pvec(raw[1])
-        if len(u) != 4 or len(v) != 4:
-            raise ValueError("sp4_flag needs two 4-vectors")
-        minors = _plucker([u, v], 2, 4)
-        if not _nonzero(minors):
+        if not _nonzero(_plucker([x, y], 2, 4)):
             raise ValueError("the two vectors do not span a plane")
-        if symplectic_form(u, v):
+        if symplectic_form(x, y):
             raise ValueError("u1*v4 - u4*v1 + u2*v3 - u3*v2 != 0")
-        return ModelPoint(model, (u, v))
-    if kind == "su3_pair":
-        x, y = _pvec(raw[0]), _pvec(raw[1])
-        if len(x) != 3 or len(y) != 3 or not _nonzero(x) or not _nonzero(y):
-            raise ValueError("su3_pair needs two nonzero 3-vectors")
-        s = ZERO
-        for a, b in zip(x, y):
-            s = s + a * b.tau_twist()
-        if s:
+    elif kind == "su3_pair":
+        if sum((a * b.tau_twist() for a, b in zip(x, y)), ZERO):
             raise ValueError("x1*tau(y1) + x2*tau(y2) + x3*tau(y3) != 0")
-        return ModelPoint(model, (x, y))
-    if kind == "sl3_flag":
-        v, phi = _pvec(raw[0]), _pvec(raw[1])
-        if len(v) != 3 or len(phi) != 3 or not _nonzero(v) or not _nonzero(phi):
-            raise ValueError("sl3_flag needs two nonzero 3-vectors")
-        s = ZERO
-        for a, b in zip(v, phi):
-            s = s + a * b
-        if s:
-            raise ValueError("v1*phi1 + v2*phi2 + v3*phi3 != 0")
-        return ModelPoint(model, (v, phi))
-    raise ValueError(f"unknown model {model!r}")
+    elif sum((a * b for a, b in zip(x, y)), ZERO):
+        raise ValueError("v1*phi1 + v2*phi2 + v3*phi3 != 0")
+    return ModelPoint(model, vecs)
 
 
 def _plane_coords(p: ModelPoint) -> PVec:
     """The five independent minors (p12, p13, p24, p34, p14) of an sp4 flag."""
     u, v = p.data
     mm = dict(zip(combinations(range(4), 2), _plucker([u, v], 2, 4)))
-    return (mm[(0, 1)], mm[(0, 2)], mm[(1, 3)], mm[(2, 3)], mm[(0, 3)])
+    return tuple(mm[pair] for pair in _SP4_PLANE)
 
 
 def _factor_views(p: ModelPoint):
-    """(weights, coords) per factor of the model's defining representation."""
-    kind, args = _parse_model(p.model)
-    if kind == "proj":
-        n = args[0]
-        return [(tuple(_std_weight(i, n) for i in range(n)), p.data[0])]
-    if kind == "grass":
-        j, n = args
-        ws = []
-        for cols in combinations(range(n), j):
-            w = [Q(0)] * n
-            for c in cols:
-                w[c] = Q(1)
-            ws.append(tuple(w))
-        return [(tuple(ws), p.data[0])]
-    if kind == "sp4_line":
-        return [(_SP4_WEIGHTS, p.data[0])]
-    if kind == "sp4_quadric":
-        return [(_SP4_PLANE_WEIGHTS, p.data[0])]
-    if kind == "sp4_flag":
-        return [(_SP4_WEIGHTS, p.data[0]),
-                (_SP4_PLANE_WEIGHTS, _plane_coords(p))]
-    if kind == "su3_pair":
-        ws = tuple(_std_weight(i, 3) for i in range(3))
-        # the second factor is stored pre-twisted, so it carries dual weights
-        dual = tuple(tuple(-a for a in w) for w in ws)
-        return [(ws, p.data[0]), (dual, p.data[1])]
-    if kind == "sl3_flag":
-        ws = tuple(_std_weight(i, 3) for i in range(3))
-        dual = tuple(tuple(-a for a in w) for w in ws)
-        return [(ws, p.data[0]), (dual, p.data[1])]
-    raise ValueError(f"unknown model {p.model!r}")
+    """(weights, coords) per factor of the point."""
+    coords = (p.data[0], _plane_coords(p)) if p.model == "sp4_flag" else p.data
+    return list(zip(model_spec(p.model).factor_weights, coords))
 
 
 def weighted_coordinates(p: ModelPoint, factor: Optional[int] = None,
@@ -234,31 +268,21 @@ def weighted_coordinates(p: ModelPoint, factor: Optional[int] = None,
     return WeightedPoint([(w, i, c) for i, (w, c) in enumerate(zip(weights, coords))])
 
 
-def _det(m: Sequence[PVec]) -> PuiseuxElement:
+def determinant(m: Sequence[PVec]) -> PuiseuxElement:
+    """Determinant of a square matrix of field elements, by permutations."""
     n = len(m)
     out = ZERO
     for perm in permutations(range(n)):
-        sign = 1
-        p = list(perm)
-        for a in range(n):
-            for b in range(a + 1, n):
-                if p[a] > p[b]:
-                    sign = -sign
+        inversions = sum(perm[a] > perm[b] for a, b in combinations(range(n), 2))
         term = ONE
         for i in range(n):
             term = term * m[i][perm[i]]
-        out = out + (term if sign > 0 else -term)
+        out = out + (-term if inversions % 2 else term)
     return out
 
 
 def _mat_vec(m: Sequence[PVec], v: PVec) -> PVec:
-    out = []
-    for row in m:
-        s = ZERO
-        for a, b in zip(row, v):
-            s = s + a * b
-        out.append(s)
-    return tuple(out)
+    return tuple(sum((a * b for a, b in zip(row, v)), ZERO) for row in m)
 
 
 def adjugate(m: Sequence[PVec]) -> Tuple[PVec, ...]:
@@ -269,7 +293,7 @@ def adjugate(m: Sequence[PVec]) -> Tuple[PVec, ...]:
         for j in range(n):
             sub = [[m[r][c] for c in range(n) if c != i]
                    for r in range(n) if r != j]
-            cof = _det(sub)
+            cof = determinant(sub)
             out[i][j] = cof if (i + j) % 2 == 0 else -cof
     return tuple(tuple(row) for row in out)
 
@@ -280,14 +304,14 @@ def _pmat(raw) -> Tuple[PVec, ...]:
 
 def act(g, p: ModelPoint) -> ModelPoint:
     """Translate a point by a group element, checking the group's constraints."""
-    kind, args = _parse_model(p.model)
+    spec = model_spec(p.model)
+    kind, size = spec.kind, spec.dim
     m = _pmat(g)
     # the matrix acts on the defining representation of the model's group
-    size = args[-1] if args else (4 if kind.startswith("sp4") else 3)
     if len(m) != size or any(len(row) != size for row in m):
         raise ValueError(f"need a {size}x{size} matrix")
     if kind in ("proj", "grass", "sl3_flag"):
-        if _det(m) != ONE:
+        if determinant(m) != ONE:
             raise ValueError("matrix determinant must be 1")
         if kind == "proj":
             return ModelPoint(p.model, (_mat_vec(m, p.data[0]),))
@@ -296,7 +320,7 @@ def act(g, p: ModelPoint) -> ModelPoint:
                            for i in range(3))
             return ModelPoint(p.model,
                               (_mat_vec(m, p.data[0]), _mat_vec(ginv_t, p.data[1])))
-        j, n = args
+        j, n = spec.args
         # exterior-power action on the minors
         pairs = list(combinations(range(n), j))
         newc = []
@@ -304,7 +328,7 @@ def act(g, p: ModelPoint) -> ModelPoint:
             s = ZERO
             for k, cols_idx in enumerate(pairs):
                 sub = [[m[r][c] for c in cols_idx] for r in rows_idx]
-                s = s + _det(sub) * p.data[0][k]
+                s = s + determinant(sub) * p.data[0][k]
             newc.append(s)
         return ModelPoint(p.model, (tuple(newc),))
     if kind in ("sp4_flag", "sp4_line"):
@@ -318,14 +342,12 @@ def act(g, p: ModelPoint) -> ModelPoint:
                     raise ValueError("matrix does not preserve the symplectic form")
         return ModelPoint(p.model, tuple(_mat_vec(m, vec) for vec in p.data))
     if kind == "su3_pair":
-        if _det(m) != ONE:
+        if determinant(m) != ONE:
             raise ValueError("matrix determinant must be 1")
         mt = [[m[j][i].tau_twist() for j in range(3)] for i in range(3)]
         for i in range(3):
             for j in range(3):
-                s = ZERO
-                for k in range(3):
-                    s = s + mt[i][k] * m[k][j]
+                s = sum((mt[i][k] * m[k][j] for k in range(3)), ZERO)
                 if s != (ONE if i == j else ZERO):
                     raise ValueError("matrix is not unitary for the fixed form")
         # the same matrix acts on the pre-twisted second factor
@@ -336,14 +358,7 @@ def act(g, p: ModelPoint) -> ModelPoint:
 
 def p_epsilon_member(g, eps: Sequence, model: str, rel: RelativeDatum) -> bool:
     """Parabolic-membership test: conjugation by the cocharacter stays bounded."""
-    kind, args = _parse_model(model)
-    if kind in ("proj", "grass", "sl3_flag", "su3_pair"):
-        n = args[0] if kind == "proj" else (args[1] if kind == "grass" else 3)
-        weights = [_std_weight(i, n) for i in range(n)]
-    elif kind.startswith("sp4"):
-        weights = list(_SP4_WEIGHTS)
-    else:
-        raise ValueError(f"unknown model {model!r}")
+    weights = model_spec(model).defining_weights
     m = _pmat(g)
     ev = qvec(eps)
     for i, wi in enumerate(weights):
@@ -358,10 +373,9 @@ def p_epsilon_member(g, eps: Sequence, model: str, rel: RelativeDatum) -> bool:
 
 def project(p: ModelPoint, which: int) -> ModelPoint:
     """Forget one half of an sp4 flag: its line, or its plane on the quadric."""
-    if p.model != "sp4_flag":
+    names = model_spec(p.model).factor_models
+    if not names:
         raise ValueError("projection is defined for sp4_flag points")
-    if which == 1:
-        return make_point("sp4_line", p.data[0])
-    if which == 2:
-        return make_point("sp4_quadric", _plane_coords(p))
-    raise ValueError("factor must be 1 or 2")
+    if which not in (1, 2):
+        raise ValueError("factor must be 1 or 2")
+    return make_point(names[which - 1], _factor_views(p)[which - 1][1])

@@ -293,32 +293,30 @@ class QPolyhedron:
             coords.append(hi)
         return tuple(coords)
 
-    def to_json(self):
-        from .valfield import format_rational
-        return [
-            {"normal": [format_rational(x) for x in nrm], "offset": format_rational(off)}
-            for nrm, off in self.halfspaces
-        ]
-
 
 # ---------------------------------------------------------------------------
 # hull membership
 
 
-def hull_member(p: QPolytope, q: Sequence, mode: str = "closure") -> bool:
-    """Exact membership of q in conv(points), in the closure or the interior.
+def hull_cone(p: QPolytope) -> QPolyhedron:
+    """Facets of the cone over the points lifted to height 1.
 
-    Interior means interior relative to the full ambient space, so a
-    lower-dimensional hull has empty interior.  Both read the facets of the
-    cone over the points lifted to height 1, at q lifted the same way; a
-    lower-dimensional hull shows up there as equality pairs.
+    q lies in the hull when q lifted the same way lies in this cone, and in
+    the hull's interior (relative to the full ambient space) when strictly
+    inside every halfspace; a lower-dimensional hull shows up as equality
+    pairs, which never hold strictly.
     """
+    return cone_h_rep([pt + (Q(1),) for pt in p.points], p.dim + 1)
+
+
+def hull_member(p: QPolytope, q: Sequence, mode: str = "closure") -> bool:
+    """Exact membership of q in conv(points), in the closure or the interior."""
     q = qvec(q)
     if len(q) != p.dim:
         raise ValueError("dimension mismatch")
     if mode not in ("closure", "interior"):
         raise ValueError(f"unknown mode {mode!r}")
-    cone = cone_h_rep([pt + (Q(1),) for pt in p.points], p.dim + 1)
+    cone = hull_cone(p)
     if mode == "closure":
         return cone.contains(q + (Q(1),))
     return cone_interior_contains(cone, q + (Q(1),))
@@ -407,22 +405,27 @@ def cone_h_rep(generators: Sequence[Sequence], dim: int) -> QPolyhedron:
     return QPolyhedron(halfspaces + [(r, Q(0)) for r in sorted(rays)], dim)
 
 
-def tangent_cone(p: QPolytope, at: Optional[Sequence] = None) -> QPolyhedron:
-    """Tangent cone of the hull at a point of it (default: the origin)."""
-    base = qvec(at) if at is not None else zero(p.dim)
-    if not hull_member(p, base, "closure"):
+def origin_tangent_cone(hull: QPolyhedron) -> QPolyhedron:
+    """Tangent cone at the origin of a hull that holds it, from its hull_cone:
+    the facets through the origin are the lifted ones with last entry 0."""
+    return QPolyhedron([(nrm[:-1], off) for nrm, off in hull.halfspaces
+                        if nrm[-1] == 0], hull.dim - 1)
+
+
+def tangent_cone(p: QPolytope) -> QPolyhedron:
+    """Tangent cone of the hull at the origin, which must lie in it."""
+    hull = hull_cone(p)
+    if not hull.contains(zero(p.dim) + (Q(1),)):
         raise ValueError("tangent cone requested at a point outside the hull")
-    return cone_h_rep([sub(pt, base) for pt in p.points], p.dim)
+    return origin_tangent_cone(hull)
 
 
-def polar_cone(generators: Sequence[Sequence], dim: Optional[int] = None) -> QPolyhedron:
+def polar_cone(generators: Sequence[Sequence]) -> QPolyhedron:
     """The cone of directions nonpositive against every generator."""
     gens = [qvec(g) for g in generators]
-    if dim is None:
-        if not gens:
-            raise ValueError("dimension needed for an empty generator list")
-        dim = len(gens[0])
-    return QPolyhedron([(neg(g), Q(0)) for g in gens if not is_zero(g)], dim)
+    if not gens:
+        raise ValueError("dimension needed for an empty generator list")
+    return QPolyhedron([(neg(g), Q(0)) for g in gens if not is_zero(g)], len(gens[0]))
 
 
 def cone_generators(cone: QPolyhedron) -> List[Vector]:
@@ -544,10 +547,10 @@ def hull_skeleton(p: QPolytope):
     """
     if p.dim > 4:
         raise ValueError("hull skeleton supported up to ambient dimension 4")
-    lifted = [pt + (Q(1),) for pt in p.points]
-    facets = [nrm for nrm, _ in cone_h_rep(lifted, p.dim + 1).halfspaces]
+    facets = [nrm for nrm, _ in hull_cone(p).halfspaces]
     tight = {}
-    for pt, q in zip(p.points, lifted):
+    for pt in p.points:
+        q = pt + (Q(1),)
         through = frozenset(i for i, nrm in enumerate(facets) if dot(nrm, q) == 0)
         if matrix_rank([facets[i] for i in through]) == p.dim:
             tight[pt] = through

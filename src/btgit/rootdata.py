@@ -188,58 +188,53 @@ def fundamental_rays(rel: RelativeDatum) -> List[Vector]:
     return cone_generators(QPolyhedron([(a, Q(0)) for a in rel.relative_simple], rel.rank))
 
 
+def _restricted(name: str, datum: RootDatum, dual: Sequence[Vector],
+                simple: Sequence[Vector], gram: Sequence[Vector]) -> RelativeDatum:
+    """Relative data of a restriction, given by its dual rows.
+
+    The relative roots are the sorted nonzero restrictions of the absolute
+    roots; a root's step is 1/2 exactly when twice the root is also a root,
+    and 1 otherwise; the rank is the number of dual rows.
+    """
+    dual = tuple(dual)
+    images = {tuple(dot(r, a) for r in dual) for a in datum.all_roots}
+    roots = tuple(sorted(v for v in images if not is_zero(v)))
+    gamma = tuple((a, Q(1, 2) if scale(2, a) in images else Q(1)) for a in roots)
+    return RelativeDatum(name, datum, len(dual), dual, roots, tuple(simple),
+                         gamma, tuple(gram))
+
+
+def _identity(n: int) -> Tuple[Vector, ...]:
+    return tuple(tuple(Q(1) if i == j else Q(0) for j in range(n)) for i in range(n))
+
+
 def _split_relative(datum: RootDatum) -> RelativeDatum:
     if datum.family == "A":
-        n = datum.rank + 1
-        rows = []
-        for k in range(datum.rank):
-            row = [Q(0)] * n
-            row[k], row[k + 1] = Q(1), Q(-1)
-            rows.append(tuple(row))
-        dual = tuple(rows)
-        gram = tuple(
-            tuple(dot(rows[i], rows[j]) / 2 for j in range(datum.rank))
-            for i in range(datum.rank)
-        )
+        # the dual rows e_k - e_{k+1} are the simple roots
+        dual = datum.simple_roots
+        gram = tuple(tuple(dot(a, b) / 2 for b in dual) for a in dual)
     else:
-        dual = tuple(
-            tuple(Q(1) if i == j else Q(0) for j in range(datum.rank))
-            for i in range(datum.rank)
-        )
-        gram = dual
-    rel_roots = tuple(sorted({tuple(dot(r, a) for r in dual) for a in datum.all_roots}))
-    rel_simple = tuple(tuple(dot(r, a) for r in dual) for a in datum.simple_roots)
-    gamma = tuple((a, Q(1)) for a in rel_roots)
-    return RelativeDatum(f"split_{datum.family}{datum.rank}", datum, datum.rank,
-                         dual, rel_roots, rel_simple, gamma, gram)
+        dual = gram = _identity(datum.rank)
+    simple = [tuple(dot(r, a) for r in dual) for a in datum.simple_roots]
+    return _restricted(f"split_{datum.family}{datum.rank}", datum, dual, simple, gram)
 
 
 def _su3_relative() -> RelativeDatum:
-    datum = build_root_system("A", 2)
-    dual = (qvec([1, 0, -1]),)
-    rel_roots = tuple(sorted({(dot(dual[0], a),) for a in datum.all_roots}))
-    assert rel_roots == ((Q(-2),), (Q(-1),), (Q(1),), (Q(2),))
-    gamma = []
-    for a in rel_roots:
-        doubled = (2 * a[0],)
-        gamma.append((a, Q(1, 2) if doubled in rel_roots else Q(1)))
-    return RelativeDatum("su3", datum, 1, dual, rel_roots, ((Q(1),),),
-                         tuple(gamma), ((Q(1),),))
+    rel = _restricted("su3", build_root_system("A", 2), (qvec([1, 0, -1]),),
+                      ((Q(1),),), ((Q(1),),))
+    assert rel.relative_roots == ((Q(-2),), (Q(-1),), (Q(1),), (Q(2),))
+    return rel
 
 
 def _nonsplit_c_relative(rank: int) -> RelativeDatum:
     if rank < 2:
         raise ValueError("nonsplit_C needs rank >= 2")
-    datum = build_root_system("C", rank)
     m = rank // 2
     rows = []
     for i in range(m):
         row = [Q(0)] * rank
         row[2 * i], row[2 * i + 1] = Q(1), Q(1)
         rows.append(tuple(row))
-    dual = tuple(rows)
-    images = {tuple(dot(r, a) for r in dual) for a in datum.all_roots}
-    rel_roots = tuple(sorted(v for v in images if not is_zero(v)))
     # simple relative roots: f_i - f_{i+1} and the last one (2f_m, or f_m in
     # the odd case where f_m is multipliable)
     simple = []
@@ -250,13 +245,8 @@ def _nonsplit_c_relative(rank: int) -> RelativeDatum:
     last = [Q(0)] * m
     last[m - 1] = Q(1) if rank % 2 else Q(2)
     simple.append(tuple(last))
-    gamma = []
-    for a in rel_roots:
-        doubled = tuple(2 * x for x in a)
-        gamma.append((a, Q(1, 2) if doubled in rel_roots else Q(1)))
-    gram = tuple(tuple(Q(1) if i == j else Q(0) for j in range(m)) for i in range(m))
-    return RelativeDatum(f"nonsplit_C{rank}", datum, m, dual, rel_roots,
-                         tuple(simple), tuple(gamma), gram)
+    return _restricted(f"nonsplit_C{rank}", build_root_system("C", rank), rows,
+                       simple, _identity(m))
 
 
 def _sl_skew_relative(s: int, d: int) -> RelativeDatum:
@@ -274,14 +264,9 @@ def _sl_skew_relative(s: int, d: int) -> RelativeDatum:
             row[k * d + j] = Q(1)
             row[(k + 1) * d + j] = Q(-1)
         rows.append(tuple(row))
-    dual = tuple(rows)
-    images = {tuple(dot(r, a) for r in dual) for a in datum.all_roots}
-    rel_roots = tuple(sorted(v for v in images if not is_zero(v)))
-    small = build_root_system("A", s)
-    small_split = _split_relative(small)
-    gamma = tuple((a, Q(1)) for a in rel_roots)
-    return RelativeDatum(f"sl_skew_{s}_{d}", datum, s, dual, rel_roots,
-                         small_split.relative_simple, gamma, small_split.gram)
+    small = _split_relative(build_root_system("A", s))
+    return _restricted(f"sl_skew_{s}_{d}", datum, rows, small.relative_simple,
+                       small.gram)
 
 
 def preset_relative(name: str, datum: Optional[RootDatum] = None,

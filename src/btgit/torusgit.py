@@ -8,7 +8,7 @@ from math import gcd
 from typing import Dict, Optional, Sequence, Tuple
 
 from .polyhedra import (QPolytope, cone_contains, cone_h_rep,
-                        cone_interior_contains, hull_member, tangent_cone)
+                        cone_interior_contains, hull_cone, origin_tangent_cone)
 from .qvec import Vector, dot, line_rep, neg, qvec, scale, add
 from .rootdata import (RelativeDatum, build_root_system, fundamental_rays,
                        preset_relative, reflect, reflection_closure,
@@ -81,23 +81,27 @@ def mu_residue(x: WeightedPoint, rel: RelativeDatum, z: Sequence) -> QPolytope:
     return QPolytope([rw for rw, v in shifted.items() if v == m])
 
 
+def _weight_hull(x: WeightedPoint, rel: RelativeDatum):
+    """The hull_cone of mu_K, and the origin lifted to it: every hull
+    question below reads this one double description."""
+    return hull_cone(mu_K(x, rel)), (Q(0),) * rel.rank + (Q(1),)
+
+
 def stability_status(x: WeightedPoint, rel: RelativeDatum) -> str:
-    P = mu_K(x, rel)
-    origin = (Q(0),) * rel.rank
-    if hull_member(P, origin, "interior"):
+    hull, origin = _weight_hull(x, rel)
+    if cone_interior_contains(hull, origin):
         return "stable"
-    if hull_member(P, origin, "closure"):
+    if hull.contains(origin):
         return "strictly_semistable"
     return "unstable"
 
 
 def chi_status(x: WeightedPoint, rel: RelativeDatum, chi: Sequence) -> str:
     """Stability after shifting the reference point by a rational character."""
-    P = mu_K(x, rel)
-    origin = (Q(0),) * rel.rank
-    if not hull_member(P, origin, "closure"):
+    hull, origin = _weight_hull(x, rel)
+    if not hull.contains(origin):
         return "unstable"
-    cone = tangent_cone(P)
+    cone = origin_tangent_cone(hull)
     target = neg(qvec(chi))
     if not cone_contains(cone, target):
         return "unstable"

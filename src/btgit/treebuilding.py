@@ -8,14 +8,17 @@ from itertools import combinations
 from typing import Optional, Sequence, Tuple
 
 from .apartment import ApartmentPoint
-from .models import (ModelPoint, adjugate, model_relative, p_epsilon_member,
-                     weighted_coordinates)
+from .interval import interval_A_chi
+from .models import (ModelPoint, act, adjugate, determinant, model_relative,
+                     model_spec, p_epsilon_member, weighted_coordinates)
 from .polyhedra import (QPolyhedron, cone_generators, min_enclosing_ball,
                         polyhedron_vertices)
 from .qvec import Vector, dot, is_zero, qvec
 from .rootdata import RelativeDatum, fundamental_rays, relative_weyl_orbit
-from .torusgit import WeightedPoint
-from .valfield import INF, ONE, PuiseuxElement, ZERO
+from .valfield import INF, ONE, PuiseuxElement, ZERO, format_rational
+
+# the rank-one tree is the building of SL2, which acts on the projective line
+TREE_MODEL = "proj(2)"
 
 
 @dataclass(frozen=True)
@@ -35,7 +38,6 @@ class TreePoint:
         return (2 * self.u).denominator == 1
 
     def to_json(self) -> dict:
-        from .valfield import format_rational
         return {"b": self.b.to_json(), "u": format_rational(self.u)}
 
 
@@ -78,8 +80,8 @@ class TreeInterval:
 
 
 def _proj2_coords(x: ModelPoint) -> Tuple[PuiseuxElement, PuiseuxElement]:
-    if x.model != "proj(2)":
-        raise ValueError("tree operations need a point of proj(2)")
+    if x.model != TREE_MODEL:
+        raise ValueError(f"tree operations need a point of {TREE_MODEL}")
     return x.data[0][0], x.data[0][1]
 
 
@@ -191,13 +193,13 @@ def circumcenter(region, gram: Optional[Sequence[Vector]] = None):
     raise ValueError("unsupported region type")
 
 
-_INVARIANT_MONOMIALS = {}
-
-
 def invariant_monomials(model: str, degree: Optional[int] = None):
     """Exponent vectors of the weight-zero coordinate monomials of a degree."""
-    rel = model_relative(model)
-    wp_weights = [rel.restrict(w) for w, _ in _model_weight_list(model)]
+    spec = model_spec(model)
+    if len(spec.factors) != 1:
+        raise ValueError("invariants are only tabulated for one-factor models")
+    rel = spec.relative
+    wp_weights = [rel.restrict(w) for w in spec.factor_weights[0]]
     n = len(wp_weights)
     degrees = [degree] if degree is not None else range(1, n + 1)
     for d in degrees:
@@ -210,19 +212,6 @@ def invariant_monomials(model: str, degree: Optional[int] = None):
         if found:
             return d, found
     raise ValueError(f"no invariant monomials for {model} at the given degree")
-
-
-def _model_weight_list(model: str):
-    from .models import _factor_views, make_point
-    if model.startswith("proj("):
-        n = int(model[5:-1])
-        probe = make_point(model, [ONE] * n)
-    elif model == "grass(2,4)":
-        probe = make_point(model, [(1, 0, 0, 0), (0, 1, 0, 0)])
-    else:
-        raise ValueError(f"invariants are only tabulated for proj(n) and grass(2,4)")
-    (weights, coords) = _factor_views(probe)[0]
-    return list(zip(weights, range(len(coords))))
 
 
 def _compositions(total: int, parts: int):
@@ -249,25 +238,14 @@ def r_log(x: ModelPoint, chart: ApartmentChart, degree: Optional[int] = None) ->
     """Valuation-scale comparison of invariant sizes between two apartments."""
     d, monomials = invariant_monomials(x.model, degree)
     m = chart.g
-    if _pdet(m) != ONE:
+    if determinant(m) != ONE:
         raise ValueError("chart determinant must be 1")
-    inv = adjugate(m)
-    moved = _act_coords(inv, x)
+    moved = act(adjugate(m), x).data[0]
     here = min(_eval_monomials(x.data[0], monomials))
     there = min(_eval_monomials(moved, monomials))
     if here == INF or there == INF:
         raise ValueError("point is unstable in one of the two apartments")
     return here - there
-
-
-def _pdet(m) -> PuiseuxElement:
-    from .models import _det
-    return _det(m)
-
-
-def _act_coords(m, x: ModelPoint):
-    from .models import act
-    return act(m, x).data[0]
 
 
 def r_tilde_estimate(x: ModelPoint, family: Sequence[ApartmentChart],
@@ -293,13 +271,12 @@ def f_chi_tree(z: TreePoint, chi) -> Q:
 
 def interval_chi(x: ModelPoint, chi, R=Q(4), rel: Optional[RelativeDatum] = None):
     """Argmax of the character height over the semistable locus."""
-    if x.model == "proj(2)":
+    if x.model == TREE_MODEL:
         res = interval_tree(x, R)
         if res.is_empty():
             raise ValueError("the point has no semistable locus within the radius")
         z = res.points[0]
         return f_chi_tree(z, chi), res.points
-    from .interval import interval_A_chi
     rel = rel or model_relative(x.model)
     wp = weighted_coordinates(x)
     n, face = interval_A_chi(wp, rel, chi)

@@ -2,13 +2,17 @@
 
 import json
 import time
+from fractions import Fraction as Q
 
 import pytest
 
 from btgit.cli import (Unsupported, ValidationFailure, main, render_svg, run,
                        serialize)
-from btgit.models import ModelPoint, model_relative
-from btgit.valfield import format_rational
+from btgit.interval import interval_A, interval_A_chi
+from btgit.models import (ModelPoint, make_point, model_relative,
+                          weighted_coordinates)
+from btgit.torusgit import chi_status, stability_status
+from btgit.valfield import INF, format_rational, parse_puiseux
 
 
 def test_rootsys_split_a2():
@@ -166,9 +170,16 @@ def test_exit_codes(tmp_path, capsys):
                 "act": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
      None, 2),
     ("interval", {"model": "proj(2)", "point": ["1", "t^{1/2}"]}, "1", 3),
+    ("status", {"model": "proj(2)", "point": ["1", "t^{1/2}"],
+                "chi": ["1", "-1"]}, None, 2),
+    ("interval", {"model": "proj(4)", "point": ["1", "t", "t^2", "1 + t"],
+                  "chi": ["1"]}, None, 2),
+    ("status", {"model": "sl3_flag", "point": [["1", "t", "1"],
+                                                ["1", "1", "-1 - t"]],
+                "lam": [0, 0]}, None, 2),
 ], ids=["malformed-grass", "proj-1", "zero-exponent-denominator",
         "zero-chi-denominator", "ragged-act", "act-size-mismatch",
-        "pivot-limit"])
+        "pivot-limit", "short-chi", "long-chi", "zero-lam"])
 def test_bad_inputs_exit_without_output(tmp_path, capsys, monkeypatch,
                                         command, payload, pivot_limit, code):
     if pivot_limit is not None:
@@ -245,3 +256,98 @@ def test_cli_svg_output(tmp_path):
     assert code == 0
     assert json.loads(out.read_text())["certificate"] == "exact"
     assert svg.read_bytes().startswith(b"<svg")
+
+
+def _exit_and_stdout(tmp_path, capsys, command, payload):
+    req = tmp_path / "req.json"
+    req.write_text(json.dumps(payload))
+    code = main(["--command", command, "--in", str(req)])
+    return code, capsys.readouterr().out
+
+
+NESTED = [["1", "t"], ["1", "1"]]
+
+
+@pytest.mark.parametrize("command", ["status", "interval", "models"])
+@pytest.mark.parametrize("model,point", [
+    ("proj(2)", NESTED),
+    ("grass(2,4)", NESTED),
+    ("sp4_line", NESTED),
+    ("sp4_quadric", NESTED),
+    ("grass(2,4)", [["1", "0", "0"], ["0", "1", "0"]]),
+    ("proj(2)", [[["1/2"]], "1"]),
+    ("proj(2)", [[["1/2", "1", "3"]], "1"]),
+    ("proj(2)", [[["1/2", "x"]], "1"]),
+    ("proj(2)", ["1", True]),
+], ids=["proj-nested", "grass-nested", "line-nested", "quadric-nested",
+        "grass-short-rows", "one-entry-term", "three-entry-term",
+        "non-rational-term", "boolean"])
+def test_malformed_coordinates_exit_2(tmp_path, capsys, command, model, point):
+    payload = {"model": model, "point": point}
+    assert _exit_and_stdout(tmp_path, capsys, command, payload) == (2, "")
+
+
+@pytest.mark.parametrize("command", ["status", "interval", "models", "chi"])
+@pytest.mark.parametrize("model,code", [
+    ("flag(7)", 3), ("sp4_linex", 3),
+    ("grass(x,4)", 2), ("proj(2", 2), ("grass(2)", 2), ("grass(2,4", 2),
+])
+def test_model_names_unknown_or_malformed(tmp_path, capsys, command, model,
+                                          code):
+    payload = {"model": model, "point": ["1", "t"]}
+    if command == "chi":
+        payload["chi"] = ["1"]
+    assert _exit_and_stdout(tmp_path, capsys, command, payload) == (code, "")
+
+
+TWO_FACTOR = ("sp4_flag", "su3_pair", "sl3_flag")
+SU3_POINT = [["1", "t^{1/2}", "1"], ["1", "t^{1/2}", "t - 1"]]
+SL3_POINT = [["1", "t", "1"], ["1", "1", "-1 - t"]]
+SP4_POINT = [["1", "1", "1", "1"], ["t", "1", "2", "t - 1"]]
+GR35_POINT = [["1", "t", "0", "1", "2"], ["0", "1", "t^{1/2}", "3", "1"],
+              ["1", "0", "1", "t", "-1"]]
+
+
+@pytest.mark.parametrize("payload", [
+    {"model": "proj(3)", "point": ["1", "t", "t^{-1}"]},
+    {"model": "grass(2,4)", "point": ["1", "1", "0", "0", "-1", "-1"]},
+    {"model": "grass(3,5)", "point": GR35_POINT},
+    {"model": "sp4_line", "point": ["1", "t", "0", "1"]},
+    {"model": "sp4_quadric", "point": ["1", "t", "t", "t^2", "0"]},
+    {"model": "sp4_flag", "point": SP4_POINT},
+    {"model": "sp4_flag", "point": SP4_POINT, "lam": [1, 2]},
+    {"model": "su3_pair", "point": SU3_POINT},
+    {"model": "su3_pair", "point": SU3_POINT, "lam": [2, 1]},
+    {"model": "sl3_flag", "point": SL3_POINT},
+    {"model": "sl3_flag", "point": SL3_POINT, "lam": [1, 0]},
+], ids=lambda p: p["model"] + ("-lam" if "lam" in p else ""))
+def test_every_model_answers_like_the_library(payload):
+    model, raw = payload["model"], payload["point"]
+    rows = isinstance(raw[0], list)
+    coords = ([[parse_puiseux(c) for c in r] for r in raw] if rows
+              else [parse_puiseux(c) for c in raw])
+    x = make_point(model, coords)
+    lam = tuple(payload.get("lam", (1, 1))) if model in TWO_FACTOR else None
+    wp = weighted_coordinates(x, lam=lam)
+    rel = model_relative(model)
+    chi = [Q(c) for c in ("1", "-1", "2", "1")[:rel.rank]]
+    with_chi = dict(payload, chi=[format_rational(c) for c in chi])
+
+    assert run("status", payload) == {"status": stability_status(wp, rel)}
+    assert run("status", with_chi) == {"status": chi_status(wp, rel, chi)}
+    assert run("models", {"model": model, "point": raw})["point"] == x.to_json()
+
+    res = interval_A(wp, rel)
+    out = run("interval", with_chi)
+    assert (out["empty"], out["bounded"], out["c_star"]) == \
+        (res.is_empty(), res.bounded, format_rational(res.c_star))
+    assert {tuple(w["root"]): w["sup"] for w in out["wall_bounds"]} == \
+        {tuple(format_rational(c) for c in a): format_rational(n)
+         for a, n in res.wall_bounds.items()}
+    n, face = interval_A_chi(wp, rel, chi)
+    assert out["chi_value"] == format_rational(n)
+    assert (out["chi_face"] is None) == (face is None)
+
+    out = run("chi", with_chi)
+    assert out["status"] == chi_status(wp, rel, chi)
+    assert out["value"] == format_rational(n if not res.is_empty() else INF)

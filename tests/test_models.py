@@ -7,9 +7,9 @@ from helpers import (random_grass24_point, random_proj_point, random_sl3_flag,
                      random_sp4_flag, random_su3_pair, rng)
 
 from btgit.interval import destabilizing_1ps
-from btgit.models import (ModelPoint, act, make_point, model_relative,
-                          p_epsilon_member, project, symplectic_form,
-                          weighted_coordinates)
+from btgit.models import (ModelPoint, UnknownModel, act, make_point,
+                          model_relative, model_spec, p_epsilon_member, project,
+                          symplectic_form, weighted_coordinates)
 from btgit.qvec import dot, qvec
 from btgit.torusgit import mu_K, stability_status
 from btgit.valfield import ONE, ZERO, PuiseuxElement
@@ -17,6 +17,16 @@ from btgit.valfield import ONE, ZERO, PuiseuxElement
 P = PuiseuxElement
 t = P.t_power(1)
 th = P.t_power(Q(1, 2))
+
+
+def test_model_table_tells_unknown_from_malformed_names():
+    for name in ("flag(7)", "sp4_linex", "projx(2)", "proj"):
+        with pytest.raises(UnknownModel):
+            model_spec(name)
+    for name in ("grass(x,4)", "proj(2", "grass(2)", "grass(2,4", "proj(1,2)"):
+        with pytest.raises(ValueError) as info:
+            model_spec(name)
+        assert not isinstance(info.value, UnknownModel)
 
 
 def test_grass_rows_to_plucker():
