@@ -507,6 +507,16 @@ def _svg_tree(result: dict) -> bytes:
 
 # -- entry point --------------------------------------------------------------
 
+def _read_payload(infile: str) -> str:
+    if infile == "-":
+        return sys.stdin.read()
+    try:
+        with open(infile) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationFailure(f"cannot read payload file {infile!r}: {exc}") from exc
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="btgit",
@@ -521,8 +531,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="also render the result (rank <= 2)")
     args = parser.parse_args(argv)
     try:
-        text = (sys.stdin.read() if args.infile == "-"
-                else open(args.infile).read())
+        text = _read_payload(args.infile)
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:

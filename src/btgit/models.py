@@ -133,6 +133,8 @@ def model_spec(model: str) -> ModelSpec:
     kind, args = _parse_model(model)
     if kind == "proj":
         (n,) = args
+        if n < 2:
+            raise ValueError(f"malformed model {model!r}: proj(n) needs n >= 2")
         return ModelSpec(kind, args, ("split", "A", n - 1), n, ("defining",), None, ())
     if kind == "grass":
         j, n = args

@@ -1,12 +1,12 @@
 """Exact rational convex geometry: hull membership, cones, minimax LP, balls.
 
-Everything is computed with Fraction arithmetic; no floating point is used
-anywhere.  The linear programs are solved by a two-phase simplex with Bland's
-rule, so termination is guaranteed; the environment variable
-BTGIT_LP_PIVOT_LIMIT caps the pivot count (default: unlimited).  Cone
-generators, cone facets, polyhedron vertices, hull skeletons and hull
-membership all come from one double-description routine, with no LP and no
-subset enumeration.
+Everything is computed exactly, in Fraction arithmetic or, inside the double
+description, on Python ints; no floating point is used anywhere.  The linear
+programs are solved by a two-phase simplex with Bland's rule, so termination
+is guaranteed; the environment variable BTGIT_LP_PIVOT_LIMIT caps the pivot
+count (default: unlimited).  Cone generators, cone facets, polyhedron
+vertices, hull skeletons and hull membership all come from one
+double-description routine, with no LP and no subset enumeration.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import combinations
+from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from .qvec import Vector, add, dot, is_zero, neg, primitive, qvec, scale, sub, zero
@@ -351,6 +352,25 @@ def hull_member_bruteforce(points: Sequence[Sequence], q: Sequence) -> bool:
 # cones
 
 
+def _reduced(v: Sequence[int]) -> Tuple[int, ...]:
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else tuple(v)
+
+
+def _primitive_ints(v: Sequence[Q]) -> Tuple[int, ...]:
+    """Positive rescaling of a rational vector to coprime integers; the zero
+    vector stays zero."""
+    den = 1
+    for x in v:
+        den = den * x.denominator // gcd(den, x.denominator)
+    return _reduced([x.numerator * (den // x.denominator) for x in v])
+
+
+def _combine(c: int, u: Tuple[int, ...], d: int, w: Tuple[int, ...]) -> Tuple[int, ...]:
+    """c u - d w, divided by the gcd of its entries."""
+    return _reduced([c * x - d * y for x, y in zip(u, w)])
+
+
 def _double_description(rows: Sequence[Vector],
                         dim: int) -> Tuple[List[Vector], List[Vector]]:
     """Lines and primitive extreme rays of the cone {x : a . x >= 0 for every row a}.
@@ -360,24 +380,39 @@ def _double_description(rows: Sequence[Vector],
     tight on each ray.  The lines come out as the reduced kernel basis of
     the rows, one unit entry per free coordinate, and every ray vanishes on
     the coordinates where those lines carry their unit entries.
+
+    The work is done on Python ints: each row is scaled to a primitive
+    integer vector, and lines and rays are kept as integer vectors divided
+    by the gcd of their entries after every combination.  Only the signs of
+    a . x matter, and positive rescaling keeps them.  Each line is divided
+    by its entry at its free coordinate at the end.
     """
-    lines = [tuple(Q(1) if j == i else Q(0) for j in range(dim)) for i in range(dim)]
-    rays: List[Tuple[Vector, frozenset]] = []  # (ray, indices of rows tight on it)
-    for k, a in enumerate(rows):
-        pivot = next((l for l in lines if dot(a, l) != 0), None)
-        if pivot is not None:
+    lines = [(i, tuple(int(j == i) for j in range(dim))) for i in range(dim)]
+    rays: List[Tuple[Tuple[int, ...], frozenset]] = []  # (ray, indices of rows tight on it)
+    for k, row in enumerate(rows):
+        if len(row) != dim:
+            raise ValueError("dimension mismatch")
+        a = [(j, x) for j, x in enumerate(_primitive_ints(row)) if x]
+
+        def val(v: Tuple[int, ...]) -> int:
+            return sum(x * v[j] for j, x in a)
+
+        vals = [val(l) for _, l in lines]
+        at = next((m for m, v in enumerate(vals) if v), None)
+        if at is not None:
             # the line leaves as a ray on the side a > 0; everything else is
             # moved along it onto a = 0
-            lines.remove(pivot)
-            ap = dot(a, pivot)
+            _, pivot = lines.pop(at)
+            ap = vals.pop(at)
             if ap < 0:
-                pivot, ap = neg(pivot), -ap
-            lines = [sub(l, scale(dot(a, l) / ap, pivot)) for l in lines]
-            rays = [(primitive(sub(r, scale(dot(a, r) / ap, pivot))), z | {k})
-                    for r, z in rays]
-            rays.append((primitive(pivot), frozenset(range(k))))
+                pivot, ap = tuple(-x for x in pivot), -ap
+            lines = [(i, _combine(ap, l, v, pivot) if v else l)
+                     for (i, l), v in zip(lines, vals)]
+            rays = [(_combine(ap, r, v, pivot) if v else r, z | {k})
+                    for v, (r, z) in zip([val(r) for r, _ in rays], rays)]
+            rays.append((pivot, frozenset(range(k))))
             continue
-        vals = [dot(a, r) for r, _ in rays]
+        vals = [val(r) for r, _ in rays]
         kept = [(r, z | {k} if v == 0 else z) for v, (r, z) in zip(vals, rays) if v >= 0]
         for i, (vp, (p, zp)) in enumerate(zip(vals, rays)):
             if vp <= 0:
@@ -388,9 +423,10 @@ def _double_description(rows: Sequence[Vector],
                 common = zp & zn
                 # adjacent: no third ray is tight wherever both are
                 if not any(common <= z for m, (_, z) in enumerate(rays) if m not in (i, j)):
-                    kept.append((primitive(sub(scale(vp, n), scale(vn, p))), common | {k}))
+                    kept.append((_combine(vp, n, vn, p), common | {k}))
         rays = kept
-    return lines, [r for r, _ in rays]
+    return ([tuple(Q(x, l[i]) for x in l) for i, l in lines],
+            [tuple(Q(x) for x in r) for r, _ in rays])
 
 
 def cone_h_rep(generators: Sequence[Sequence], dim: int) -> QPolyhedron:

@@ -16,8 +16,22 @@ def qvec(xs: Iterable) -> Vector:
 def dot(x: Vector, y: Vector) -> Q:
     if len(x) != len(y):
         raise ValueError("dimension mismatch")
-    # weights and dual rows are mostly zeros; skip those products
-    return sum((a * b for a, b in zip(x, y) if a and b), Q(0))
+    # weights and dual rows are mostly zeros; skip those products.  The sum is
+    # kept as one integer numerator over one integer denominator and reduced
+    # once, not after every product and partial sum.
+    num, den = 0, 1
+    for a, b in zip(x, y):
+        an = a.numerator
+        if an:
+            bn = b.numerator
+            if bn:
+                d = a.denominator * b.denominator
+                if d == den:
+                    num += an * bn
+                else:
+                    num = num * d + an * bn * den
+                    den *= d
+    return Q(num, den)
 
 
 def add(x: Vector, y: Vector) -> Vector:

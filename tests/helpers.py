@@ -5,11 +5,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction as Q
 from itertools import combinations
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 from btgit.models import make_point, symplectic_form
 from btgit.polyhedra import QPolyhedron, QPolytope, solve_lp
-from btgit.qvec import dot, line_rep, qvec, scale, sub
+from btgit.qvec import Vector, dot, line_rep, neg, primitive, qvec, scale, sub
 from btgit.rootdata import build_root_system, preset_relative
 from btgit.valfield import ONE, ZERO, PuiseuxElement
 
@@ -229,3 +229,47 @@ def hull_member_by_lp(p: QPolytope, q, mode: str = "closure") -> bool:
             if res.status != "optimal" or res.value <= 0:
                 return False
     return True
+
+
+def _fraction_dot(x, y) -> Q:
+    return sum((a * b for a, b in zip(x, y)), Q(0))
+
+
+def double_description_by_fractions(rows: Sequence[Vector], dim: int
+                                    ) -> Tuple[List[Vector], List[Vector]]:
+    """Reference oracle: the double description carried out in Fraction
+    arithmetic, with the same row order, pivot choice and adjacency test as
+    polyhedra._double_description, so its lines and rays match in order.
+
+    Lines stay the reduced kernel basis of the rows, one unit entry per free
+    coordinate; rays are rescaled to primitive integer vectors."""
+    lines = [tuple(Q(int(j == i)) for j in range(dim)) for i in range(dim)]
+    rays = []  # (ray, indices of rows tight on it)
+    for k, a in enumerate(rows):
+        pivot = next((l for l in lines if _fraction_dot(a, l) != 0), None)
+        if pivot is not None:
+            lines.remove(pivot)
+            ap = _fraction_dot(a, pivot)
+            if ap < 0:
+                pivot, ap = neg(pivot), -ap
+            lines = [sub(l, scale(_fraction_dot(a, l) / ap, pivot)) for l in lines]
+            rays = [(primitive(sub(r, scale(_fraction_dot(a, r) / ap, pivot))),
+                     z | {k}) for r, z in rays]
+            rays.append((primitive(pivot), frozenset(range(k))))
+            continue
+        vals = [_fraction_dot(a, r) for r, _ in rays]
+        kept = [(r, z | {k} if v == 0 else z)
+                for v, (r, z) in zip(vals, rays) if v >= 0]
+        for i, (vp, (p, zp)) in enumerate(zip(vals, rays)):
+            if vp <= 0:
+                continue
+            for j, (vn, (n, zn)) in enumerate(zip(vals, rays)):
+                if vn >= 0:
+                    continue
+                common = zp & zn
+                if not any(common <= z for m, (_, z) in enumerate(rays)
+                           if m not in (i, j)):
+                    kept.append((primitive(sub(scale(vp, n), scale(vn, p))),
+                                 common | {k}))
+        rays = kept
+    return lines, [r for r, _ in rays]

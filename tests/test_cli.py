@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from btgit import cli
 from btgit.cli import (Unsupported, ValidationFailure, main, render_svg, run,
                        serialize)
 from btgit.interval import interval_A, interval_A_chi
@@ -188,6 +189,48 @@ def test_bad_inputs_exit_without_output(tmp_path, capsys, monkeypatch,
     req.write_text(json.dumps(payload))
     assert main(["--command", command, "--in", str(req)]) == code
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", ["status", "interval", "models", "chi"])
+def test_proj_1_is_malformed_for_every_command(tmp_path, capsys, command):
+    payload = {"model": "proj(1)", "point": ["1"]}
+    if command == "chi":
+        payload["chi"] = ["1"]
+    req = tmp_path / "req.json"
+    req.write_text(json.dumps(payload))
+    assert main(["--command", command, "--in", str(req)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "proj(1)" in err
+
+
+def test_payload_file_is_closed(tmp_path, capsys, monkeypatch):
+    req = tmp_path / "req.json"
+    req.write_text(json.dumps({"family": "A", "rank": 3, "J": [2]}))
+    opened = []
+
+    def spy(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        opened.append(fh)
+        return fh
+
+    monkeypatch.setattr(cli, "open", spy, raising=False)
+    assert main(["--command", "classify", "--in", str(req)]) == 0
+    assert capsys.readouterr().out == '{"scan":false,"table":false}\n'
+    assert len(opened) == 1 and opened[0].closed
+
+
+@pytest.mark.parametrize("name,content", [
+    ("missing.json", None), ("binary.json", b"\xff\xfe{"), ("folder", "dir"),
+], ids=["missing", "not-utf8", "directory"])
+def test_unreadable_payload_file_exits_2(tmp_path, capsys, name, content):
+    path = tmp_path / name
+    if content == "dir":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    assert main(["--command", "classify", "--in", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: cannot read payload file")
 
 
 # a generic point of grass(4,8): every Plucker coordinate is nonzero

@@ -4,14 +4,14 @@ from fractions import Fraction as Q
 from itertools import combinations
 
 import pytest
-from helpers import hull_member_by_lp, rng
+from helpers import double_description_by_fractions, hull_member_by_lp, rng
 
 from btgit.polyhedra import (PivotLimitExceeded, QPolyhedron, QPolytope,
-                             cone_contains, cone_generators, cone_h_rep,
-                             hull_member, hull_member_bruteforce,
-                             hull_skeleton, min_enclosing_ball, minimax_face,
-                             polar_cone, polyhedron_vertices, rref, solve_lp,
-                             tangent_cone)
+                             _double_description, cone_contains,
+                             cone_generators, cone_h_rep, hull_member,
+                             hull_member_bruteforce, hull_skeleton,
+                             min_enclosing_ball, minimax_face, polar_cone,
+                             polyhedron_vertices, rref, solve_lp, tangent_cone)
 from btgit.qvec import line_rep, neg, primitive, qvec, sub
 
 
@@ -236,3 +236,34 @@ def test_double_description_routines_match_independent_oracles():
                          for i in range(dim)) for _ in range(10)]
         for v in probes:
             assert back.contains(v) == cone.contains(v)
+
+
+def test_integer_double_description_matches_fraction_oracle():
+    # rational rows with mixed denominators, plus zero, repeated, negated and
+    # rescaled rows, and as many as dim + 3 rows or as few as none
+    r = rng(37)
+    for _ in range(400):
+        dim = r.randint(1, 5)
+        rows = []
+        for _ in range(r.randint(0, dim + 3)):
+            a = tuple(Q(r.randint(-5, 5), r.choice((1, 2, 3, 4, 6)))
+                      if r.random() < 0.7 else Q(0) for _ in range(dim))
+            rows.append(a)
+            pick = r.random()
+            if pick < 0.1:
+                rows.append(a)
+            elif pick < 0.2:
+                rows.append(neg(a))
+            elif pick < 0.3:
+                rows.append((Q(0),) * dim)
+            elif pick < 0.4:
+                rows.append(tuple(Q(r.randint(1, 5), r.randint(1, 5)) * x
+                                  for x in a))
+        lines, rays = _double_description(rows, dim)
+        want_lines, want_rays = double_description_by_fractions(rows, dim)
+        assert lines == want_lines
+        assert rays == want_rays
+        assert all(type(x) is Q for v in lines + rays for x in v)
+    for short_or_long in ([(Q(1),)], [(Q(1), Q(2), Q(3))]):
+        with pytest.raises(ValueError):
+            _double_description(short_or_long, 2)
