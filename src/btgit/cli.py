@@ -517,6 +517,14 @@ def _read_payload(infile: str) -> str:
         raise ValidationFailure(f"cannot read payload file {infile!r}: {exc}") from exc
 
 
+def _write_file(path: str, data: bytes) -> None:
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise ValidationFailure(f"cannot write output file {path!r}: {exc}") from exc
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="btgit",
@@ -538,21 +546,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise ValidationFailure(f"payload is not JSON: {exc}") from exc
         result = run(args.command, payload)
         if args.svgfile:
-            svg = render_svg(args.command, result)
-            with open(args.svgfile, "wb") as fh:
-                fh.write(svg)
+            _write_file(args.svgfile, render_svg(args.command, result))
+        doc = serialize(result)
+        if args.outfile != "-":
+            _write_file(args.outfile, doc.encode())
     except ValidationFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (Unsupported, PivotLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    doc = serialize(result)
     if args.outfile == "-":
         sys.stdout.write(doc)
-    else:
-        with open(args.outfile, "w") as fh:
-            fh.write(doc)
     return 0
 
 

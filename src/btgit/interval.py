@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from .apartment import ApartmentPoint, InfinityPoint
-from .polyhedra import (QPolyhedron, cone_generators, minimax_face, polar_cone,
-                        rref)
+from .polyhedra import (Generators, QPolyhedron, cone_generators, minimax_face,
+                        polar_cone, polyhedron_generators, rref)
 from .qvec import Vector, dot, is_zero, neg, primitive, qvec
 from .rootdata import RelativeDatum, weyl_orbit
 from .torusgit import WeightedPoint, mu_K, stability_status, valuation_profile
@@ -16,13 +16,15 @@ from .valfield import INF
 
 @dataclass(frozen=True)
 class IntervalResult:
-    """Semistable locus of the apartment for one point: a face of an LP optimum."""
+    """Semistable locus of the apartment for one point: a face of an LP optimum,
+    with its points, recession rays and lines."""
 
     polyhedron: Optional[QPolyhedron]
     c_star: object  # rational, or INF when the locus is empty
     bounded: bool
     singleton: Optional[ApartmentPoint]
-    wall_bounds: Dict[Vector, object] = field(default_factory=dict)
+    wall_bounds: Dict[Vector, object]
+    generators: Optional[Generators]
 
     def is_empty(self) -> bool:
         return self.polyhedron is None
@@ -35,7 +37,7 @@ class IntervalResult:
         if self.is_empty():
             raise ValueError("the interval is empty")
         chiv = qvec(chi)
-        n = self.polyhedron.sup_linear(chiv)
+        n = self.generators.support(chiv)
         if n == INF:
             return INF, None
         return n, self.polyhedron.with_equality(chiv, n)
@@ -44,21 +46,24 @@ class IntervalResult:
 def interval_A(x: WeightedPoint, rel: RelativeDatum) -> IntervalResult:
     """Apartment points where the reduction of x stays semistable.
 
-    The relative roots are symmetric and span the dual space, so their wall
-    bounds decide the shape: the face is bounded when every bound is finite,
-    and a point when every root is constant on it, sup a = -sup(-a).
+    One LP finds the face; every wall bound is its support function, read off
+    the face's generators.  The relative roots are symmetric and span the
+    dual space, so their wall bounds decide the shape: the face is bounded
+    when every bound is finite, and a point when every root is constant on
+    it, sup a = -sup(-a).
     """
     res = minimax_face(sorted(valuation_profile(x, rel).items()))
     if res.value == INF:
-        return IntervalResult(None, INF, False, None, {})
+        return IntervalResult(None, INF, False, None, {}, None)
     face = res.face
-    bounds = {a: face.sup_linear(a) for a in rel.relative_roots}
+    gens = polyhedron_generators(face)
+    bounds = {a: gens.support(a) for a in rel.relative_roots}
     bounded = INF not in bounds.values()
     singleton = None
     if bounded and all(bounds[a] == -bounds[neg(a)] for a in bounds):
         red, _ = rref([a + (n,) for a, n in bounds.items()])
         singleton = ApartmentPoint(tuple(row[-1] for row in red))
-    return IntervalResult(face, res.value, bounded, singleton, bounds)
+    return IntervalResult(face, res.value, bounded, singleton, bounds, gens)
 
 
 def wall_h_rep(bounds: Dict[Vector, object]) -> QPolyhedron:

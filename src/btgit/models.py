@@ -169,6 +169,42 @@ def _plucker(rows: Sequence[PVec], j: int, n: int) -> PVec:
                  for cols in combinations(range(n), j))
 
 
+def _plucker_relations_hold(vec: PVec, j: int, n: int) -> bool:
+    """Whether the minors lie on grass(j,n), by quadratic Plucker relations.
+
+    The relation of a (j-1)-subset I and a (j+1)-subset J = (m_0 < m_1 < ...)
+    is sum_l (-1)^l p[I + m_l] p[J - m_l] = 0, where p[I + m] is 0 when m is
+    in I and otherwise the sorted minor with the sign of sorting.  Fix a
+    nonzero minor p[K].  For each other L, taking I = K - k and J = L + k
+    with k in K - L gives p[K] p[L] as a sum of products of minors nearer
+    to K, so these relations fix every minor from p[K] and the j(n - j)
+    minors one step from K.  The Plucker vector with those minors satisfies
+    all of them, so they all hold exactly when the vector is decomposable.
+    """
+    p = dict(zip(combinations(range(n), j), vec))
+    K = next((S for S, c in p.items() if c), None)
+    if K is None:
+        return True
+    for L in p:
+        k = next((x for x in K if x not in L), None)
+        if k is None:
+            continue
+        I = tuple(x for x in K if x != k)
+        J = tuple(sorted(L + (k,)))
+        total = ZERO
+        for l, m in enumerate(J):
+            if m in I:
+                continue
+            a, b = p[tuple(sorted(I + (m,)))], p[J[:l] + J[l + 1:]]
+            if a and b:
+                # moving m to its sorted place in I passes the entries above it
+                odd = (l + sum(i > m for i in I)) % 2
+                total = total - a * b if odd else total + a * b
+        if total:
+            return False
+    return True
+
+
 def make_point(model: str, raw) -> ModelPoint:
     """Validate raw coordinates against the model's defining relations."""
     spec = model_spec(model)
@@ -190,11 +226,8 @@ def make_point(model: str, raw) -> ModelPoint:
             vec = _pvec(raw)
             if len(vec) != comb(n, j):
                 raise ValueError(f"grass({j},{n}) needs {j} rows or all minors")
-            if (j, n) != (2, 4):
-                raise ValueError("direct minor input is only validated for grass(2,4)")
-            rel = vec[0] * vec[5] - vec[1] * vec[4] + vec[2] * vec[3]
-            if rel:
-                raise ValueError("p12*p34 - p13*p24 + p14*p23 != 0")
+            if not _plucker_relations_hold(vec, j, n):
+                raise ValueError(f"the minors fail a Plucker relation of grass({j},{n})")
         if not _nonzero(vec):
             raise ValueError("zero vector")
         return ModelPoint(model, (vec,))

@@ -5,8 +5,10 @@ description, on Python ints; no floating point is used anywhere.  The linear
 programs are solved by a two-phase simplex with Bland's rule, so termination
 is guaranteed; the environment variable BTGIT_LP_PIVOT_LIMIT caps the pivot
 count (default: unlimited).  Cone generators, cone facets, polyhedron
-vertices, hull skeletons and hull membership all come from one
-double-description routine, with no LP and no subset enumeration.
+generators (points, recession rays and lines, and so vertices and the
+support function), hull skeletons and hull membership all come from one
+double-description routine, with no LP and no subset enumeration; hull
+membership reads its integer lines and rays directly, with no Fraction.
 """
 
 from __future__ import annotations
@@ -311,16 +313,26 @@ def hull_cone(p: QPolytope) -> QPolyhedron:
 
 
 def hull_member(p: QPolytope, q: Sequence, mode: str = "closure") -> bool:
-    """Exact membership of q in conv(points), in the closure or the interior."""
+    """Exact membership of q in conv(points), in the closure or the interior.
+
+    The sign tests of hull_cone's halfspaces, read off the integer lines and
+    rays of its double description against q lifted to height 1 and scaled
+    to integers: q is in the closure when every line vanishes on it and
+    every ray is >= 0, and in the interior when there is no line and every
+    ray is > 0.  Positive rescaling keeps the signs.
+    """
     q = qvec(q)
     if len(q) != p.dim:
         raise ValueError("dimension mismatch")
     if mode not in ("closure", "interior"):
         raise ValueError(f"unknown mode {mode!r}")
-    cone = hull_cone(p)
+    lines, rays = _integer_double_description([pt + (Q(1),) for pt in p.points],
+                                              p.dim + 1)
+    v = _primitive_ints(q + (Q(1),))
     if mode == "closure":
-        return cone.contains(q + (Q(1),))
-    return cone_interior_contains(cone, q + (Q(1),))
+        return (all(_int_dot(l, v) == 0 for _, l in lines)
+                and all(_int_dot(r, v) >= 0 for r in rays))
+    return not lines and all(_int_dot(r, v) > 0 for r in rays)
 
 
 def hull_member_bruteforce(points: Sequence[Sequence], q: Sequence) -> bool:
@@ -371,21 +383,26 @@ def _combine(c: int, u: Tuple[int, ...], d: int, w: Tuple[int, ...]) -> Tuple[in
     return _reduced([c * x - d * y for x, y in zip(u, w)])
 
 
-def _double_description(rows: Sequence[Vector],
-                        dim: int) -> Tuple[List[Vector], List[Vector]]:
-    """Lines and primitive extreme rays of the cone {x : a . x >= 0 for every row a}.
+def _int_dot(u: Tuple[int, ...], v: Tuple[int, ...]) -> int:
+    return sum(x * y for x, y in zip(u, v))
+
+
+def _integer_double_description(rows: Sequence[Vector], dim: int
+                                ) -> Tuple[List[Tuple[int, Tuple[int, ...]]],
+                                           List[Tuple[int, ...]]]:
+    """Lines and primitive extreme rays of the cone {x : a . x >= 0 for every row a},
+    as integer vectors; each line comes with its free coordinate.
 
     Double description (Motzkin et al. 1953; Fukuda-Prodon 1996): start from
     the whole space and add the inequalities one at a time, tracking the rows
-    tight on each ray.  The lines come out as the reduced kernel basis of
-    the rows, one unit entry per free coordinate, and every ray vanishes on
-    the coordinates where those lines carry their unit entries.
+    tight on each ray.  The lines span the kernel of the rows, each one
+    nonzero at its own free coordinate and zero at the other lines' free
+    coordinates, and every ray vanishes on all the free coordinates.
 
     The work is done on Python ints: each row is scaled to a primitive
     integer vector, and lines and rays are kept as integer vectors divided
     by the gcd of their entries after every combination.  Only the signs of
-    a . x matter, and positive rescaling keeps them.  Each line is divided
-    by its entry at its free coordinate at the end.
+    a . x matter, and positive rescaling keeps them.
     """
     lines = [(i, tuple(int(j == i) for j in range(dim))) for i in range(dim)]
     rays: List[Tuple[Tuple[int, ...], frozenset]] = []  # (ray, indices of rows tight on it)
@@ -425,8 +442,17 @@ def _double_description(rows: Sequence[Vector],
                 if not any(common <= z for m, (_, z) in enumerate(rays) if m not in (i, j)):
                     kept.append((_combine(vp, n, vn, p), common | {k}))
         rays = kept
+    return lines, [r for r, _ in rays]
+
+
+def _double_description(rows: Sequence[Vector],
+                        dim: int) -> Tuple[List[Vector], List[Vector]]:
+    """The integer double description in Fractions: each line divided by its
+    entry at its free coordinate, so the lines are the reduced kernel basis
+    of the rows, and the rays as they are."""
+    lines, rays = _integer_double_description(rows, dim)
     return ([tuple(Q(x, l[i]) for x in l) for i, l in lines],
-            [tuple(Q(x) for x in r) for r, _ in rays])
+            [tuple(Q(x) for x in r) for r in rays])
 
 
 def cone_h_rep(generators: Sequence[Sequence], dim: int) -> QPolyhedron:
@@ -601,14 +627,45 @@ def hull_skeleton(p: QPolytope):
 # vertex enumeration for H-polyhedra
 
 
-def polyhedron_vertices(poly: QPolyhedron) -> List[Vector]:
-    """Vertices of a polyhedron: the rays of its homogenization at height t > 0.
+@dataclass(frozen=True)
+class Generators:
+    """A polyhedron as conv(points) + cone(rays) + span(lines).
 
-    n . z >= o becomes n . z - o t >= 0 together with t >= 0.
+    It has no points exactly when it is empty.  Without lines the points are
+    its vertices; with lines they are one point of each minimal face.
+    """
+
+    points: Tuple[Vector, ...]
+    rays: Tuple[Vector, ...]
+    lines: Tuple[Vector, ...]
+
+    def support(self, c: Sequence):
+        """sup of c . z over the polyhedron; INF if unbounded, None if empty."""
+        if not self.points:
+            return None
+        c = qvec(c)
+        if any(dot(c, l) for l in self.lines) or any(dot(c, r) > 0 for r in self.rays):
+            return INF
+        return max(dot(c, p) for p in self.points)
+
+
+def polyhedron_generators(poly: QPolyhedron) -> Generators:
+    """Points, recession rays and lines of a polyhedron from one double
+    description of its homogenization.
+
+    n . z >= o becomes n . z - o t >= 0 together with t >= 0.  Its rays at
+    height t > 0, divided by t, are the points, those at t = 0 the recession
+    rays; t >= 0 puts every line at t = 0.
     """
     rows = [nrm + (-off,) for nrm, off in poly.halfspaces]
     rows.append(zero(poly.dim) + (Q(1),))
     lines, rays = _double_description(rows, poly.dim + 1)
-    if lines:
-        return []  # a polyhedron that contains a line has no vertices
-    return sorted(scale(1 / r[-1], r[:-1]) for r in rays if r[-1] > 0)
+    return Generators(tuple(sorted(scale(1 / r[-1], r[:-1]) for r in rays if r[-1] > 0)),
+                      tuple(r[:-1] for r in rays if r[-1] == 0),
+                      tuple(l[:-1] for l in lines))
+
+
+def polyhedron_vertices(poly: QPolyhedron) -> List[Vector]:
+    """Vertices of a polyhedron; one that contains a line has none."""
+    gens = polyhedron_generators(poly)
+    return [] if gens.lines else list(gens.points)

@@ -12,7 +12,7 @@ from .interval import interval_A_chi
 from .models import (ModelPoint, act, adjugate, determinant, model_relative,
                      model_spec, p_epsilon_member, weighted_coordinates)
 from .polyhedra import (QPolyhedron, cone_generators, min_enclosing_ball,
-                        polyhedron_vertices)
+                        polyhedron_generators)
 from .qvec import Vector, dot, is_zero, qvec
 from .rootdata import RelativeDatum, fundamental_rays, relative_weyl_orbit
 from .valfield import INF, ONE, PuiseuxElement, ZERO, format_rational
@@ -185,10 +185,12 @@ def circumcenter(region, gram: Optional[Sequence[Vector]] = None):
             raise ValueError("empty interval")
         return circumcenter_tree(region.points)
     if isinstance(region, QPolyhedron):
-        if not region.is_bounded():
+        # a nonempty region is bounded when it has no rays or lines, and then
+        # its points are its vertices
+        gens = polyhedron_generators(region)
+        if gens.points and (gens.rays or gens.lines):
             raise ValueError("unbounded region")
-        verts = polyhedron_vertices(region)
-        center, _ = min_enclosing_ball(verts, gram=gram)
+        center, _ = min_enclosing_ball(gens.points, gram=gram)
         return ApartmentPoint(center)
     raise ValueError("unsupported region type")
 

@@ -273,3 +273,29 @@ def double_description_by_fractions(rows: Sequence[Vector], dim: int
                                  common | {k}))
         rays = kept
     return lines, [r for r, _ in rays]
+
+
+def plucker_relations_by_all_subsets(vec: Sequence[PuiseuxElement], j: int,
+                                     n: int) -> bool:
+    """Reference oracle: every quadratic Plucker relation of grass(j,n),
+    sum_l (-1)^l p[I + m_l] p[J - m_l] = 0 over all (j-1)-subsets I and
+    (j+1)-subsets J, with p of an unsorted index list the sorted minor times
+    the sign of the sorting permutation, and 0 on a repeated index."""
+    p = dict(zip(combinations(range(n), j), vec))
+
+    def signed(idx):
+        if len(set(idx)) < len(idx):
+            return ZERO
+        inversions = sum(a > b for a, b in combinations(idx, 2))
+        minor = p[tuple(sorted(idx))]
+        return -minor if inversions % 2 else minor
+
+    for I in combinations(range(n), j - 1):
+        for J in combinations(range(n), j + 1):
+            total = ZERO
+            for l, m in enumerate(J):
+                term = signed(I + (m,)) * signed(J[:l] + J[l + 1:])
+                total = total - term if l % 2 else total + term
+            if total:
+                return False
+    return True

@@ -233,6 +233,17 @@ def test_unreadable_payload_file_exits_2(tmp_path, capsys, name, content):
     assert out == "" and err.startswith("error: cannot read payload file")
 
 
+@pytest.mark.parametrize("flag", ["--out", "--svg"])
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_output_path_exits_2(tmp_path, capsys, flag, target):
+    req = tmp_path / "req.json"
+    req.write_text(json.dumps({"model": "proj(2)", "point": ["1", "t^{1/2}"]}))
+    path = tmp_path / "missing" / "x" if target == "missing-directory" else tmp_path
+    assert main(["--command", "interval", "--in", str(req), flag, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: cannot write output file")
+
+
 # a generic point of grass(4,8): every Plucker coordinate is nonzero
 GR48_POINT = [[f"{(j + 1) ** i} + t^{{{(i * j) % 3}/2}}" for j in range(8)]
               for i in range(4)]

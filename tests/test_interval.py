@@ -6,7 +6,9 @@ import pytest
 from helpers import (grid_points, random_grass24_point, random_proj_point,
                      random_sl3_flag, random_sp4_flag, random_su3_pair, rng)
 
+from btgit import polyhedra
 from btgit.apartment import InfinityPoint, nu
+from btgit.cli import run
 from btgit.interval import (destabilizing_1ps, fixed_locus_possible,
                             interval_A, interval_A_chi, lambda_A, wall_h_rep)
 from btgit.models import make_point, model_relative, project, weighted_coordinates
@@ -14,7 +16,7 @@ from btgit.polyhedra import hull_member
 from btgit.qvec import add, dot, primitive, qvec, scale
 from btgit.rootdata import build_root_system, preset_relative
 from btgit.torusgit import mu_residue, translate
-from btgit.valfield import INF, ONE, ZERO, PuiseuxElement
+from btgit.valfield import INF, ONE, ZERO, PuiseuxElement, format_rational
 
 P = PuiseuxElement
 REL_A1 = preset_relative("split", datum=build_root_system("A", 1))
@@ -188,3 +190,43 @@ def test_interval_shape_matches_lp_oracles():
             assert (res.singleton.coords if res.singleton else None) == point, model
             shapes.add("point" if point else "bounded" if res.bounded else "unbounded")
     assert shapes == {"empty", "point", "bounded", "unbounded"}
+
+
+def test_interval_and_character_run_one_lp(monkeypatch):
+    # the minimax LP finds the face; wall bounds, shape and the character
+    # optimum are read off the face's generators
+    calls = []
+    real = polyhedra.solve_lp
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(polyhedra, "solve_lp", counting)
+    r = rng(61)
+    cases = [("proj(3)", lambda: random_proj_point(r, 3), None),
+             ("grass(2,4)", lambda: random_grass24_point(r), None),
+             ("sp4_flag", lambda: random_sp4_flag(r), (1, 1))]
+    for model, draw, lam in cases:
+        rel = model_relative(model)
+        for _ in range(4):
+            calls.clear()
+            res = interval_A(weighted_coordinates(draw(), lam=lam), rel)
+            assert len(calls) == 1, model
+            if not res.is_empty():
+                res.chi_optimum(rel.relative_roots[0])
+                assert len(calls) == 1, model
+    chi = [format_rational(c) for c in GR24_REL.restrict((1, 1, 0, 0))]
+    requests = [
+        ("interval", {"model": "proj(2)", "point": ["1", "t^{1/2}"], "chi": ["3"]}),
+        ("interval", {"model": "grass(2,4)", "point": ["1", "1", "0", "0", "-1", "-1"],
+                      "chi": chi}),
+        ("chi", {"model": "grass(2,4)", "point": ["1", "1", "0", "0", "-1", "-1"],
+                 "chi": chi}),
+        ("chi", {"model": "sp4_flag", "point": [["1", "0", "t", "0"], ["0", "1", "0", "t"]],
+                 "chi": ["1", "0"]}),
+    ]
+    for command, payload in requests:
+        calls.clear()
+        run(command, payload)
+        assert len(calls) == 1, (command, payload)

@@ -1,15 +1,19 @@
 """Point models: validation, weights, group actions, parabolic membership."""
 
+import json
 from fractions import Fraction as Q
 
 import pytest
-from helpers import (random_grass24_point, random_proj_point, random_sl3_flag,
+from helpers import (plucker_relations_by_all_subsets, random_element,
+                     random_grass24_point, random_proj_point, random_sl3_flag,
                      random_sp4_flag, random_su3_pair, rng)
 
+from btgit.cli import main, run
 from btgit.interval import destabilizing_1ps
-from btgit.models import (ModelPoint, UnknownModel, act, make_point,
-                          model_relative, model_spec, p_epsilon_member, project,
-                          symplectic_form, weighted_coordinates)
+from btgit.models import (ModelPoint, UnknownModel, _plucker_relations_hold,
+                          act, make_point, model_relative, model_spec,
+                          p_epsilon_member, project, symplectic_form,
+                          weighted_coordinates)
 from btgit.qvec import dot, qvec
 from btgit.torusgit import mu_K, stability_status
 from btgit.valfield import ONE, ZERO, PuiseuxElement
@@ -60,6 +64,50 @@ def test_model_point_json_round_trip():
         for _ in range(5):
             p = sampler()
             assert ModelPoint.from_json(p.to_json()) == p
+
+
+@pytest.mark.parametrize("j,n", [(2, 5), (3, 5), (3, 6)])
+def test_grass_minors_round_trip_and_perturbation(tmp_path, capsys, j, n):
+    r = rng(67 + 10 * j + n)
+    model = f"grass({j},{n})"
+    for _ in range(3):
+        rows = [[random_element(r, max_terms=2, nonzero=True).to_json() for _ in range(n)]
+                for _ in range(j)]
+        doc = run("models", {"model": model, "point": rows})["point"]
+        p = ModelPoint.from_json(doc)
+        assert p.to_json() == doc
+        minors = list(p.data[0])
+        k = next(i for i, c in enumerate(minors) if c)
+        minors[k] = minors[k] + ONE
+        with pytest.raises(ValueError):
+            make_point(model, minors)
+        req = tmp_path / "req.json"
+        req.write_text(json.dumps({"model": model, "point": [c.to_json() for c in minors]}))
+        assert main(["--command", "models", "--in", str(req)]) == 2
+        assert capsys.readouterr().out == ""
+
+
+def test_plucker_check_matches_every_relation():
+    # the relations through one nonzero minor decide as all of them do, on
+    # points of the Grassmannian, on points with zero minors, and off it
+    r = rng(71)
+    verdicts = []
+    for j, n in ((1, 3), (2, 4), (2, 5), (3, 5), (3, 6)):
+        for _ in range(6):
+            rows = [[random_element(r, max_terms=1, lo=0, hi=1) for _ in range(n)]
+                    for _ in range(j)]
+            try:
+                minors = list(make_point(f"grass({j},{n})", rows).data[0])
+            except ValueError:  # rows of rank < j
+                continue
+            for k in r.sample(range(len(minors)), 3):
+                changed = list(minors)
+                changed[k] = changed[k] + random_element(r, max_terms=1, nonzero=True)
+                for vec in (minors, changed):
+                    want = plucker_relations_by_all_subsets(vec, j, n)
+                    assert _plucker_relations_hold(tuple(vec), j, n) == want, (j, n, vec)
+                    verdicts.append((vec is changed, want))
+    assert set(verdicts) == {(False, True), (True, True), (True, False)}
 
 
 def test_weighted_coordinates_examples():

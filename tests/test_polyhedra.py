@@ -11,8 +11,10 @@ from btgit.polyhedra import (PivotLimitExceeded, QPolyhedron, QPolytope,
                              cone_generators, cone_h_rep, hull_member,
                              hull_member_bruteforce, hull_skeleton,
                              min_enclosing_ball, minimax_face, polar_cone,
-                             polyhedron_vertices, rref, solve_lp, tangent_cone)
-from btgit.qvec import line_rep, neg, primitive, qvec, sub
+                             polyhedron_generators, polyhedron_vertices, rref,
+                             solve_lp, tangent_cone)
+from btgit.qvec import dot, line_rep, neg, primitive, qvec, scale, sub
+from btgit.valfield import INF
 
 
 def test_hull_member_examples():
@@ -267,3 +269,56 @@ def test_integer_double_description_matches_fraction_oracle():
     for short_or_long in ([(Q(1),)], [(Q(1), Q(2), Q(3))]):
         with pytest.raises(ValueError):
             _double_description(short_or_long, 2)
+
+
+def _random_polyhedron(r, dim, kind):
+    """A polyhedron of the given kind around a random point x0: its
+    halfspaces hold at x0, a box bounds it, normals orthogonal to d leave
+    the line through d, normals nonnegative on d leave the ray along d, and
+    a pair a . z >= a . x0 + 1, a . z <= a . x0 empties it."""
+    x0 = _rand_vec(r, dim)
+    d = _rand_vec(r, dim)
+    while not any(d):
+        d = _rand_vec(r, dim)
+    normals = [_rand_vec(r, dim) for _ in range(r.randint(0, 2 * dim + 1))]
+    if kind == "line":
+        normals = [sub(a, scale(dot(a, d) / dot(d, d), d)) for a in normals]
+    elif kind == "unbounded":
+        normals = [neg(a) if dot(a, d) < 0 else a for a in normals]
+    halves = [(a, dot(a, x0) - Q(r.randint(0, 2))) for a in normals]
+    if kind == "bounded":
+        for i in range(dim):
+            e = tuple(Q(int(j == i)) for j in range(dim))
+            halves += [(e, x0[i] - 2), (neg(e), -x0[i] - 2)]
+    elif kind == "empty":
+        halves += [(d, dot(d, x0) + 1), (neg(d), -dot(d, x0))]
+    return QPolyhedron(halves, dim)
+
+
+def test_support_function_matches_lp_oracle():
+    r = rng(41)
+    seen = set()
+    for _ in range(12):
+        for kind in ("empty", "bounded", "unbounded", "line"):
+            dim = r.randint(1, 4)
+            poly = _random_polyhedron(r, dim, kind)
+            gens = polyhedron_generators(poly)
+            assert bool(gens.points) == (kind != "empty")
+            if kind == "bounded":
+                assert not gens.rays and not gens.lines
+            if kind == "line":
+                assert gens.lines
+            if kind == "unbounded":
+                assert gens.rays or gens.lines
+            assert all(poly.contains(p) for p in gens.points)
+            for nrm, _ in poly.halfspaces:
+                assert all(dot(nrm, v) >= 0 for v in gens.rays)
+                assert all(dot(nrm, v) == 0 for v in gens.lines)
+            assert polyhedron_vertices(poly) == ([] if gens.lines else list(gens.points))
+            normals = [nrm for nrm, _ in poly.halfspaces]
+            probes = [_rand_vec(r, dim) for _ in range(4)] + normals
+            for c in probes + [neg(c) for c in normals]:
+                want = poly.sup_linear(c)
+                assert gens.support(c) == want, (kind, poly, c)
+                seen.add(want if want is None or want == INF else "finite")
+    assert seen == {None, INF, "finite"}

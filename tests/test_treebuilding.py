@@ -145,6 +145,10 @@ def test_circumcenter_rejects_unbounded():
     half = QPolyhedron((((Q(1),), Q(0)),))
     with pytest.raises(ValueError):
         circumcenter(half)
+    # the strip 0 <= x <= 1 holds every vertical line
+    strip = QPolyhedron((((Q(1), Q(0)), Q(0)), ((Q(-1), Q(0)), Q(-1))))
+    with pytest.raises(ValueError, match="unbounded region"):
+        circumcenter(strip)
 
 
 def test_f_chi_tree_examples():
