@@ -4,9 +4,11 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 from math import gcd
-from typing import Iterable, Tuple
+from typing import Iterable, Sequence, Tuple
 
 Vector = Tuple[Q, ...]
+
+_ZERO = Q(0)
 
 
 def qvec(xs: Iterable) -> Vector:
@@ -16,11 +18,20 @@ def qvec(xs: Iterable) -> Vector:
 def dot(x: Vector, y: Vector) -> Q:
     if len(x) != len(y):
         raise ValueError("dimension mismatch")
+    return _sum_of_products(zip(x, y))
+
+
+def sparse_dot(support: Sequence[int], values: Sequence[Q], y: Vector) -> Q:
+    """x . y for x given by the indices and values of its nonzero entries."""
+    return _sum_of_products(zip(values, map(y.__getitem__, support)))
+
+
+def _sum_of_products(pairs: Iterable[Tuple[Q, Q]]) -> Q:
     # weights and dual rows are mostly zeros; skip those products.  The sum is
     # kept as one integer numerator over one integer denominator and reduced
     # once, not after every product and partial sum.
     num, den = 0, 1
-    for a, b in zip(x, y):
+    for a, b in pairs:
         an = a.numerator
         if an:
             bn = b.numerator
@@ -31,7 +42,7 @@ def dot(x: Vector, y: Vector) -> Q:
                 else:
                     num = num * d + an * bn * den
                     den *= d
-    return Q(num, den)
+    return Q(num, den) if num else _ZERO
 
 
 def add(x: Vector, y: Vector) -> Vector:

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from math import factorial
 from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .polyhedra import QPolyhedron, cone_generators, rref
-from .qvec import Vector, add, dot, is_zero, qvec, scale, sub, zero
+from .qvec import Vector, add, dot, is_zero, qvec, scale, sparse_dot, sub, zero
 
-ROOT_COUNTS = {"A": lambda l: l * (l + 1), "B": lambda l: 2 * l * l,
-               "C": lambda l: 2 * l * l, "D": lambda l: 2 * l * (l - 1)}
 
 def reflect(v: Vector, alpha: Vector) -> Vector:
     """Reflection of v in the hyperplane orthogonal to alpha."""
@@ -34,60 +33,53 @@ class RootDatum:
     fundamental_weights: Tuple[Vector, ...]
 
 
-def _simple_basis(family: str, rank: int) -> List[Vector]:
-    if family == "A":
-        n = rank + 1
-        basis = []
-        for i in range(rank):
-            v = [Q(0)] * n
-            v[i], v[i + 1] = Q(1), Q(-1)
-            basis.append(tuple(v))
-        return basis
-    basis = []
-    for i in range(rank - 1):
-        v = [Q(0)] * rank
-        v[i], v[i + 1] = Q(1), Q(-1)
-        basis.append(tuple(v))
-    last = [Q(0)] * rank
-    if family == "B":
-        last[rank - 1] = Q(1)
-    elif family == "C":
-        last[rank - 1] = Q(2)
-    elif family == "D":
-        if rank < 2:
-            raise ValueError("family D needs rank >= 2")
-        last[rank - 2], last[rank - 1] = Q(1), Q(1)
-    else:
-        raise ValueError(f"unsupported family {family!r}")
-    basis.append(tuple(last))
-    return basis
+def _vector(n: int, entries: Iterable[Tuple[int, int]]) -> Vector:
+    v = [Q(0)] * n
+    for i, c in entries:
+        v[i] = Q(c)
+    return tuple(v)
 
 
 def build_root_system(family: str, rank: int) -> RootDatum:
-    """Build the full root datum by reflection closure of a simple basis."""
-    if family not in ROOT_COUNTS:
-        raise ValueError(f"unsupported family {family!r}")
-    if rank < 1 or (family in ("B", "C") and rank < 2) or (family == "D" and rank < 2):
-        raise ValueError(f"unsupported rank {rank} for family {family}")
-    simple = _simple_basis(family, rank)
-    all_roots = tuple(sorted(reflection_closure(simple, _simple_reflections(simple))))
-    expected = ROOT_COUNTS[family](rank)
-    if len(all_roots) != expected:
-        raise AssertionError(f"{family}{rank}: {len(all_roots)} roots, expected {expected}")
+    """The root datum of a classical family, in closed form.
 
-    # Fundamental weights: solve 2(w_i, a_j)/(a_j, a_j) = delta_ij inside the
-    # span of the simple roots (for family A that span is the sum-zero space).
-    coeff_rows = [
-        [2 * dot(ak, aj) / dot(aj, aj) for ak in simple] for aj in simple
-    ]
-    units = [tuple(Q(int(i == j)) for j in range(rank)) for i in range(rank)]
-    weights = []
-    for sol in _solve_columns(coeff_rows, units):
-        w = zero(len(simple[0]))
-        for c, a in zip(sol, simple):
-            w = add(w, scale(c, a))
-        weights.append(w)
-    return RootDatum(family, rank, len(simple[0]), tuple(simple), all_roots, tuple(weights))
+    With e_i the ambient unit vectors (Bourbaki, Lie IV-VI, Plates I-IV):
+    the simple roots are e_i - e_{i+1} and, last, e_l (B), 2e_l (C) or
+    e_{l-1} + e_l (D); the roots are e_i - e_j (A), or +-e_i +- e_j together
+    with +-e_i (B) or +-2e_i (C); the fundamental weights are the partial
+    sums e_1 + ... + e_k, made sum-zero for A and halved at the spin nodes
+    of B and D.
+    """
+    if family not in ("A", "B", "C", "D"):
+        raise ValueError(f"unsupported family {family!r}")
+    if rank < 1 or (family != "A" and rank < 2):
+        raise ValueError(f"unsupported rank {rank} for family {family}")
+    l = rank
+    n = l + 1 if family == "A" else l
+    simple = [_vector(n, ((i, 1), (i + 1, -1))) for i in range(n - 1)]
+    if family == "A":
+        roots = {_vector(n, ((i, 1), (j, -1)))
+                 for i in range(n) for j in range(n) if i != j}
+        weights = [tuple(Q(n - k, n) if i < k else Q(-k, n) for i in range(n))
+                   for k in range(1, l + 1)]
+    else:
+        last = {"B": ((l - 1, 1),), "C": ((l - 1, 2),),
+                "D": ((l - 2, 1), (l - 1, 1))}[family]
+        simple.append(_vector(n, last))
+        roots = {_vector(n, ((i, s), (j, t))) for i in range(n)
+                 for j in range(i + 1, n) for s in (1, -1) for t in (1, -1)}
+        if family != "D":
+            long = 1 if family == "B" else 2
+            roots |= {_vector(n, ((i, s * long),)) for i in range(n) for s in (1, -1)}
+        weights = [tuple(Q(int(i < k)) for i in range(n)) for k in range(1, l + 1)]
+        half = Q(1, 2)
+        if family == "B":
+            weights[-1] = (half,) * l
+        elif family == "D":
+            weights[-2] = (half,) * (l - 1) + (-half,)
+            weights[-1] = (half,) * l
+    return RootDatum(family, rank, n, tuple(simple), tuple(sorted(roots)),
+                     tuple(weights))
 
 
 def _solve_columns(rows: Sequence[Sequence[Q]],
@@ -118,24 +110,40 @@ def reflection_closure(seeds: Iterable, maps: Sequence[Callable]) -> Set:
     return seen
 
 
-def _simple_reflections(simple: Sequence[Vector]) -> List[Callable[[Vector], Vector]]:
-    return [lambda v, a=a: reflect(v, a) for a in simple]
+def simple_shuffles(datum: RootDatum) -> List[Callable[[Vector], Vector]]:
+    """The simple reflections of the datum, as shuffles of ambient coordinates.
+
+    Reflecting in e_i - e_{i+1} swaps coordinates i and i+1; in e_l or 2e_l
+    it negates the last coordinate (B, C); in e_{l-1} + e_l it swaps the last
+    two and negates both (D).  So the Weyl group acts by permutations (A),
+    signed permutations (B, C) and evenly signed permutations (D), and each
+    shuffle gives the value `reflect` gives, with no arithmetic.
+    """
+    maps: List[Callable[[Vector], Vector]] = [
+        lambda v, i=i: v[:i] + (v[i + 1], v[i]) + v[i + 2:]
+        for i in range(datum.ambient_dim - 1)]
+    if datum.family in ("B", "C"):
+        maps.append(lambda v: v[:-1] + (-v[-1],))
+    elif datum.family == "D":
+        maps.append(lambda v: v[:-2] + (-v[-1], -v[-2]))
+    return maps
 
 
 def weyl_orbit(datum: RootDatum, weight: Vector) -> Tuple[Vector, ...]:
-    """Full Weyl-group orbit of a weight, by closure under simple reflections."""
+    """Full Weyl-group orbit of a weight, by closure under the simple shuffles."""
     if len(weight) != datum.ambient_dim:
         raise ValueError("weight has wrong ambient dimension")
-    return tuple(sorted(reflection_closure([tuple(weight)],
-                                           _simple_reflections(datum.simple_roots))))
+    return tuple(sorted(reflection_closure([tuple(weight)], simple_shuffles(datum))))
 
 
 def weyl_order(datum: RootDatum) -> int:
-    """Order of the Weyl group, via the orbit of a regular weight."""
-    rho = zero(datum.ambient_dim)
-    for w in datum.fundamental_weights:
-        rho = add(rho, w)
-    return len(weyl_orbit(datum, rho))
+    """Order of the Weyl group: (l+1)! (A), 2^l l! (B, C), 2^(l-1) l! (D)."""
+    l = datum.rank
+    if datum.family == "A":
+        return factorial(l + 1)
+    if datum.family == "D":
+        return 2 ** (l - 1) * factorial(l)
+    return 2 ** l * factorial(l)
 
 
 @dataclass(frozen=True)
@@ -174,13 +182,34 @@ def relative_weyl_orbit(rel: RelativeDatum,
     relative Weyl group, which acts on each point of a tuple.
 
     The relative simple root a reflects z to z - (a . z) a^vee, with the
-    coroot a^vee = 2x/(a . x) where gram x = a.
+    coroot a^vee = 2x/(a . x) where gram x = a.  Each reflection reads only
+    the nonzero entries of a and changes only those of a^vee: for a split
+    group of type A that is one coordinate.
     """
     xs = _solve_columns(rel.gram, rel.relative_simple)
-    coroots = [scale(2 / dot(a, x), x) for a, x in zip(rel.relative_simple, xs)]
-    maps = [lambda zs, a=a, c=c: tuple(sub(z, scale(dot(a, z), c)) for z in zs)
-            for a, c in zip(rel.relative_simple, coroots)]
+    maps = []
+    for a, x in zip(rel.relative_simple, xs):
+        f = _sparse_reflection(a, scale(2 / dot(a, x), x))
+        maps.append(lambda zs, f=f: tuple(f(z) for z in zs))
     return reflection_closure(seeds, maps)
+
+
+def _sparse_reflection(a: Vector, coroot: Vector) -> Callable[[Vector], Vector]:
+    """z -> z - (a . z) coroot, reading and writing only nonzero entries."""
+    support = tuple(k for k, c in enumerate(a) if c)
+    values = tuple(a[k] for k in support)
+    changes = tuple((k, c) for k, c in enumerate(coroot) if c)
+
+    def reflect_point(z: Vector) -> Vector:
+        t = sparse_dot(support, values, z)
+        if not t:
+            return z
+        w = list(z)
+        for k, c in changes:
+            w[k] -= t * c
+        return tuple(w)
+
+    return reflect_point
 
 
 def fundamental_rays(rel: RelativeDatum) -> List[Vector]:

@@ -11,8 +11,8 @@ from .polyhedra import (QPolytope, cone_contains, cone_h_rep,
                         cone_interior_contains, hull_cone, origin_tangent_cone)
 from .qvec import Vector, dot, line_rep, neg, qvec, scale, add
 from .rootdata import (RelativeDatum, build_root_system, fundamental_rays,
-                       preset_relative, reflect, reflection_closure,
-                       relative_weyl_orbit)
+                       preset_relative, reflection_closure,
+                       relative_weyl_orbit, simple_shuffles)
 from .valfield import PuiseuxElement, parse_rational, format_rational
 
 
@@ -210,8 +210,8 @@ def classify_regular_weights(family: Optional[str] = None,
     omegas = [datum.fundamental_weights[j * step - 1] for j in J]
     hyps = root_hyperplanes(rel)
     max_num = 1
-    reflections = [lambda tup, a=a: tuple(reflect(v, a) for v in tup)
-                   for a in datum.simple_roots]
+    reflections = [lambda tup, f=f: tuple(f(v) for v in tup)
+                   for f in simple_shuffles(datum)]
     for tup in reflection_closure([tuple(omegas)], reflections):
         imgs = [rel.restrict(v) for v in tup]
         for h in hyps:

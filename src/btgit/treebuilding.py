@@ -188,7 +188,9 @@ def circumcenter(region, gram: Optional[Sequence[Vector]] = None):
         # a nonempty region is bounded when it has no rays or lines, and then
         # its points are its vertices
         gens = polyhedron_generators(region)
-        if gens.points and (gens.rays or gens.lines):
+        if not gens.points:
+            raise ValueError("empty region")
+        if gens.rays or gens.lines:
             raise ValueError("unbounded region")
         center, _ = min_enclosing_ball(gens.points, gram=gram)
         return ApartmentPoint(center)

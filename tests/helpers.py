@@ -8,9 +8,10 @@ from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
 from btgit.models import make_point, symplectic_form
-from btgit.polyhedra import QPolyhedron, QPolytope, solve_lp
+from btgit.polyhedra import QPolyhedron, QPolytope, rref, solve_lp
 from btgit.qvec import Vector, dot, line_rep, neg, primitive, qvec, scale, sub
-from btgit.rootdata import build_root_system, preset_relative
+from btgit.rootdata import (build_root_system, preset_relative, reflect,
+                            reflection_closure)
 from btgit.valfield import ONE, ZERO, PuiseuxElement
 
 
@@ -150,6 +151,39 @@ def chamber_presets(max_rank: Optional[int] = None):
     rels += [preset_relative("sl_skew", s=s, d=d)
              for s, d in ((1, 1), (1, 2), (2, 2), (2, 3), (3, 2))]
     return [rel for rel in rels if max_rank is None or rel.rank <= max_rank]
+
+
+def roots_by_reflection(datum) -> Tuple[Vector, ...]:
+    """Reference oracle: the closure of the simple roots under the
+    reflections in them, sorted."""
+    maps = [lambda v, a=a: reflect(v, a) for a in datum.simple_roots]
+    return tuple(sorted(reflection_closure(datum.simple_roots, maps)))
+
+
+def orbit_by_reflection(datum, weights: Sequence[Vector]):
+    """Reference oracle: the joint Weyl orbit of a tuple of weights, by
+    reflecting each weight in the simple roots."""
+    maps = [lambda tup, a=a: tuple(reflect(v, a) for v in tup)
+            for a in datum.simple_roots]
+    return reflection_closure([tuple(weights)], maps)
+
+
+def weights_by_solve(datum) -> Tuple[Vector, ...]:
+    """Reference oracle: the fundamental weights as the solutions of
+    2(w_i, a_j)/(a_j, a_j) = delta_ij inside the span of the simple roots
+    (for family A that span is the sum-zero space), by one rref."""
+    simple = datum.simple_roots
+    n = len(simple)
+    rows = [[2 * dot(ak, aj) / dot(aj, aj) for ak in simple]
+            + [Q(int(i == j)) for j in range(n)] for i, aj in enumerate(simple)]
+    red, _ = rref(rows)
+    weights = []
+    for k in range(n):
+        w = (Q(0),) * datum.ambient_dim
+        for i, a in enumerate(simple):
+            w = tuple(x + red[i][n + k] * y for x, y in zip(w, a))
+        weights.append(w)
+    return tuple(weights)
 
 
 def root_hyperplanes_by_subsets(rel):

@@ -254,8 +254,10 @@ GR48_POINT = [[f"{(j + 1) ** i} + t^{{{(i * j) % 3}/2}}" for j in range(8)]
     ("chi", {"family": "B", "rank": 4, "chi": [1, 1, 1, 1]}, "chambers", 144),
     ("chi", {"family": "D", "rank": 5, "chi": [1] * 5}, "chambers", 480),
     ("status", {"model": "grass(4,8)", "point": GR48_POINT}, "status", "stable"),
+    ("status", {"model": "proj(40)", "point": ["1"] + ["t"] * 39}, "status", "stable"),
     ("tree", {"point": ["1 + t", "1"], "R": 800}, "certificate", "radius_limited"),
-], ids=["rootsys-A7", "chi-B4", "chi-D5", "status-grass48", "tree-R800"])
+], ids=["rootsys-A7", "chi-B4", "chi-D5", "status-grass48", "status-proj40",
+        "tree-R800"])
 def test_chamber_requests_do_bounded_work(tmp_path, capsys, command, payload,
                                           key, want):
     req = tmp_path / "req.json"

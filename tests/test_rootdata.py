@@ -4,9 +4,17 @@ from fractions import Fraction as Q
 
 import pytest
 
-from btgit.qvec import dot, qvec, scale
+from btgit.qvec import add, dot, qvec, scale
 from btgit.rootdata import (build_root_system, dominant_weight, preset_relative,
-                            reflect, weyl_orbit, weyl_order)
+                            reflect, reflection_closure, simple_shuffles,
+                            weyl_orbit, weyl_order)
+from helpers import orbit_by_reflection, roots_by_reflection, weights_by_solve
+
+ROOT_COUNTS = {"A": lambda l: l * (l + 1), "B": lambda l: 2 * l * l,
+               "C": lambda l: 2 * l * l, "D": lambda l: 2 * l * (l - 1)}
+
+CLOSED_FORM_CASES = ([("A", r) for r in range(1, 9)]
+                     + [(f, r) for f in "BCD" for r in range(2, 8)])
 
 
 def test_a2_has_six_roots():
@@ -40,6 +48,33 @@ def test_weyl_order_classical_formulas():
     assert weyl_order(build_root_system("B", 3)) == 48
     assert weyl_order(build_root_system("C", 2)) == 8
     assert weyl_order(build_root_system("D", 4)) == 192
+
+
+@pytest.mark.parametrize("family,rank", CLOSED_FORM_CASES,
+                         ids=[f"{f}{r}" for f, r in CLOSED_FORM_CASES])
+def test_closed_forms_match_reflection_oracles(family, rank):
+    datum = build_root_system(family, rank)
+    assert len(datum.all_roots) == ROOT_COUNTS[family](rank)
+    assert datum.all_roots == roots_by_reflection(datum)
+    assert datum.fundamental_weights == weights_by_solve(datum)
+    for w in datum.fundamental_weights:
+        assert weyl_orbit(datum, w) == tuple(
+            sorted(v for (v,) in orbit_by_reflection(datum, (w,))))
+    # the joint orbit of a tuple of weights, as classify_regular_weights
+    # lists it, for J = {1, 2} (J = {1} on A1)
+    omegas = datum.fundamental_weights[:2]
+    lifted = [lambda tup, f=f: tuple(f(v) for v in tup)
+              for f in simple_shuffles(datum)]
+    assert reflection_closure([omegas], lifted) == orbit_by_reflection(datum, omegas)
+    # the orbit of rho is regular, so its size is the group order; the
+    # reflection oracle lists it only while the group is small
+    if weyl_order(datum) <= 1920:
+        rho = datum.fundamental_weights[0]
+        for w in datum.fundamental_weights[1:]:
+            rho = add(rho, w)
+        orbit = weyl_orbit(datum, rho)
+        assert orbit == tuple(sorted(v for (v,) in orbit_by_reflection(datum, (rho,))))
+        assert weyl_order(datum) == len(orbit)
 
 
 def test_roots_closed_under_reflection():

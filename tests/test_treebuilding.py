@@ -149,6 +149,10 @@ def test_circumcenter_rejects_unbounded():
     strip = QPolyhedron((((Q(1), Q(0)), Q(0)), ((Q(-1), Q(0)), Q(-1))))
     with pytest.raises(ValueError, match="unbounded region"):
         circumcenter(strip)
+    # x >= 1 and x <= 0
+    empty = QPolyhedron((((Q(1),), Q(1)), ((Q(-1),), Q(0))))
+    with pytest.raises(ValueError, match="empty region"):
+        circumcenter(empty)
 
 
 def test_f_chi_tree_examples():
