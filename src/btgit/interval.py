@@ -66,15 +66,6 @@ def interval_A(x: WeightedPoint, rel: RelativeDatum) -> IntervalResult:
     return IntervalResult(face, res.value, bounded, singleton, bounds, gens)
 
 
-def wall_h_rep(bounds: Dict[Vector, object]) -> QPolyhedron:
-    """Polyhedron cut out by the finite wall bounds alone."""
-    halves = []
-    for a, n in bounds.items():
-        if n != INF:
-            halves.append((tuple(-c for c in a), -n))
-    return QPolyhedron(tuple(halves))
-
-
 def lambda_A(x: WeightedPoint, rel: RelativeDatum) -> Tuple[InfinityPoint, ...]:
     """Directions at infinity along which every support weight is nonpositive."""
     cone = polar_cone(mu_K(x, rel).points)

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import reduce
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .qvec import Vector, add, dot, neg, qvec, zero
 from .rootdata import RelativeDatum, build_root_system, preset_relative
@@ -164,9 +165,35 @@ def model_relative(model: str) -> RelativeDatum:
     return model_spec(model).relative
 
 
+def minors(rows: Sequence[PVec]) -> Dict[Tuple[int, ...], PuiseuxElement]:
+    """Every nonzero k x k minor of a k-row matrix, keyed by its sorted columns.
+
+    The minors are built one row at a time.  By Laplace expansion along the
+    last row, the minor of the first r + 1 rows on the columns S + {c} sums,
+    over its columns c, (-1)^#{s in S : s > c} times the entry in column c
+    times the minor of the first r rows on S.  Zero entries and zero minors
+    are skipped, and nothing is divided.
+    """
+    out = {(): ONE}
+    for row in rows:
+        entries = [(c, x) for c, x in enumerate(row) if x]
+        grown = {}
+        for cols, minor in out.items():
+            for c, x in entries:
+                if c in cols:
+                    continue
+                pos = bisect_left(cols, c)
+                key = cols[:pos] + (c,) + cols[pos:]
+                term = minor * x
+                prev = grown.get(key, ZERO)
+                grown[key] = prev - term if (len(cols) - pos) % 2 else prev + term
+        out = {cols: minor for cols, minor in grown.items() if minor}
+    return out
+
+
 def _plucker(rows: Sequence[PVec], j: int, n: int) -> PVec:
-    return tuple(determinant([[row[c] for c in cols] for row in rows])
-                 for cols in combinations(range(n), j))
+    mm = minors(rows)
+    return tuple(mm.get(cols, ZERO) for cols in combinations(range(n), j))
 
 
 def _plucker_relations_hold(vec: PVec, j: int, n: int) -> bool:
@@ -304,16 +331,8 @@ def weighted_coordinates(p: ModelPoint, factor: Optional[int] = None,
 
 
 def determinant(m: Sequence[PVec]) -> PuiseuxElement:
-    """Determinant of a square matrix of field elements, by permutations."""
-    n = len(m)
-    out = ZERO
-    for perm in permutations(range(n)):
-        inversions = sum(perm[a] > perm[b] for a, b in combinations(range(n), 2))
-        term = ONE
-        for i in range(n):
-            term = term * m[i][perm[i]]
-        out = out + (-term if inversions % 2 else term)
-    return out
+    """Determinant of a square matrix of field elements: its one full minor."""
+    return minors(m).get(tuple(range(len(m))), ZERO)
 
 
 def _mat_vec(m: Sequence[PVec], v: PVec) -> PVec:
@@ -324,11 +343,11 @@ def adjugate(m: Sequence[PVec]) -> Tuple[PVec, ...]:
     """Adjugate matrix; equals the inverse when the determinant is 1."""
     n = len(m)
     out = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            sub = [[m[r][c] for c in range(n) if c != i]
-                   for r in range(n) if r != j]
-            cof = determinant(sub)
+    for j in range(n):
+        # the minors of m without row j, one per deleted column i
+        mm = minors([row for r, row in enumerate(m) if r != j])
+        for i in range(n):
+            cof = mm.get(tuple(c for c in range(n) if c != i), ZERO)
             out[i][j] = cof if (i + j) % 2 == 0 else -cof
     return tuple(tuple(row) for row in out)
 
@@ -351,21 +370,17 @@ def act(g, p: ModelPoint) -> ModelPoint:
         if kind == "proj":
             return ModelPoint(p.model, (_mat_vec(m, p.data[0]),))
         if kind == "sl3_flag":
-            ginv_t = tuple(tuple(adjugate(m)[j][i] for j in range(3))
-                           for i in range(3))
+            ginv_t = tuple(zip(*adjugate(m)))
             return ModelPoint(p.model,
                               (_mat_vec(m, p.data[0]), _mat_vec(ginv_t, p.data[1])))
         j, n = spec.args
-        # exterior-power action on the minors
-        pairs = list(combinations(range(n), j))
-        newc = []
-        for rows_idx in pairs:
-            s = ZERO
-            for k, cols_idx in enumerate(pairs):
-                sub = [[m[r][c] for c in cols_idx] for r in rows_idx]
-                s = s + determinant(sub) * p.data[0][k]
-            newc.append(s)
-        return ModelPoint(p.model, (tuple(newc),))
+        # exterior-power action: its entry at row set I and column set K is
+        # the minor of g on the rows I and the columns K
+        coords = dict(zip(combinations(range(n), j), p.data[0]))
+        newc = tuple(sum((minor * coords[cols] for cols, minor
+                          in minors([m[r] for r in rows_idx]).items()), ZERO)
+                     for rows_idx in coords)
+        return ModelPoint(p.model, (newc,))
     if kind in ("sp4_flag", "sp4_line"):
         cols = [tuple(m[i][j] for i in range(4)) for j in range(4)]
         for a in range(4):

@@ -267,34 +267,10 @@ class QPolyhedron:
             return INF
         return res.value
 
-    def feasible_point(self) -> Optional[Vector]:
+    def is_empty(self) -> bool:
         res = solve_lp([Q(0)] * self.dim,
                        ub=[(neg(nrm), -off) for nrm, off in self.halfspaces])
-        return res.x if res.status == "optimal" else None
-
-    def is_empty(self) -> bool:
-        return self.feasible_point() is None
-
-    def is_bounded(self) -> bool:
-        for i in range(self.dim):
-            e = tuple(Q(1) if j == i else Q(0) for j in range(self.dim))
-            if self.sup_linear(e) == INF or self.sup_linear(neg(e)) == INF:
-                return False
-        return True
-
-    def single_point(self) -> Optional[Vector]:
-        """The unique point of the polyhedron, or None."""
-        coords = []
-        for i in range(self.dim):
-            e = tuple(Q(1) if j == i else Q(0) for j in range(self.dim))
-            hi = self.sup_linear(e)
-            lo = self.sup_linear(neg(e))
-            if hi is None or lo is None:
-                return None
-            if hi == INF or lo == INF or hi != -lo:
-                return None
-            coords.append(hi)
-        return tuple(coords)
+        return res.status != "optimal"
 
 
 # ---------------------------------------------------------------------------

@@ -313,12 +313,6 @@ def _chamber_cone(signs: Tuple[int, ...], lines: Sequence[Vector]) -> Tuple:
     return tuple((tuple(x * c for c in a), Q(0)) for x, a in zip(signs, lines))
 
 
-def _weyl_chambers(rel: RelativeDatum):
-    """Full-dimensional sign cones of the relative root arrangement."""
-    lines, rays = _chamber_rays(rel)
-    return lines, [(s, QPolyhedron(_chamber_cone(s, lines))) for s in rays]
-
-
 @dataclass(frozen=True)
 class PChiData:
     """Parabolic subgroup attached to a character: chambers, face, test direction."""

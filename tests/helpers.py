@@ -4,15 +4,16 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as Q
-from itertools import combinations
-from typing import List, Optional, Sequence, Tuple
+from itertools import combinations, permutations
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from btgit.models import make_point, symplectic_form
 from btgit.polyhedra import QPolyhedron, QPolytope, rref, solve_lp
 from btgit.qvec import Vector, dot, line_rep, neg, primitive, qvec, scale, sub
-from btgit.rootdata import (build_root_system, preset_relative, reflect,
-                            reflection_closure)
-from btgit.valfield import ONE, ZERO, PuiseuxElement
+from btgit.rootdata import (RelativeDatum, build_root_system, preset_relative,
+                            reflect, reflection_closure)
+from btgit.treebuilding import _chamber_cone, _chamber_rays
+from btgit.valfield import INF, ONE, ZERO, PuiseuxElement
 
 
 def rng(seed: int) -> random.Random:
@@ -212,6 +213,12 @@ def root_hyperplanes_by_subsets(rel):
     return tuple(sorted(normals))
 
 
+def weyl_chambers(rel: RelativeDatum):
+    """Full-dimensional sign cones of the relative root arrangement."""
+    lines, rays = _chamber_rays(rel)
+    return lines, [(s, QPolyhedron(_chamber_cone(s, lines))) for s in rays]
+
+
 def weyl_chambers_by_sign_patterns(rel):
     """Reference oracle: the sign patterns on the root lines whose open cone
     is nonempty, by one LP per pattern, listed in itertools.product order.
@@ -234,6 +241,40 @@ def weyl_chambers_by_sign_patterns(rel):
         return extend(signs + (1,)) + extend(signs + (-1,))
 
     return lines, extend(())
+
+
+def is_bounded(poly: QPolyhedron) -> bool:
+    """Reference oracle: boundedness by two LPs along each coordinate axis."""
+    for i in range(poly.dim):
+        e = tuple(Q(1) if j == i else Q(0) for j in range(poly.dim))
+        if poly.sup_linear(e) == INF or poly.sup_linear(neg(e)) == INF:
+            return False
+    return True
+
+
+def single_point(poly: QPolyhedron) -> Optional[Vector]:
+    """Reference oracle: the unique point of the polyhedron, or None, by two
+    LPs along each coordinate axis."""
+    coords = []
+    for i in range(poly.dim):
+        e = tuple(Q(1) if j == i else Q(0) for j in range(poly.dim))
+        hi = poly.sup_linear(e)
+        lo = poly.sup_linear(neg(e))
+        if hi is None or lo is None:
+            return None
+        if hi == INF or lo == INF or hi != -lo:
+            return None
+        coords.append(hi)
+    return tuple(coords)
+
+
+def wall_h_rep(bounds: Dict[Vector, object]) -> QPolyhedron:
+    """Polyhedron cut out by the finite wall bounds alone."""
+    halves = []
+    for a, n in bounds.items():
+        if n != INF:
+            halves.append((tuple(-c for c in a), -n))
+    return QPolyhedron(tuple(halves))
 
 
 def hull_member_by_lp(p: QPolytope, q, mode: str = "closure") -> bool:
@@ -307,6 +348,21 @@ def double_description_by_fractions(rows: Sequence[Vector], dim: int
                                  common | {k}))
         rays = kept
     return lines, [r for r, _ in rays]
+
+
+def determinant_by_permutations(m: Sequence[Sequence[PuiseuxElement]]
+                                ) -> PuiseuxElement:
+    """Reference oracle: the determinant as the signed sum over all n!
+    permutations."""
+    n = len(m)
+    out = ZERO
+    for perm in permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a, b in combinations(range(n), 2))
+        term = ONE
+        for i in range(n):
+            term = term * m[i][perm[i]]
+        out = out + (-term if inversions % 2 else term)
+    return out
 
 
 def plucker_relations_by_all_subsets(vec: Sequence[PuiseuxElement], j: int,

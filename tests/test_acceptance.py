@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 
 from helpers import (grid_points, random_element, random_grass24_point,
                      random_p1_point, random_proj_point, random_sl3_flag,
-                     random_sp4_flag, random_su3_pair, rng)
+                     random_sp4_flag, random_su3_pair, rng, single_point)
 
 from btgit.interval import interval_A, interval_A_chi
 from btgit.models import (act, make_point, model_relative, project,
@@ -235,7 +235,7 @@ def test_criterion_7_sp4_flag_interval_is_intersection_of_factors():
                             factors[1].polyhedron.halfspaces)
         assert poly_subset(res[(1, 1)].polyhedron, inter)
         assert poly_subset(inter, res[(1, 1)].polyhedron)
-        assert res[(1, 1)].polyhedron.single_point() is not None
+        assert single_point(res[(1, 1)].polyhedron) is not None
 
 
 def test_criterion_8_su3_pair_intervals_meet_in_one_point():
@@ -248,7 +248,7 @@ def test_criterion_8_su3_pair_intervals_meet_in_one_point():
         assert not first.is_empty() and not second.is_empty()
         inter = QPolyhedron(first.polyhedron.halfspaces +
                             second.polyhedron.halfspaces)
-        assert inter.single_point() is not None
+        assert single_point(inter) is not None
 
 
 def test_criterion_9_character_shifted_intervals_and_tree_convexity():
@@ -280,7 +280,7 @@ def test_criterion_9_character_shifted_intervals_and_tree_convexity():
             continue
         for chi in chi2:
             _, face = interval_A_chi(wp, rel3, chi)
-            assert face.single_point() is not None
+            assert single_point(face) is not None
         done += 1
     relg = model_relative("grass(2,4)")
     chi3 = [(Q(1), Q(3), Q(9)), (Q(2), Q(7), Q(-3)), (Q(-3), Q(1), Q(5)),
@@ -293,7 +293,7 @@ def test_criterion_9_character_shifted_intervals_and_tree_convexity():
             continue
         for chi in chi3:
             _, face = interval_A_chi(wp, relg, chi)
-            assert face.single_point() is not None
+            assert single_point(face) is not None
         done += 1
     # strictly semistable line: generic shifts are unbounded, aligned one full
     line = weighted_coordinates(make_point(

@@ -244,20 +244,30 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, flag, target):
     assert out == "" and err.startswith("error: cannot write output file")
 
 
-# a generic point of grass(4,8): every Plucker coordinate is nonzero
-GR48_POINT = [[f"{(j + 1) ** i} + t^{{{(i * j) % 3}/2}}" for j in range(8)]
-              for i in range(4)]
+def _generic_rows(k, n):
+    """k rows of a generic point of grass(k,n): every Plucker coordinate is nonzero."""
+    return [[f"{(j + 1) ** i} + t^{{{(i * j) % 3}/2}}" for j in range(n)]
+            for i in range(k)]
+
+
+# a dense unipotent upper-triangular element of SL(10)
+UNIPOTENT10 = [["1" if i == j else "0" if j < i else f"{i + j} + t^{{1/2}}"
+                for j in range(10)] for i in range(10)]
 
 
 @pytest.mark.parametrize("command,payload,key,want", [
     ("rootsys", {"family": "A", "rank": 7}, "hyperplanes", 127),
     ("chi", {"family": "B", "rank": 4, "chi": [1, 1, 1, 1]}, "chambers", 144),
     ("chi", {"family": "D", "rank": 5, "chi": [1] * 5}, "chambers", 480),
-    ("status", {"model": "grass(4,8)", "point": GR48_POINT}, "status", "stable"),
+    ("status", {"model": "grass(4,8)", "point": _generic_rows(4, 8)}, "status", "stable"),
     ("status", {"model": "proj(40)", "point": ["1"] + ["t"] * 39}, "status", "stable"),
     ("tree", {"point": ["1 + t", "1"], "R": 800}, "certificate", "radius_limited"),
+    ("models", {"model": "proj(10)", "point": ["1"] + ["t^{1/2} + 1"] * 9,
+                "act": UNIPOTENT10}, "model", "proj(10)"),
+    ("models", {"model": "grass(6,12)", "point": _generic_rows(6, 12)},
+     "model", "grass(6,12)"),
 ], ids=["rootsys-A7", "chi-B4", "chi-D5", "status-grass48", "status-proj40",
-        "tree-R800"])
+        "tree-R800", "models-act-proj10", "models-grass612-rows"])
 def test_chamber_requests_do_bounded_work(tmp_path, capsys, command, payload,
                                           key, want):
     req = tmp_path / "req.json"

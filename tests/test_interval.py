@@ -3,14 +3,15 @@
 from fractions import Fraction as Q
 
 import pytest
-from helpers import (grid_points, random_grass24_point, random_proj_point,
-                     random_sl3_flag, random_sp4_flag, random_su3_pair, rng)
+from helpers import (grid_points, is_bounded, random_grass24_point,
+                     random_proj_point, random_sl3_flag, random_sp4_flag,
+                     random_su3_pair, rng, single_point, wall_h_rep)
 
 from btgit import polyhedra
 from btgit.apartment import InfinityPoint, nu
 from btgit.cli import run
 from btgit.interval import (destabilizing_1ps, fixed_locus_possible,
-                            interval_A, interval_A_chi, lambda_A, wall_h_rep)
+                            interval_A, interval_A_chi, lambda_A)
 from btgit.models import make_point, model_relative, project, weighted_coordinates
 from btgit.polyhedra import hull_member
 from btgit.qvec import add, dot, primitive, qvec, scale
@@ -92,7 +93,7 @@ def test_interval_a_chi_examples():
     assert n == INF and face is None
     base = interval_A(_p1(ONE, P.t_power(Q(1, 2))), REL_A1)
     n, face = interval_A_chi(_p1(ONE, P.t_power(Q(1, 2))), REL_A1, (Q(3),))
-    assert face.single_point() == base.singleton.coords
+    assert single_point(face) == base.singleton.coords
 
 
 def test_interval_a_chi_needs_nonempty_interval():
@@ -185,8 +186,8 @@ def test_interval_shape_matches_lp_oracles():
             if res.is_empty():
                 shapes.add("empty")
                 continue
-            point = res.polyhedron.single_point()
-            assert res.bounded == res.polyhedron.is_bounded(), model
+            point = single_point(res.polyhedron)
+            assert res.bounded == is_bounded(res.polyhedron), model
             assert (res.singleton.coords if res.singleton else None) == point, model
             shapes.add("point" if point else "bounded" if res.bounded else "unbounded")
     assert shapes == {"empty", "point", "bounded", "unbounded"}

@@ -2,16 +2,19 @@
 
 import json
 from fractions import Fraction as Q
+from itertools import combinations
 
 import pytest
-from helpers import (plucker_relations_by_all_subsets, random_element,
+from helpers import (determinant_by_permutations,
+                     plucker_relations_by_all_subsets, random_element,
                      random_grass24_point, random_proj_point, random_sl3_flag,
                      random_sp4_flag, random_su3_pair, rng)
 
 from btgit.cli import main, run
 from btgit.interval import destabilizing_1ps
-from btgit.models import (ModelPoint, UnknownModel, _plucker_relations_hold,
-                          act, make_point, model_relative, model_spec,
+from btgit.models import (ModelPoint, UnknownModel, _plucker,
+                          _plucker_relations_hold, act, adjugate, determinant,
+                          make_point, model_relative, model_spec,
                           p_epsilon_member, project, symplectic_form,
                           weighted_coordinates)
 from btgit.qvec import dot, qvec
@@ -108,6 +111,61 @@ def test_plucker_check_matches_every_relation():
                     assert _plucker_relations_hold(tuple(vec), j, n) == want, (j, n, vec)
                     verdicts.append((vec is changed, want))
     assert set(verdicts) == {(False, True), (True, True), (True, False)}
+
+
+def _sparse_matrix(r, rows, cols, max_terms=2):
+    """Random Puiseux entries, about a third of them zero."""
+    return [[ZERO if r.random() < 0.3 else
+             random_element(r, max_terms=max_terms, nonzero=True)
+             for _ in range(cols)] for _ in range(rows)]
+
+
+def _oracle_minors(rows, j, n):
+    return tuple(determinant_by_permutations([[row[c] for c in cols] for row in rows])
+                 for cols in combinations(range(n), j))
+
+
+def test_minors_match_permutation_oracle():
+    r = rng(107)
+    for _ in range(30):
+        n = r.randint(1, 6)
+        m = _sparse_matrix(r, n, n)
+        det = determinant_by_permutations(m)
+        assert determinant(m) == det
+        adj = adjugate(m)
+        for i in range(n):
+            for k in range(n):
+                entry = sum((m[i][l] * adj[l][k] for l in range(n)), ZERO)
+                assert entry == (det if i == k else ZERO), (m, i, k)
+    for _ in range(20):
+        n = r.randint(1, 6)
+        j = r.randint(1, n)
+        rows = _sparse_matrix(r, j, n)
+        assert _plucker(rows, j, n) == _oracle_minors(rows, j, n)
+    for j, n in ((2, 4), (3, 6)):
+        subsets = list(combinations(range(n), j))
+        for _ in range(2):
+            # a product of unitriangular matrices has determinant one
+            lower = _sparse_matrix(r, n, n, max_terms=1)
+            upper = _sparse_matrix(r, n, n, max_terms=1)
+            for a in range(n):
+                lower[a][a] = upper[a][a] = ONE
+                for b in range(a):
+                    lower[b][a] = upper[a][b] = ZERO
+            g = [[sum((lower[a][k] * upper[k][b] for k in range(n)), ZERO)
+                  for b in range(n)] for a in range(n)]
+            while True:
+                try:
+                    p = make_point(f"grass({j},{n})",
+                                   _sparse_matrix(r, j, n, max_terms=1))
+                    break
+                except ValueError:  # rows of rank < j
+                    continue
+            # the exterior power of g has the j x j minors of g as entries
+            wedge = [_oracle_minors([g[a] for a in rows_idx], j, n) for rows_idx in subsets]
+            want = tuple(sum((x * c for x, c in zip(row, p.data[0])), ZERO)
+                         for row in wedge)
+            assert act(g, p).data[0] == want
 
 
 def test_weighted_coordinates_examples():

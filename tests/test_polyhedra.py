@@ -4,7 +4,8 @@ from fractions import Fraction as Q
 from itertools import combinations
 
 import pytest
-from helpers import double_description_by_fractions, hull_member_by_lp, rng
+from helpers import (double_description_by_fractions, hull_member_by_lp, rng,
+                     single_point)
 
 from btgit.polyhedra import (PivotLimitExceeded, QPolyhedron, QPolytope,
                              _double_description, cone_contains,
@@ -107,12 +108,12 @@ def test_minimax_face_examples():
     # forms u and 1 - u equalize at 1/2
     res = minimax_face([((Q(1),), Q(0)), ((Q(-1),), Q(1))])
     assert res.value == Q(1, 2)
-    assert res.face.single_point() == (Q(1, 2),)
+    assert single_point(res.face) == (Q(1, 2),)
     # normals whose hull misses 0 strictly: the min grows forever
     res = minimax_face([((Q(1), Q(0)), Q(0)), ((Q(0), Q(1)), Q(0))])
     assert res.value == float("inf") and res.ray is not None
     res = minimax_face([((Q(1),), Q(0)), ((Q(-1),), Q(0))])
-    assert res.value == 0 and res.face.single_point() == (Q(0),)
+    assert res.value == 0 and single_point(res.face) == (Q(0),)
 
 
 def test_min_enclosing_ball_examples():

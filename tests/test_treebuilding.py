@@ -3,16 +3,16 @@
 from fractions import Fraction as Q
 
 import pytest
-from helpers import (chamber_presets, random_p1_point, rng,
+from helpers import (chamber_presets, random_p1_point, rng, weyl_chambers,
                      weyl_chambers_by_sign_patterns)
 
 from btgit.models import act, adjugate, make_point, model_relative
 from btgit.polyhedra import QPolyhedron, cone_generators
 from btgit.qvec import dot
 from btgit.rootdata import build_root_system, preset_relative
-from btgit.treebuilding import (ApartmentChart, TreePoint, _weyl_chambers,
-                                act_tree, chi_parabolic_member, circumcenter,
-                                f_chi_tree, interval_chi, interval_tree,
+from btgit.treebuilding import (ApartmentChart, TreePoint, act_tree,
+                                chi_parabolic_member, circumcenter, f_chi_tree,
+                                interval_chi, interval_tree,
                                 invariant_monomials, p_chi_data, r_log,
                                 r_tilde_estimate, ss_at, tree_canonicalize,
                                 tree_distance, tree_midpoint)
@@ -314,7 +314,7 @@ def test_p_chi_data_wall_character():
 
 def test_weyl_chambers_match_sign_pattern_scan():
     for rel in chamber_presets(max_rank=3):
-        assert _weyl_chambers(rel) == weyl_chambers_by_sign_patterns(rel), rel.name
+        assert weyl_chambers(rel) == weyl_chambers_by_sign_patterns(rel), rel.name
 
 
 def test_p_chi_data_rejects_zero():
