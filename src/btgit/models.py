@@ -314,12 +314,14 @@ def weighted_coordinates(p: ModelPoint, factor: Optional[int] = None,
         if a < 0 or b < 0 or (a == 0 and b == 0):
             raise ValueError("weight coefficients must be nonnegative, not both 0")
         (w1, c1), (w2, c2) = views
+        p1 = [c ** a for c in c1]
+        p2 = [c ** b for c in c2]
         entries = []
         k = 0
-        for i, wi in enumerate(w1):
-            for j, wj in enumerate(w2):
+        for wi, ci in zip(w1, p1):
+            for wj, cj in zip(w2, p2):
                 w = tuple(a * x + b * y for x, y in zip(wi, wj))
-                entries.append((w, k, (c1[i] ** a) * (c2[j] ** b)))
+                entries.append((w, k, ci * cj))
                 k += 1
         return WeightedPoint(entries)
     if factor is None:

@@ -15,7 +15,8 @@ from .polyhedra import (QPolyhedron, cone_generators, min_enclosing_ball,
                         polyhedron_generators)
 from .qvec import Vector, dot, is_zero, qvec
 from .rootdata import RelativeDatum, fundamental_rays, relative_weyl_orbit
-from .valfield import INF, ONE, PuiseuxElement, ZERO, format_rational
+from .valfield import (INF, ONE, PuiseuxElement, ZERO, _canonical,
+                       format_rational)
 
 # the rank-one tree is the building of SL2, which acts on the projective line
 TREE_MODEL = "proj(2)"
@@ -102,6 +103,8 @@ def interval_tree(x: ModelPoint, R=Q(4)) -> TreeInterval:
 
     The branch coordinate b grows by one digit per step; the walk keeps
     rem = x1 - b * x0 up to date instead of b, and builds b at the exit.
+    Each digit cancels the leading term of rem, so the digits' exponents
+    strictly increase and their terms are already in canonical order.
     """
     R = R if isinstance(R, Q) else Q(R)
     x0, x1 = _proj2_coords(x)
@@ -110,15 +113,17 @@ def interval_tree(x: ModelPoint, R=Q(4)) -> TreeInterval:
     v0, lead = x0.valuation(), x0.leading_coefficient()
     digits = []
     rem = x1
-    e = rem.valuation() - v0
-    while e != INF and e.denominator == 1 and e / 2 <= R:
+    depth = 2 * R  # the walk leaves the radius past this digit exponent
+    while rem:
         q0, c0 = rem.terms[0]
-        digit = PuiseuxElement.monomial(c0 / lead, q0 - v0)
-        digits += digit.terms
-        rem = rem - digit * x0
-        e = rem.valuation() - v0
-    b = PuiseuxElement(digits)
-    if e == INF:
+        e = q0 - v0
+        if e.denominator != 1 or e > depth:
+            break
+        term = (e, c0 / lead)
+        digits.append(term)
+        rem = rem - _canonical((term,)) * x0
+    b = _canonical(tuple(digits))
+    if not rem:
         return TreeInterval((), "exact", witness=ApartmentChart.branch(b))
     if e.denominator != 1:
         return TreeInterval((TreePoint(b, e / 2),), "exact")

@@ -4,12 +4,21 @@ Elements are finite formal sums sum_i c_i * t^{q_i} with rational coefficients
 and rational exponents.  The valuation of a nonzero element is its smallest
 exponent; the base local field consists of the elements whose exponents are
 all integers, with uniformizer t of valuation 1 and residue field Q.
+
+Every element keeps its terms in one canonical form: exponents strictly
+increase, every exponent and coefficient is a `Fraction`, and no coefficient
+is zero.  Only outside input is canonicalised, by the public constructor
+`PuiseuxElement(terms)`, which merges repeated exponents and sorts.  The
+ring operations build their results in canonical form directly (sums as one
+linear merge of two sorted term tuples) and wrap them with `_canonical`.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from fractions import Fraction as Q
+from operator import itemgetter
 from typing import Iterable, List, Sequence, Tuple, Union
 
 Rational = Union[int, Q]
@@ -21,8 +30,17 @@ def _q(x: Rational) -> Q:
     return x if isinstance(x, Q) else Q(x)
 
 
+Terms = Tuple[Tuple[Q, Q], ...]
+
+
 class PuiseuxElement:
-    """A finite sum of rational powers of t, kept in canonical form."""
+    """A finite sum of rational powers of t, kept in canonical form.
+
+    `terms` holds (exponent, coefficient) pairs of `Fraction`s with strictly
+    increasing exponents and nonzero coefficients.  The constructor accepts
+    any iterable of rational pairs, in any order and with repeats, and
+    canonicalises it; results of arithmetic come from `_canonical` instead.
+    """
 
     __slots__ = ("terms",)
 
@@ -32,7 +50,7 @@ class PuiseuxElement:
             q = _q(q)
             c = merged.get(q, Q(0)) + _q(c)
             merged[q] = c
-        self.terms: Tuple[Tuple[Q, Q], ...] = tuple(
+        self.terms: Terms = tuple(
             (q, c) for q, c in sorted(merged.items()) if c != 0
         )
 
@@ -61,18 +79,27 @@ class PuiseuxElement:
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other: "PuiseuxElement") -> "PuiseuxElement":
-        return PuiseuxElement(self.terms + other.terms)
+        return _canonical(_merge(self.terms, other.terms))
 
     def __neg__(self) -> "PuiseuxElement":
-        return PuiseuxElement((q, -c) for q, c in self.terms)
+        return _canonical(tuple((q, -c) for q, c in self.terms))
 
     def __sub__(self, other: "PuiseuxElement") -> "PuiseuxElement":
-        return self + (-other)
+        return _canonical(_merge(self.terms,
+                                 tuple((q, -c) for q, c in other.terms)))
 
     def __mul__(self, other: "PuiseuxElement") -> "PuiseuxElement":
-        return PuiseuxElement(
-            (qa + qb, ca * cb) for qa, ca in self.terms for qb, cb in other.terms
-        )
+        a, b = self.terms, other.terms
+        if len(a) > len(b):
+            a, b = b, a
+        if not a:
+            return ZERO
+        # one row per term of the shorter operand: the longer one shifted by
+        # its exponent and scaled by its coefficient, so already sorted
+        out: Terms = ()
+        for qa, ca in a:
+            out = _merge(out, tuple((qa + qb, ca * cb) for qb, cb in b))
+        return _canonical(out)
 
     def __pow__(self, n: int) -> "PuiseuxElement":
         if n < 0:
@@ -122,7 +149,7 @@ class PuiseuxElement:
         if c == 0:
             raise ValueError("division by a zero monomial")
         q = _q(q)
-        return PuiseuxElement((qq - q, cc / c) for qq, cc in self.terms)
+        return _canonical(tuple((qq - q, cc / c) for qq, cc in self.terms))
 
     def residue(self) -> Q:
         """Image in the residue field; requires valuation >= 0."""
@@ -132,8 +159,9 @@ class PuiseuxElement:
 
     def truncate(self, q: Rational) -> "PuiseuxElement":
         """Drop every term whose exponent is >= q."""
-        q = _q(q)
-        return PuiseuxElement((qq, cc) for qq, cc in self.terms if qq < q)
+        terms = self.terms
+        k = bisect_left(terms, _q(q), key=_exponent)
+        return self if k == len(terms) else _canonical(terms[:k])
 
     def is_base(self) -> bool:
         """Whether the element lies in the base field (integer exponents)."""
@@ -146,9 +174,8 @@ class PuiseuxElement:
         """The order-2 automorphism t^{1/2} -> -t^{1/2}; exponents must lie in (1/2)Z."""
         if not self.in_half_lattice():
             raise ValueError("tau twist needs exponents in (1/2)Z")
-        return PuiseuxElement(
-            (q, -c if q.denominator == 2 else c) for q, c in self.terms
-        )
+        return _canonical(tuple((q, -c if q.denominator == 2 else c)
+                                for q, c in self.terms))
 
     def truncated_inverse(self, precision: Rational) -> "PuiseuxElement":
         """Inverse of a nonzero element, correct modulo t^precision.
@@ -161,12 +188,12 @@ class PuiseuxElement:
         precision = _q(precision)
         q0, c0 = self.terms[0]
         # self = c0 t^{q0} (1 + u) with v(u) > 0
-        u = self.monomial_div(c0, q0) - PuiseuxElement.one()
-        inv = PuiseuxElement.one()
-        acc = PuiseuxElement.one()
+        minus_u = ONE - self.monomial_div(c0, q0)
+        inv = ONE
+        acc = ONE
         bound = precision - q0  # exponents of the unit-part inverse we need
         while True:
-            acc = (acc * -u).truncate(bound)
+            acc = (acc * minus_u).truncate(bound)
             if not acc:
                 break
             inv = inv + acc
@@ -182,11 +209,50 @@ class PuiseuxElement:
         return PuiseuxElement((parse_rational(q), parse_rational(c)) for q, c in data)
 
 
+_exponent = itemgetter(0)
+
+
+def _canonical(terms: Terms) -> PuiseuxElement:
+    """Wrap a term tuple that is already in canonical form, unchecked."""
+    out = object.__new__(PuiseuxElement)
+    out.terms = terms
+    return out
+
+
+def _merge(a: Terms, b: Terms) -> Terms:
+    """Canonical terms of the sum of two canonical term tuples: one pass over
+    both, dropping the coefficients that cancel."""
+    if not (a and b):
+        return a or b
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        qa, ca = a[i]
+        qb, cb = b[j]
+        if qa < qb:
+            out.append(a[i])
+            i += 1
+        elif qb < qa:
+            out.append(b[j])
+            j += 1
+        else:
+            c = ca + cb
+            if c:
+                out.append((qa, c))
+            i += 1
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
+
+
 def format_rational(x) -> str:
     """Encode a rational (or INF) as a lowest-terms "p/q" or integer string."""
-    if x == INF:
-        return "inf"
-    x = _q(x)
+    if not isinstance(x, Q):
+        if x == INF:
+            return "inf"
+        x = Q(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

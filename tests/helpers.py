@@ -350,6 +350,16 @@ def double_description_by_fractions(rows: Sequence[Vector], dim: int
     return lines, [r for r, _ in rays]
 
 
+def puiseux_by_dict_merge(pairs) -> Tuple[Tuple[Q, Q], ...]:
+    """Reference oracle: canonical terms of a sum of (exponent, coefficient)
+    pairs, merged in a dict keyed by exponent, sorted, zeros dropped."""
+    merged: Dict[Q, Q] = {}
+    for q, c in pairs:
+        q = Q(q)
+        merged[q] = merged.get(q, Q(0)) + Q(c)
+    return tuple((q, c) for q, c in sorted(merged.items()) if c != 0)
+
+
 def determinant_by_permutations(m: Sequence[Sequence[PuiseuxElement]]
                                 ) -> PuiseuxElement:
     """Reference oracle: the determinant as the signed sum over all n!

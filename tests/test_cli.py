@@ -266,8 +266,11 @@ UNIPOTENT10 = [["1" if i == j else "0" if j < i else f"{i + j} + t^{{1/2}}"
                 "act": UNIPOTENT10}, "model", "proj(10)"),
     ("models", {"model": "grass(6,12)", "point": _generic_rows(6, 12)},
      "model", "grass(6,12)"),
+    ("models", {"model": "grass(7,14)", "point": _generic_rows(7, 14)},
+     "model", "grass(7,14)"),
 ], ids=["rootsys-A7", "chi-B4", "chi-D5", "status-grass48", "status-proj40",
-        "tree-R800", "models-act-proj10", "models-grass612-rows"])
+        "tree-R800", "models-act-proj10", "models-grass612-rows",
+        "models-grass714-rows"])
 def test_chamber_requests_do_bounded_work(tmp_path, capsys, command, payload,
                                           key, want):
     req = tmp_path / "req.json"

@@ -183,6 +183,22 @@ def test_weighted_coordinates_examples():
     assert len(second.entries) == 5
 
 
+def test_weighted_coordinates_product_matches_direct_powers():
+    a, b = 3, 2
+    for r, sampler in ((rng(71), random_sl3_flag), (rng(73), random_su3_pair),
+                       (rng(79), random_sp4_flag)):
+        for _ in range(3):
+            p = sampler(r)
+            first = weighted_coordinates(p, factor=1).entries
+            second = weighted_coordinates(p, factor=2).entries
+            want = [(tuple(a * x + b * y for x, y in zip(w1, w2)),
+                     c1 * c1 * c1 * c2 * c2)
+                    for w1, _, c1 in first for w2, _, c2 in second]
+            got = weighted_coordinates(p, lam=(a, b)).entries
+            assert [(w, c) for w, _, c in got] == want
+            assert [k for _, k, _ in got] == list(range(len(want)))
+
+
 def test_act_unipotent_on_p1():
     x = make_point("proj(2)", (ONE, ONE + th))
     g = ((ONE, ZERO), (-ONE, ONE))

@@ -3,7 +3,8 @@
 from fractions import Fraction as Q
 
 import pytest
-from helpers import random_element, rng
+from helpers import (puiseux_by_dict_merge, random_element, random_monomial,
+                     random_rational, rng)
 
 from btgit.valfield import (INF, ONE, ZERO, PuiseuxElement, format_rational,
                             parse_puiseux, parse_rational)
@@ -113,3 +114,92 @@ def test_parse_puiseux_strings():
     assert parse_puiseux("0") == ZERO
     with pytest.raises(ValueError):
         parse_puiseux("nonsense")
+
+
+def _is_canonical(terms) -> bool:
+    """Strictly increasing Fraction exponents, nonzero Fraction coefficients."""
+    return (all(type(q) is Q and type(c) is Q and c != 0 for q, c in terms)
+            and all(a[0] < b[0] for a, b in zip(terms, terms[1:])))
+
+
+def _operand_pairs(seed: int, count: int):
+    """Seeded operand pairs: zero, equal, one-term and cancelling operands
+    besides generic ones."""
+    r = rng(seed)
+    for i in range(count):
+        a = random_element(r, max_terms=5, denom=r.choice((1, 2, 3, 6)))
+        kind = i % 5
+        if kind == 0:
+            b = ZERO
+        elif kind == 1:
+            b = a
+        elif kind == 2:
+            b = random_monomial(r)
+        elif kind == 3:
+            # the negatives of some of a's terms: sums cancel at those exponents
+            keep = r.randint(0, len(a.terms))
+            b = P([(q, -c) for q, c in a.terms[:keep]]
+                  + list(random_element(r, denom=2).terms))
+        else:
+            b = random_element(r, max_terms=5, denom=r.choice((1, 2, 3)))
+        yield a, b
+
+
+def _oracle_inverse(a, precision):
+    """truncated_inverse's geometric series in dict-merge arithmetic."""
+    q0, c0 = a.terms[0]
+    minus_u = puiseux_by_dict_merge([(0, 1)]
+                                    + [(q - q0, -c / c0) for q, c in a.terms])
+    bound = precision - q0
+    inv = acc = ((Q(0), Q(1)),)
+    while True:
+        acc = tuple((q, c) for q, c in puiseux_by_dict_merge(
+            (qa + qb, ca * cb) for qa, ca in acc for qb, cb in minus_u)
+            if q < bound)
+        if not acc:
+            return puiseux_by_dict_merge((q - q0, c / c0) for q, c in inv)
+        inv = puiseux_by_dict_merge(inv + acc)
+
+
+def test_arithmetic_matches_dict_merge_oracle():
+    r = rng(29)
+    for a, b in _operand_pairs(23, 500):
+        assert _is_canonical(a.terms) and _is_canonical(b.terms)
+        for x, y in ((a, b), (b, a)):
+            coef, expo, cut = (random_rational(r) for _ in range(3))
+            cases = [
+                (x + y, x.terms + y.terms),
+                (x - y, x.terms + tuple((q, -c) for q, c in y.terms)),
+                (-x, [(q, -c) for q, c in x.terms]),
+                (x * y, [(qa + qb, ca * cb)
+                         for qa, ca in x.terms for qb, cb in y.terms]),
+                (x.truncate(cut), [(q, c) for q, c in x.terms if q < cut]),
+            ]
+            if coef:
+                cases.append((x.monomial_div(coef, expo),
+                              [(q - expo, c / coef) for q, c in x.terms]))
+            if x.in_half_lattice():
+                cases.append((x.tau_twist(),
+                              [(q, -c if q.denominator == 2 else c)
+                               for q, c in x.terms]))
+            for got, pairs in cases:
+                assert got.terms == puiseux_by_dict_merge(pairs)
+                assert _is_canonical(got.terms)
+            if x:
+                prec = Q(r.randint(-2, 8), 2)
+                got = x.truncated_inverse(prec)
+                assert got.terms == _oracle_inverse(x, prec)
+                assert _is_canonical(got.terms)
+
+
+def test_equality_and_hash_ignore_input_order():
+    r = rng(31)
+    for a, b in _operand_pairs(37, 200):
+        for x in (a + b, a - b, a * b, a - a):
+            # split every coefficient in two, add pairs that cancel, shuffle
+            pairs = [(q, c - 1) for q, c in x.terms] + [(q, 1) for q, _ in x.terms]
+            pairs += [(Q(k, 3), s) for k in range(3) for s in (2, -2)]
+            r.shuffle(pairs)
+            y = P(pairs)
+            assert _is_canonical(y.terms)
+            assert y == x and hash(y) == hash(x)
