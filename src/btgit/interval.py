@@ -3,27 +3,29 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence, Tuple
 
 from .apartment import ApartmentPoint, InfinityPoint
 from .polyhedra import (Generators, QPolyhedron, cone_generators, minimax_face,
                         polar_cone, polyhedron_generators, rref)
 from .qvec import Vector, dot, is_zero, neg, primitive, qvec
 from .rootdata import RelativeDatum, weyl_orbit
-from .torusgit import WeightedPoint, mu_K, stability_status, valuation_profile
+from .torusgit import WeightedPoint, mu_K, point_data, stability_status
 from .valfield import INF
 
 
 @dataclass(frozen=True)
 class IntervalResult:
     """Semistable locus of the apartment for one point: a face of an LP optimum,
-    with its points, recession rays and lines."""
+    with its points, recession rays and lines.  The point keeps it, so the
+    wall bounds are read-only."""
 
     polyhedron: Optional[QPolyhedron]
     c_star: object  # rational, or INF when the locus is empty
     bounded: bool
     singleton: Optional[ApartmentPoint]
-    wall_bounds: Dict[Vector, object]
+    wall_bounds: Mapping[Vector, object]
     generators: Optional[Generators]
 
     def is_empty(self) -> bool:
@@ -50,11 +52,19 @@ def interval_A(x: WeightedPoint, rel: RelativeDatum) -> IntervalResult:
     the face's generators.  The relative roots are symmetric and span the
     dual space, so their wall bounds decide the shape: the face is bounded
     when every bound is finite, and a point when every root is constant on
-    it, sup a = -sup(-a).
+    it, sup a = -sup(-a).  The point keeps the result for the datum last
+    asked, so asking again runs no LP.
     """
-    res = minimax_face(sorted(valuation_profile(x, rel).items()))
+    data = point_data(x, rel)
+    if data.interval is None:
+        data.interval = _interval(data.profile, rel)
+    return data.interval
+
+
+def _interval(profile: Mapping[Vector, object], rel: RelativeDatum) -> IntervalResult:
+    res = minimax_face(sorted(profile.items()))
     if res.value == INF:
-        return IntervalResult(None, INF, False, None, {}, None)
+        return IntervalResult(None, INF, False, None, MappingProxyType({}), None)
     face = res.face
     gens = polyhedron_generators(face)
     bounds = {a: gens.support(a) for a in rel.relative_roots}
@@ -63,7 +73,8 @@ def interval_A(x: WeightedPoint, rel: RelativeDatum) -> IntervalResult:
     if bounded and all(bounds[a] == -bounds[neg(a)] for a in bounds):
         red, _ = rref([a + (n,) for a, n in bounds.items()])
         singleton = ApartmentPoint(tuple(row[-1] for row in red))
-    return IntervalResult(face, res.value, bounded, singleton, bounds, gens)
+    return IntervalResult(face, res.value, bounded, singleton,
+                          MappingProxyType(bounds), gens)
 
 
 def lambda_A(x: WeightedPoint, rel: RelativeDatum) -> Tuple[InfinityPoint, ...]:

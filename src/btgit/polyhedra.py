@@ -8,7 +8,8 @@ count (default: unlimited).  Cone generators, cone facets, polyhedron
 generators (points, recession rays and lines, and so vertices and the
 support function), hull skeletons and hull membership all come from one
 double-description routine, with no LP and no subset enumeration; hull
-membership reads its integer lines and rays directly, with no Fraction.
+membership reads its integer lines and rays directly, with no Fraction, and
+a polytope keeps that description once it is built.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import cached_property
 from itertools import combinations
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
@@ -229,6 +231,13 @@ class QPolytope:
     def dim(self) -> int:
         return len(self.points[0])
 
+    @cached_property
+    def _lifted_description(self):
+        """Integer lines and rays of the double description of hull_cone,
+        kept with the polytope so that it is described once."""
+        return _integer_double_description([pt + (Q(1),) for pt in self.points],
+                                           self.dim + 1)
+
 
 @dataclass(frozen=True)
 class QPolyhedron:
@@ -292,18 +301,18 @@ def hull_member(p: QPolytope, q: Sequence, mode: str = "closure") -> bool:
     """Exact membership of q in conv(points), in the closure or the interior.
 
     The sign tests of hull_cone's halfspaces, read off the integer lines and
-    rays of its double description against q lifted to height 1 and scaled
-    to integers: q is in the closure when every line vanishes on it and
-    every ray is >= 0, and in the interior when there is no line and every
-    ray is > 0.  Positive rescaling keeps the signs.
+    rays of its double description (which p keeps after the first query)
+    against q lifted to height 1 and scaled to integers: q is in the closure
+    when every line vanishes on it and every ray is >= 0, and in the interior
+    when there is no line and every ray is > 0.  Positive rescaling keeps the
+    signs.
     """
     q = qvec(q)
     if len(q) != p.dim:
         raise ValueError("dimension mismatch")
     if mode not in ("closure", "interior"):
         raise ValueError(f"unknown mode {mode!r}")
-    lines, rays = _integer_double_description([pt + (Q(1),) for pt in p.points],
-                                              p.dim + 1)
+    lines, rays = p._lifted_description
     v = _primitive_ints(q + (Q(1),))
     if mode == "closure":
         return (all(_int_dot(l, v) == 0 for _, l in lines)

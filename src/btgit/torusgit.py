@@ -4,8 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from math import gcd
-from typing import Dict, Optional, Sequence, Tuple
+from functools import cached_property
+from math import gcd, lcm
+from operator import mul
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .polyhedra import (QPolytope, cone_contains, cone_h_rep,
                         cone_interior_contains, hull_cone, origin_tangent_cone)
@@ -33,6 +36,10 @@ class WeightedPoint:
             cleaned = tuple((w, i, c * shift) for w, i, c in cleaned)
         object.__setattr__(self, "entries", cleaned)
 
+    def __getstate__(self):
+        # what point_data keeps on the point is rebuilt on first use
+        return {"entries": self.entries}
+
     def to_json(self) -> dict:
         return {"entries": [{"weight": [format_rational(a) for a in w],
                              "index": i, "coord": c.to_json()}
@@ -53,16 +60,54 @@ def translate(x: WeightedPoint, vals: Sequence) -> WeightedPoint:
                           for w, i, c in x.entries])
 
 
-def valuation_profile(x: WeightedPoint, rel: RelativeDatum) -> Dict[Vector, object]:
-    """Least valuation of the nonzero coordinates, per restricted weight."""
-    profile: Dict[Vector, object] = {}
-    for w, _, c in x.entries:
-        if c:
-            rw = rel.restrict(w)
-            v = c.valuation()
-            if rw not in profile or v < profile[rw]:
-                profile[rw] = v
-    return profile
+class PointData:
+    """What a point determines under one relative datum, built on first use:
+    its valuation profile, its residue table and residue polytopes, and its
+    interval (stored by interval_A)."""
+
+    def __init__(self, x: WeightedPoint, rel: RelativeDatum):
+        profile: Dict[Vector, Q] = {}
+        for w, _, c in x.entries:
+            if c:
+                rw = rel.restrict(w)
+                v = c.valuation()
+                if rw not in profile or v < profile[rw]:
+                    profile[rw] = v
+        self.rel = rel
+        self.profile: Mapping[Vector, Q] = MappingProxyType(profile)
+        self.residues: Dict[Tuple[int, ...], QPolytope] = {}
+        self.interval = None  # the IntervalResult, once interval_A has run
+
+    @cached_property
+    def residue_table(self) -> Tuple[Tuple[Vector, ...], List[Tuple[int, ...]],
+                                     List[int]]:
+        """The profile's weights, sorted, with the weights and their
+        valuations as integers over one common denominator (built by the
+        first mu_residue call)."""
+        weights = tuple(sorted(self.profile))
+        vals = [self.profile[w] for w in weights]
+        den = lcm(*(a.denominator for w in weights for a in w),
+                  *(v.denominator for v in vals))
+        rows = [tuple(a.numerator * (den // a.denominator) for a in w) for w in weights]
+        offsets = [v.numerator * (den // v.denominator) for v in vals]
+        return weights, rows, offsets
+
+
+def point_data(x: WeightedPoint, rel: RelativeDatum) -> PointData:
+    """The point's derived data under rel, kept on the point for the datum
+    last asked.  model_relative builds a new datum on every call, so an equal
+    datum counts as the same one."""
+    data = x.__dict__.get("_data")
+    if data is None or (data.rel is not rel and data.rel != rel):
+        data = PointData(x, rel)
+        object.__setattr__(x, "_data", data)
+    return data
+
+
+def valuation_profile(x: WeightedPoint, rel: RelativeDatum) -> Mapping[Vector, Q]:
+    """Least valuation of the nonzero coordinates, per restricted weight
+    (read-only: the point keeps it)."""
+    return point_data(x, rel).profile
 
 
 def mu_K(x: WeightedPoint, rel: RelativeDatum) -> QPolytope:
@@ -74,11 +119,23 @@ def mu_residue(x: WeightedPoint, rel: RelativeDatum, z: Sequence) -> QPolytope:
     """Hull of the restricted weights whose shifted valuation is minimal.
 
     A weight that repeats with a larger valuation never attains the minimum,
-    so only each weight's least valuation is shifted."""
+    so only each weight's least valuation is shifted.  The shifted values are
+    compared as integers, scaled by the table's denominator and z's, and the
+    point keeps one polytope per index set of the minimum."""
     zc = qvec(z)
-    shifted = {rw: n + dot(rw, zc) for rw, n in valuation_profile(x, rel).items()}
-    m = min(shifted.values())
-    return QPolytope([rw for rw, v in shifted.items() if v == m])
+    if len(zc) != rel.rank:
+        raise ValueError("dimension mismatch")
+    data = point_data(x, rel)
+    weights, rows, offsets = data.residue_table
+    den = lcm(*(a.denominator for a in zc))
+    zi = [a.numerator * (den // a.denominator) for a in zc]
+    shifted = [den * n + sum(map(mul, row, zi)) for row, n in zip(rows, offsets)]
+    m = min(shifted)
+    key = tuple(i for i, v in enumerate(shifted) if v == m)
+    poly = data.residues.get(key)
+    if poly is None:
+        poly = data.residues[key] = QPolytope([weights[i] for i in key])
+    return poly
 
 
 def _weight_hull(x: WeightedPoint, rel: RelativeDatum):

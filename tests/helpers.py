@@ -306,6 +306,22 @@ def hull_member_by_lp(p: QPolytope, q, mode: str = "closure") -> bool:
     return True
 
 
+def mu_residue_recomputed(x, rel: RelativeDatum, z) -> QPolytope:
+    """Oracle: the residue polytope from a valuation profile built afresh on
+    every call, restricting every weight again and shifting in Fractions."""
+    profile: Dict[Vector, Q] = {}
+    for w, _, c in x.entries:
+        if c:
+            rw = rel.restrict(w)
+            v = c.valuation()
+            if rw not in profile or v < profile[rw]:
+                profile[rw] = v
+    zc = qvec(z)
+    shifted = {rw: n + dot(rw, zc) for rw, n in profile.items()}
+    m = min(shifted.values())
+    return QPolytope([rw for rw, v in shifted.items() if v == m])
+
+
 def _fraction_dot(x, y) -> Q:
     return sum((a * b for a, b in zip(x, y)), Q(0))
 

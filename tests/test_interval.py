@@ -212,11 +212,16 @@ def test_interval_and_character_run_one_lp(monkeypatch):
         rel = model_relative(model)
         for _ in range(4):
             calls.clear()
-            res = interval_A(weighted_coordinates(draw(), lam=lam), rel)
+            wp = weighted_coordinates(draw(), lam=lam)
+            res = interval_A(wp, rel)
             assert len(calls) == 1, model
             if not res.is_empty():
                 res.chi_optimum(rel.relative_roots[0])
                 assert len(calls) == 1, model
+                # the point keeps its interval, also for an equal fresh datum
+                for again in (rel, model_relative(model)):
+                    interval_A_chi(wp, again, rel.relative_roots[0])
+                    assert len(calls) == 1, model
     chi = [format_rational(c) for c in GR24_REL.restrict((1, 1, 0, 0))]
     requests = [
         ("interval", {"model": "proj(2)", "point": ["1", "t^{1/2}"], "chi": ["3"]}),

@@ -56,7 +56,9 @@ def test_hull_member_closure_on_degenerate_hulls():
 
 def test_hull_member_matches_lp_oracle():
     # full-dimensional, lower-dimensional and repeated point sets, with q at
-    # a point, an edge midpoint, the centroid or anywhere
+    # a point, an edge midpoint, the centroid or anywhere; one polytope
+    # answers several queries, alternating closure and interior, from the
+    # description it keeps
     r = rng(31)
     seen = set()
     for _ in range(200):
@@ -72,15 +74,24 @@ def test_hull_member_matches_lp_oracle():
                              for i in range(dim)))
         if r.random() < 0.3:
             pts += r.sample(pts, r.randint(1, len(pts)))
-        a, b = r.choice(pts), r.choice(pts)
-        q = r.choice([a, tuple((x + y) / 2 for x, y in zip(a, b)),
-                      tuple(sum(c) / len(pts) for c in zip(*pts)),
-                      tuple(Q(r.randint(-3, 3), r.randint(1, 2)) for _ in range(dim))])
         poly = QPolytope(pts)
-        for mode in ("closure", "interior"):
-            got = hull_member(poly, q, mode)
-            assert got == hull_member_by_lp(poly, q, mode), (pts, q, mode)
-            seen.add((mode, got))
+        before = (hash(poly), repr(poly))
+        for k in range(2):
+            a, b = r.choice(pts), r.choice(pts)
+            q = r.choice([a, tuple((x + y) / 2 for x, y in zip(a, b)),
+                          tuple(sum(c) / len(pts) for c in zip(*pts)),
+                          tuple(Q(r.randint(-3, 3), r.randint(1, 2))
+                                for _ in range(dim))])
+            for mode in (("closure", "interior") if k % 2 else ("interior", "closure")):
+                got = hull_member(poly, q, mode)
+                if k == 0:
+                    assert got == hull_member_by_lp(poly, q, mode), (pts, q, mode)
+                assert got == hull_member(QPolytope(pts), q, mode), (pts, q, mode)
+                if mode == "closure":
+                    assert got == hull_member_bruteforce(poly.points, q), (pts, q)
+                seen.add((mode, got))
+        assert poly == QPolytope(pts)
+        assert (hash(poly), repr(poly)) == before
     assert len(seen) == 4
 
 

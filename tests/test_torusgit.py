@@ -4,16 +4,23 @@ from fractions import Fraction as Q
 from itertools import permutations
 
 import pytest
-from helpers import (chamber_presets, random_proj_point, rng,
+import copy
+import pickle
+
+from helpers import (chamber_presets, grid_points, mu_residue_recomputed,
+                     random_grass24_point, random_proj_point, random_sl3_flag,
+                     random_sp4_flag, random_su3_pair, rng,
                      root_hyperplanes_by_subsets)
 
 from btgit.models import make_point, model_relative, weighted_coordinates
 from btgit.polyhedra import hull_member
 from btgit.qvec import dot, is_zero, qvec
 from btgit.rootdata import build_root_system, preset_relative
+from btgit.interval import interval_A
 from btgit.torusgit import (WeightedPoint, chamber_leq, chamber_of, chi_status,
                             classify_regular_weights, mu_K, mu_residue,
-                            root_hyperplanes, stability_status, translate)
+                            root_hyperplanes, stability_status, translate,
+                            valuation_profile)
 from btgit.valfield import ONE, ZERO, PuiseuxElement
 
 P = PuiseuxElement
@@ -67,6 +74,65 @@ def test_mu_residue_examples():
     assert set(at_quarter.points) == {(Q(1),), (Q(-1),)}
     y = _p1(ONE, ONE)
     assert set(mu_residue(y, REL_A1, (Q(0),)).points) == set(mu_K(y, REL_A1).points)
+    with pytest.raises(ValueError):
+        mu_residue(y, REL_A1, (Q(0), Q(0)))
+
+
+# acceptance criterion 1's apartment grid of each rank
+CRITERION_1_GRIDS = {1: grid_points(1, Q(1, 25), 4), 2: grid_points(2, Q(1, 2), 4),
+                     3: grid_points(3, Q(1, 3), 1)}
+
+
+def test_mu_residue_matches_recomputed_oracle():
+    # the kept profile, integer residue table and per-index-set polytopes
+    # against a profile rebuilt in Fractions at every grid point
+    r = rng(1103)
+    cases = [("proj(2)", lambda: random_proj_point(r, 2), None),
+             ("proj(3)", lambda: random_proj_point(r, 3), None),
+             ("grass(2,4)", lambda: random_grass24_point(r), None),
+             ("su3_pair", lambda: random_su3_pair(r), (1, 1)),
+             ("sl3_flag", lambda: random_sl3_flag(r), (1, 1)),
+             ("sp4_flag", lambda: random_sp4_flag(r), (1, 1))]
+    for model, draw, lam in cases:
+        rel = model_relative(model)
+        for _ in range(3):
+            wp = weighted_coordinates(draw(), lam=lam)
+            for z in CRITERION_1_GRIDS[rel.rank]:
+                assert mu_residue(wp, rel, z).points == \
+                    mu_residue_recomputed(wp, rel, z).points, (model, z)
+
+
+def test_point_memo_never_leaks_across_data():
+    r = rng(1105)
+    p = random_proj_point(r, 3)
+    wp = weighted_coordinates(p)
+    before = (wp.to_json(), hash(wp), repr(wp))
+    for rel in (model_relative("proj(3)"), preset_relative("su3"),
+                model_relative("proj(3)")):
+        fresh = weighted_coordinates(p)
+        assert valuation_profile(wp, rel) == valuation_profile(fresh, rel)
+        assert interval_A(wp, rel) == interval_A(fresh, rel)
+        assert stability_status(wp, rel) == stability_status(fresh, rel)
+        for z in grid_points(rel.rank, Q(1, 2), 2):
+            assert mu_residue(wp, rel, z).points == \
+                mu_residue_recomputed(wp, rel, z).points, (rel.name, z)
+        assert wp == fresh
+    assert (wp.to_json(), hash(wp), repr(wp)) == before
+    # what the point keeps is not part of its state
+    for twin in (pickle.loads(pickle.dumps(wp)), copy.deepcopy(wp)):
+        assert twin == wp and repr(twin) == repr(wp)
+
+
+def test_valuation_profile_is_read_only():
+    rel = model_relative("proj(3)")
+    wp = weighted_coordinates(make_point("proj(3)", (ONE, P.t_power(Q(1, 2)), ZERO)))
+    profile = valuation_profile(wp, rel)
+    key = next(iter(profile))
+    with pytest.raises(TypeError):
+        profile[key] = Q(5)
+    with pytest.raises(TypeError):
+        interval_A(wp, rel).wall_bounds[key] = Q(5)
+    assert valuation_profile(wp, rel) is profile
 
 
 def test_stability_status_examples():
