@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property
 from itertools import combinations
-from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
-from .qvec import Vector, add, dot, is_zero, neg, primitive, qvec, scale, sub, zero
+from .qvec import (Vector, add, dot, is_zero, neg, primitive, primitive_ints, qvec,
+                   reduced_ints, scale, sub, zero)
 from .valfield import INF
 
 
@@ -313,7 +313,7 @@ def hull_member(p: QPolytope, q: Sequence, mode: str = "closure") -> bool:
     if mode not in ("closure", "interior"):
         raise ValueError(f"unknown mode {mode!r}")
     lines, rays = p._lifted_description
-    v = _primitive_ints(q + (Q(1),))
+    v = primitive_ints(q + (Q(1),))
     if mode == "closure":
         return (all(_int_dot(l, v) == 0 for _, l in lines)
                 and all(_int_dot(r, v) >= 0 for r in rays))
@@ -349,23 +349,9 @@ def hull_member_bruteforce(points: Sequence[Sequence], q: Sequence) -> bool:
 # cones
 
 
-def _reduced(v: Sequence[int]) -> Tuple[int, ...]:
-    g = gcd(*v)
-    return tuple(x // g for x in v) if g > 1 else tuple(v)
-
-
-def _primitive_ints(v: Sequence[Q]) -> Tuple[int, ...]:
-    """Positive rescaling of a rational vector to coprime integers; the zero
-    vector stays zero."""
-    den = 1
-    for x in v:
-        den = den * x.denominator // gcd(den, x.denominator)
-    return _reduced([x.numerator * (den // x.denominator) for x in v])
-
-
 def _combine(c: int, u: Tuple[int, ...], d: int, w: Tuple[int, ...]) -> Tuple[int, ...]:
     """c u - d w, divided by the gcd of its entries."""
-    return _reduced([c * x - d * y for x, y in zip(u, w)])
+    return reduced_ints([c * x - d * y for x, y in zip(u, w)])
 
 
 def _int_dot(u: Tuple[int, ...], v: Tuple[int, ...]) -> int:
@@ -394,7 +380,7 @@ def _integer_double_description(rows: Sequence[Vector], dim: int
     for k, row in enumerate(rows):
         if len(row) != dim:
             raise ValueError("dimension mismatch")
-        a = [(j, x) for j, x in enumerate(_primitive_ints(row)) if x]
+        a = [(j, x) for j, x in enumerate(primitive_ints(row)) if x]
 
         def val(v: Tuple[int, ...]) -> int:
             return sum(x * v[j] for j, x in a)

@@ -1,4 +1,5 @@
-"""Small exact-rational vector helpers shared across modules."""
+"""Small exact-rational vector helpers shared across modules, and the
+integer forms the exact kernels work on."""
 
 from __future__ import annotations
 
@@ -19,11 +20,6 @@ def dot(x: Vector, y: Vector) -> Q:
     if len(x) != len(y):
         raise ValueError("dimension mismatch")
     return _sum_of_products(zip(x, y))
-
-
-def sparse_dot(support: Sequence[int], values: Sequence[Q], y: Vector) -> Q:
-    """x . y for x given by the indices and values of its nonzero entries."""
-    return _sum_of_products(zip(values, map(y.__getitem__, support)))
 
 
 def _sum_of_products(pairs: Iterable[Tuple[Q, Q]]) -> Q:
@@ -70,24 +66,28 @@ def zero(dim: int) -> Vector:
     return (Q(0),) * dim
 
 
+def reduced_ints(v: Sequence[int]) -> Tuple[int, ...]:
+    """An integer vector divided by the gcd of its entries; zero stays zero."""
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else tuple(v)
+
+
+def primitive_ints(v: Sequence[Q]) -> Tuple[int, ...]:
+    """Positive rescaling of a rational vector to coprime integers; the zero
+    vector stays zero."""
+    den = 1
+    for x in v:
+        den = den * x.denominator // gcd(den, x.denominator)
+    return reduced_ints([x.numerator * (den // x.denominator) for x in v])
+
+
+def as_fractions(rows: Iterable[Sequence[int]], den: int = 1) -> Tuple[Vector, ...]:
+    """Integer rows divided by den, as Fraction tuples."""
+    return tuple(tuple(Q(n, den) for n in r) for r in rows)
+
+
 def primitive(x: Vector) -> Vector:
     """Positive rescaling to coprime integer entries (direction preserved)."""
     if is_zero(x):
         raise ValueError("no primitive form of the zero vector")
-    denom = 1
-    for a in x:
-        denom = denom * a.denominator // gcd(denom, a.denominator)
-    ints = [int(a * denom) for a in x]
-    g = 0
-    for n in ints:
-        g = gcd(g, abs(n))
-    return tuple(Q(n // g) for n in ints)
-
-
-def line_rep(x: Vector) -> Vector:
-    """Primitive form with positive first nonzero entry (dedupes +/- pairs)."""
-    p = primitive(x)
-    for a in p:
-        if a != 0:
-            return p if a > 0 else neg(p)
-    return p
+    return tuple(map(Q, primitive_ints(x)))

@@ -11,11 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from math import factorial
+from math import factorial, gcd, lcm
+from operator import mul
 from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .polyhedra import QPolyhedron, cone_generators, rref
-from .qvec import Vector, add, dot, is_zero, qvec, scale, sparse_dot, sub, zero
+from .qvec import (Vector, add, as_fractions, dot, primitive_ints, qvec,
+                   reduced_ints, scale, sub, zero)
+
+Ray = Tuple[int, ...]  # a primitive integer vector, up to positive scaling
 
 
 def reflect(v: Vector, alpha: Vector) -> Vector:
@@ -33,11 +37,32 @@ class RootDatum:
     fundamental_weights: Tuple[Vector, ...]
 
 
-def _vector(n: int, entries: Iterable[Tuple[int, int]]) -> Vector:
-    v = [Q(0)] * n
+def _ints(n: int, entries: Iterable[Tuple[int, int]]) -> Tuple[int, ...]:
+    v = [0] * n
     for i, c in entries:
-        v[i] = Q(c)
+        v[i] = c
     return tuple(v)
+
+
+def _root_ints(family: str, rank: int
+               ) -> Tuple[List[Tuple[int, ...]], Set[Tuple[int, ...]]]:
+    """The simple roots and the roots of a classical family, as integer
+    tuples (see build_root_system)."""
+    l = rank
+    n = l + 1 if family == "A" else l
+    simple = [_ints(n, ((i, 1), (i + 1, -1))) for i in range(n - 1)]
+    if family == "A":
+        return simple, {_ints(n, ((i, 1), (j, -1)))
+                        for i in range(n) for j in range(n) if i != j}
+    last = {"B": ((l - 1, 1),), "C": ((l - 1, 2),),
+            "D": ((l - 2, 1), (l - 1, 1))}[family]
+    simple.append(_ints(n, last))
+    roots = {_ints(n, ((i, s), (j, t))) for i in range(n)
+             for j in range(i + 1, n) for s in (1, -1) for t in (1, -1)}
+    if family != "D":
+        long = 1 if family == "B" else 2
+        roots |= {_ints(n, ((i, s * long),)) for i in range(n) for s in (1, -1)}
+    return simple, roots
 
 
 def build_root_system(family: str, rank: int) -> RootDatum:
@@ -48,7 +73,8 @@ def build_root_system(family: str, rank: int) -> RootDatum:
     e_{l-1} + e_l (D); the roots are e_i - e_j (A), or +-e_i +- e_j together
     with +-e_i (B) or +-2e_i (C); the fundamental weights are the partial
     sums e_1 + ... + e_k, made sum-zero for A and halved at the spin nodes
-    of B and D.
+    of B and D.  The roots are written and sorted as integer tuples, and
+    turned into Fractions once.
     """
     if family not in ("A", "B", "C", "D"):
         raise ValueError(f"unsupported family {family!r}")
@@ -56,21 +82,11 @@ def build_root_system(family: str, rank: int) -> RootDatum:
         raise ValueError(f"unsupported rank {rank} for family {family}")
     l = rank
     n = l + 1 if family == "A" else l
-    simple = [_vector(n, ((i, 1), (i + 1, -1))) for i in range(n - 1)]
+    simple, roots = _root_ints(family, rank)
     if family == "A":
-        roots = {_vector(n, ((i, 1), (j, -1)))
-                 for i in range(n) for j in range(n) if i != j}
         weights = [tuple(Q(n - k, n) if i < k else Q(-k, n) for i in range(n))
                    for k in range(1, l + 1)]
     else:
-        last = {"B": ((l - 1, 1),), "C": ((l - 1, 2),),
-                "D": ((l - 2, 1), (l - 1, 1))}[family]
-        simple.append(_vector(n, last))
-        roots = {_vector(n, ((i, s), (j, t))) for i in range(n)
-                 for j in range(i + 1, n) for s in (1, -1) for t in (1, -1)}
-        if family != "D":
-            long = 1 if family == "B" else 2
-            roots |= {_vector(n, ((i, s * long),)) for i in range(n) for s in (1, -1)}
         weights = [tuple(Q(int(i < k)) for i in range(n)) for k in range(1, l + 1)]
         half = Q(1, 2)
         if family == "B":
@@ -78,8 +94,8 @@ def build_root_system(family: str, rank: int) -> RootDatum:
         elif family == "D":
             weights[-2] = (half,) * (l - 1) + (-half,)
             weights[-1] = (half,) * l
-    return RootDatum(family, rank, n, tuple(simple), tuple(sorted(roots)),
-                     tuple(weights))
+    return RootDatum(family, rank, n, as_fractions(simple),
+                     as_fractions(sorted(roots)), tuple(weights))
 
 
 def _solve_columns(rows: Sequence[Sequence[Q]],
@@ -177,44 +193,60 @@ class RelativeDatum:
 
 
 def relative_weyl_orbit(rel: RelativeDatum,
-                        seeds: Iterable[Tuple[Vector, ...]]) -> Set[Tuple[Vector, ...]]:
-    """Union of the orbits of tuples of apartment (primal) points under the
-    relative Weyl group, which acts on each point of a tuple.
+                        seeds: Iterable[Tuple[Ray, ...]]) -> Set[Tuple[Ray, ...]]:
+    """Union of the orbits of tuples of apartment (primal) rays under the
+    relative Weyl group, which acts on each ray of a tuple.
 
-    The relative simple root a reflects z to z - (a . z) a^vee, with the
-    coroot a^vee = 2x/(a . x) where gram x = a.  Each reflection reads only
-    the nonzero entries of a and changes only those of a^vee: for a split
-    group of type A that is one coordinate.
+    A ray is a primitive integer vector, standing for the points that are
+    positive multiples of it; the seeds must be given in that form.  The
+    relative simple root a reflects z to z - (a . z) a^vee, with the coroot
+    a^vee = 2x/(a . x) where gram x = a.  With A and X the primitive integer
+    multiples of a and x, (A . X) z - 2(A . z) X is a positive multiple of
+    that image, since A . X > 0 for the positive definite gram; so the
+    reflected ray is its primitive form, and a ray with A . z = 0 is fixed.
+    The group keeps the gram norm, so an element fixing a ray fixes its
+    points: the ray orbits are the point orbits up to positive scaling.
     """
     xs = _solve_columns(rel.gram, rel.relative_simple)
     maps = []
     for a, x in zip(rel.relative_simple, xs):
-        f = _sparse_reflection(a, scale(2 / dot(a, x), x))
-        maps.append(lambda zs, f=f: tuple(f(z) for z in zs))
+        f = _ray_reflection(primitive_ints(a), primitive_ints(x))
+        maps.append(lambda zs, f=f: tuple(map(f, zs)))
     return reflection_closure(seeds, maps)
 
 
-def _sparse_reflection(a: Vector, coroot: Vector) -> Callable[[Vector], Vector]:
-    """z -> z - (a . z) coroot, reading and writing only nonzero entries."""
-    support = tuple(k for k, c in enumerate(a) if c)
-    values = tuple(a[k] for k in support)
-    changes = tuple((k, c) for k, c in enumerate(coroot) if c)
+def _ray_reflection(A: Ray, X: Ray) -> Callable[[Ray], Ray]:
+    """z -> primitive((A . X) z - 2(A . z) X), reading only the nonzero
+    entries of A and changing only those of X.
 
-    def reflect_point(z: Vector) -> Vector:
-        t = sparse_dot(support, values, z)
+    The common factor of A . X and 2X is taken out first.  For every preset
+    that leaves A . X = 1: the reflection preserves the integer lattice of
+    primal coordinates, as a Weyl reflection preserves the coweight lattice
+    (Humphreys 1990, 2.10; Bourbaki, Lie VI §1), so z is not rescaled."""
+    ax = sum(map(mul, A, X))
+    g = gcd(ax, *(2 * c for c in X))
+    ax //= g
+    support = tuple((k, c) for k, c in enumerate(A) if c)
+    changes = tuple((k, 2 * c // g) for k, c in enumerate(X) if c)
+
+    def reflect_ray(z: Ray) -> Ray:
+        t = sum(c * z[k] for k, c in support)
         if not t:
             return z
-        w = list(z)
+        w = list(z) if ax == 1 else [ax * c for c in z]
         for k, c in changes:
             w[k] -= t * c
-        return tuple(w)
+        return reduced_ints(w)
 
-    return reflect_point
+    return reflect_ray
 
 
-def fundamental_rays(rel: RelativeDatum) -> List[Vector]:
-    """Primitive rays of the fundamental chamber {z : a . z >= 0, a relative simple}."""
-    return cone_generators(QPolyhedron([(a, Q(0)) for a in rel.relative_simple], rel.rank))
+def fundamental_rays(rel: RelativeDatum) -> List[Ray]:
+    """Primitive integer rays of the fundamental chamber {z : a . z >= 0, a
+    relative simple}."""
+    return [primitive_ints(z) for z in
+            cone_generators(QPolyhedron([(a, Q(0)) for a in rel.relative_simple],
+                                        rel.rank))]
 
 
 def _restricted(name: str, datum: RootDatum, dual: Sequence[Vector],
@@ -223,12 +255,31 @@ def _restricted(name: str, datum: RootDatum, dual: Sequence[Vector],
 
     The relative roots are the sorted nonzero restrictions of the absolute
     roots; a root's step is 1/2 exactly when twice the root is also a root,
-    and 1 otherwise; the rank is the number of dual rows.
+    and 1 otherwise; the rank is the number of dual rows.  The restrictions
+    are computed on integers: the integer roots of the datum's family, each
+    read by its nonzero entries against the nonzero entries of the dual
+    rows over their common denominator, gathered column by column.  They
+    are sorted as integer tuples and turned into Fractions once.
     """
     dual = tuple(dual)
-    images = {tuple(dot(r, a) for r in dual) for a in datum.all_roots}
-    roots = tuple(sorted(v for v in images if not is_zero(v)))
-    gamma = tuple((a, Q(1, 2) if scale(2, a) in images else Q(1)) for a in roots)
+    den = lcm(*(x.denominator for r in dual for x in r))
+    columns: List[List[Tuple[int, int]]] = [[] for _ in range(datum.ambient_dim)]
+    for k, r in enumerate(dual):
+        for j, x in enumerate(r):
+            if x:
+                columns[j].append((k, x.numerator * (den // x.denominator)))
+    images = set()
+    for a in _root_ints(datum.family, datum.rank)[1]:
+        img = [0] * len(dual)
+        for j, c in enumerate(a):
+            if c:
+                for k, y in columns[j]:
+                    img[k] += c * y
+        images.add(tuple(img))
+    keys = sorted(v for v in images if any(v))
+    roots = as_fractions(keys, den)
+    gamma = tuple((a, Q(1, 2) if tuple(2 * c for c in v) in images else Q(1))
+                  for a, v in zip(roots, keys))
     return RelativeDatum(name, datum, len(dual), dual, roots, tuple(simple),
                          gamma, tuple(gram))
 
@@ -239,12 +290,16 @@ def _identity(n: int) -> Tuple[Vector, ...]:
 
 def _split_relative(datum: RootDatum) -> RelativeDatum:
     if datum.family == "A":
-        # the dual rows e_k - e_{k+1} are the simple roots
+        # the dual rows e_k - e_{k+1} are the simple roots, so the restricted
+        # simple roots are their pairings and the gram is half of those
         dual = datum.simple_roots
-        gram = tuple(tuple(dot(a, b) / 2 for b in dual) for a in dual)
+        simple = _root_ints("A", datum.rank)[0]
+        pairings = [[sum(map(mul, a, b)) for b in simple] for a in simple]
+        simple, gram = as_fractions(pairings), as_fractions(pairings, 2)
     else:
+        # the dual rows are the identity
         dual = gram = _identity(datum.rank)
-    simple = [tuple(dot(r, a) for r in dual) for a in datum.simple_roots]
+        simple = datum.simple_roots
     return _restricted(f"split_{datum.family}{datum.rank}", datum, dual, simple, gram)
 
 

@@ -12,8 +12,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .polyhedra import (QPolytope, cone_contains, cone_h_rep,
                         cone_interior_contains, hull_cone, origin_tangent_cone)
-from .qvec import Vector, dot, line_rep, neg, qvec, scale, add
-from .rootdata import (RelativeDatum, build_root_system, fundamental_rays,
+from .qvec import Vector, as_fractions, dot, neg, qvec, reduced_ints
+from .rootdata import (Ray, RelativeDatum, build_root_system, fundamental_rays,
                        preset_relative, reflection_closure,
                        relative_weyl_orbit, simple_shuffles)
 from .valfield import PuiseuxElement, parse_rational, format_rational
@@ -174,8 +174,16 @@ def root_hyperplanes(rel: RelativeDatum) -> Tuple[Vector, ...]:
     but one (Bourbaki, Lie VI §1), whose normal is a ray of the fundamental
     chamber; so the normals are the orbit of those rays, up to sign.
     """
-    orbit = relative_weyl_orbit(rel, [(z,) for z in fundamental_rays(rel)])
-    return tuple(sorted({line_rep(z) for (z,) in orbit}))
+    return as_fractions(_root_lines(rel))
+
+
+def _root_lines(rel: RelativeDatum) -> List[Ray]:
+    """root_hyperplanes as integer tuples: the orbit's rays with their first
+    nonzero entry made positive, sorted."""
+    lines = set()
+    for (z,) in relative_weyl_orbit(rel, [(z,) for z in fundamental_rays(rel)]):
+        lines.add(z if next(c for c in z if c) > 0 else tuple(-c for c in z))
+    return sorted(lines)
 
 
 @dataclass(frozen=True)
@@ -264,30 +272,49 @@ def classify_regular_weights(family: Optional[str] = None,
     else:
         table = False
 
+    # Both orbits run on integer tuples: the weights over one common
+    # denominator, and each hyperplane h pulled back once to a primitive
+    # integer covector g with g . v a positive multiple of h . restrict(v).
     omegas = [datum.fundamental_weights[j * step - 1] for j in J]
-    hyps = root_hyperplanes(rel)
+    den = lcm(*(a.denominator for w in omegas for a in w))
+    omegas = [tuple(a.numerator * (den // a.denominator) for a in w) for w in omegas]
+    dual_den = lcm(*(a.denominator for r in rel.dual_matrix for a in r))
+    dual_rows = [[(i, a.numerator * (dual_den // a.denominator))
+                  for i, a in enumerate(r) if a] for r in rel.dual_matrix]
+    covectors = []
+    for h in _root_lines(rel):
+        g = [0] * datum.ambient_dim
+        for hk, row in zip(h, dual_rows):
+            if hk:
+                for i, a in row:
+                    g[i] += hk * a
+        covectors.append(reduced_ints(g))
+    # A weight recurs in many orbit tuples, so it is paired with the
+    # covectors once: the largest absolute pairing is kept, and a bit mask of
+    # the covectors vanishing on it.  A tuple lies in a hyperplane when the
+    # masks of its weights share a bit.
     max_num = 1
-    reflections = [lambda tup, f=f: tuple(f(v) for v in tup)
-                   for f in simple_shuffles(datum)]
+    zeros: Dict[Ray, int] = {}
+    shuffles = simple_shuffles(datum)
+    reflections = [lambda tup, f=f: tuple(map(f, tup)) for f in shuffles]
     for tup in reflection_closure([tuple(omegas)], reflections):
-        imgs = [rel.restrict(v) for v in tup]
-        for h in hyps:
-            coeffs = [dot(h, img) for img in imgs]
-            if all(c == 0 for c in coeffs):
-                return table, False
-            den = 1
-            for c in coeffs:
-                den = den * c.denominator // gcd(den, c.denominator)
-            max_num = max(max_num, max(abs(int(c * den)) for c in coeffs))
+        common = -1
+        for v in tup:
+            mask = zeros.get(v)
+            if mask is None:
+                coeffs = [sum(map(mul, g, v)) for g in covectors]
+                mask = zeros[v] = sum(1 << i for i, c in enumerate(coeffs) if not c)
+                max_num = max(max_num, max(map(abs, coeffs)))
+            common &= mask
+        if common:
+            return table, False
     # powers of a base exceeding every coefficient give a regular representative
     base = max_num + 1
-    lam = (Q(0),) * datum.ambient_dim
-    for k, w in enumerate(omegas):
-        lam = add(lam, scale(Q(base) ** k, w))
+    lam = tuple(sum(base ** k * w[i] for k, w in enumerate(omegas))
+                for i in range(datum.ambient_dim))
     scan = True
-    for (v,) in reflection_closure([(lam,)], reflections):
-        rv = rel.restrict(v)
-        if any(dot(h, rv) == 0 for h in hyps):
+    for v in reflection_closure([lam], shuffles):
+        if any(sum(map(mul, g, v)) == 0 for g in covectors):
             scan = False
             break
     return table, scan

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import combinations
+from operator import mul
 from typing import Optional, Sequence, Tuple
 
 from .apartment import ApartmentPoint
@@ -13,7 +14,7 @@ from .models import (ModelPoint, act, adjugate, determinant, model_relative,
                      model_spec, p_epsilon_member, weighted_coordinates)
 from .polyhedra import (QPolyhedron, cone_generators, min_enclosing_ball,
                         polyhedron_generators)
-from .qvec import Vector, dot, is_zero, qvec
+from .qvec import Vector, is_zero, primitive_ints, qvec
 from .rootdata import RelativeDatum, fundamental_rays, relative_weyl_orbit
 from .valfield import (INF, ONE, PuiseuxElement, ZERO, _canonical,
                        format_rational)
@@ -298,18 +299,19 @@ def _chamber_rays(rel: RelativeDatum):
     """Root lines, and the rays of every chamber of their arrangement by sign vector.
 
     The chambers are the Weyl translates of the fundamental one, so their
-    rays are the orbit images of its rays and their sign vectors those of
-    the images' sums.  They are listed with + before - in each sign, root
-    by root.
+    rays are the orbit images of its rays, as primitive integer vectors, and
+    their sign vectors those of the images' sums.  They are listed with +
+    before - in each sign, root by root.
     """
     lines = []
     for a in rel.relative_roots:
         if a not in lines and tuple(-c for c in a) not in lines:
             lines.append(a)
+    keys = [primitive_ints(a) for a in lines]
     rays = {}
     for imgs in relative_weyl_orbit(rel, [tuple(fundamental_rays(rel))]):
-        inside = tuple(sum(c) for c in zip(*imgs))
-        rays[tuple(1 if dot(a, inside) > 0 else -1 for a in lines)] = imgs
+        inside = [sum(c) for c in zip(*imgs)]
+        rays[tuple(1 if sum(map(mul, a, inside)) > 0 else -1 for a in keys)] = imgs
     return lines, {s: rays[s] for s in sorted(rays, reverse=True)}
 
 
@@ -332,11 +334,18 @@ def p_chi_data(chi: Sequence, rel: RelativeDatum) -> PChiData:
     chiv = qvec(chi) if isinstance(chi, (tuple, list)) else (Q(chi),)
     if is_zero(chiv):
         raise ValueError("the character must be nonzero")
+    if len(chiv) != rel.rank:
+        raise ValueError("dimension mismatch")
     lines, rays = _chamber_rays(rel)
-    kept = [s for s, gens in rays.items() if all(dot(chiv, g) >= 0 for g in gens)]
+    # the rays are read only through signs, so chi is scaled to integers
+    c = primitive_ints(chiv)
+    kept = [s for s, gens in rays.items()
+            if all(sum(map(mul, c, g)) >= 0 for g in gens)]
     if not kept:
         raise AssertionError("the character is negative on every chamber")
-    halves = {h for s in kept for h in _chamber_cone(s, lines)}
+    # the kept chambers' halfspaces, built once per root line and side
+    sides = {(i, x) for s in kept for i, x in enumerate(s)}
+    halves = {(tuple(x * c for c in lines[i]), Q(0)) for i, x in sides}
     tau = QPolyhedron(tuple(sorted(halves)))
     delta = tuple(sum(g[i] for g in cone_generators(tau)) or Q(0)
                   for i in range(rel.rank))

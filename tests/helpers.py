@@ -4,16 +4,28 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as Q
+from functools import lru_cache
 from itertools import combinations, permutations
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from btgit.models import make_point, symplectic_form
+from btgit.models import make_point, model_relative, symplectic_form
 from btgit.polyhedra import QPolyhedron, QPolytope, rref, solve_lp
-from btgit.qvec import Vector, dot, line_rep, neg, primitive, qvec, scale, sub
-from btgit.rootdata import (RelativeDatum, build_root_system, preset_relative,
-                            reflect, reflection_closure)
+from btgit.qvec import Vector, add, dot, neg, primitive, qvec, scale, sub
+from btgit.rootdata import (RelativeDatum, build_root_system, fundamental_rays,
+                            preset_relative, reflect, reflection_closure,
+                            simple_shuffles)
 from btgit.treebuilding import _chamber_cone, _chamber_rays
 from btgit.valfield import INF, ONE, ZERO, PuiseuxElement
+
+
+def line_rep(x: Vector) -> Vector:
+    """Primitive form with positive first nonzero entry (dedupes +/- pairs)."""
+    p = primitive(x)
+    for a in p:
+        if a != 0:
+            return p if a > 0 else neg(p)
+    return p
 
 
 def rng(seed: int) -> random.Random:
@@ -152,6 +164,14 @@ def chamber_presets(max_rank: Optional[int] = None):
     rels += [preset_relative("sl_skew", s=s, d=d)
              for s, d in ((1, 1), (1, 2), (2, 2), (2, 3), (3, 2))]
     return [rel for rel in rels if max_rank is None or rel.rank <= max_rank]
+
+
+def integer_layer_data():
+    """chamber_presets(), and the relative data of the point models: proj(n)
+    for n up to 10, grass(2,4), grass(3,6) and the two-factor models."""
+    models = [f"proj({n})" for n in range(2, 11)]
+    models += ["grass(2,4)", "grass(3,6)", "su3_pair", "sl3_flag", "sp4_flag"]
+    return chamber_presets() + [model_relative(m) for m in models]
 
 
 def roots_by_reflection(datum) -> Tuple[Vector, ...]:
@@ -415,3 +435,123 @@ def plucker_relations_by_all_subsets(vec: Sequence[PuiseuxElement], j: int,
             if total:
                 return False
     return True
+
+
+def restricted_by_fractions(name: str, datum, dual: Sequence[Vector],
+                            simple: Sequence[Vector],
+                            gram: Sequence[Vector]) -> RelativeDatum:
+    """Reference oracle: relative data by restricting every absolute root
+    through every dual row in Fractions and sorting the Fraction tuples."""
+    dual = tuple(dual)
+    images = {tuple(dot(r, a) for r in dual) for a in datum.all_roots}
+    roots = tuple(sorted(v for v in images if any(v)))
+    gamma = tuple((a, Q(1, 2) if scale(2, a) in images else Q(1)) for a in roots)
+    return RelativeDatum(name, datum, len(dual), dual, roots, tuple(simple),
+                         gamma, tuple(gram))
+
+
+def relative_weyl_orbit_by_fractions(rel: RelativeDatum, seeds):
+    """Reference oracle: the relative Weyl orbit of tuples of Fraction
+    points, each simple root a reflecting z to z - (a . z) a^vee with the
+    coroot a^vee = 2x/(a . x), gram x = a."""
+    n = rel.rank
+    red, _ = rref([list(r) + [a[i] for a in rel.relative_simple]
+                   for i, r in enumerate(rel.gram)])
+    maps = []
+    for k, a in enumerate(rel.relative_simple):
+        x = tuple(red[i][n + k] for i in range(n))
+        coroot = scale(2 / dot(a, x), x)
+        maps.append(lambda zs, a=a, c=coroot:
+                    tuple(sub(z, scale(dot(a, z), c)) for z in zs))
+    return reflection_closure(seeds, maps)
+
+
+def fundamental_points_by_fractions(rel: RelativeDatum) -> Tuple[Vector, ...]:
+    """The fundamental chamber's rays as the Fraction points the Fraction
+    orbit starts from."""
+    return tuple(tuple(map(Q, z)) for z in fundamental_rays(rel))
+
+
+@lru_cache(maxsize=None)
+def root_hyperplanes_by_fractions(rel: RelativeDatum) -> Tuple[Vector, ...]:
+    """Reference oracle: the line representatives of the Fraction orbit of
+    the fundamental points, sorted (kept per datum, since the classify
+    oracle asks for each datum once per subset of nodes)."""
+    orbit = relative_weyl_orbit_by_fractions(
+        rel, [(z,) for z in fundamental_points_by_fractions(rel)])
+    return tuple(sorted({line_rep(z) for (z,) in orbit}))
+
+
+@lru_cache(maxsize=None)
+def chamber_points_by_fractions(rel: RelativeDatum):
+    """The Fraction orbit of the tuple of fundamental points: one tuple per
+    chamber (kept per datum, since several oracles read it)."""
+    return relative_weyl_orbit_by_fractions(rel, [fundamental_points_by_fractions(rel)])
+
+
+def chamber_rays_by_fractions(rel: RelativeDatum):
+    """Reference oracle: treebuilding._chamber_rays on the Fraction orbit of
+    the fundamental points, with Fraction sign tests."""
+    lines = []
+    for a in rel.relative_roots:
+        if a not in lines and neg(a) not in lines:
+            lines.append(a)
+    rays = {}
+    for imgs in chamber_points_by_fractions(rel):
+        inside = tuple(sum(c) for c in zip(*imgs))
+        rays[tuple(1 if dot(a, inside) > 0 else -1 for a in lines)] = imgs
+    return lines, {s: rays[s] for s in sorted(rays, reverse=True)}
+
+
+def classify_regular_weights_by_fractions(family=None, rank=None, J=(),
+                                          preset="split", s=None, d=None):
+    """Reference oracle: classify_regular_weights with both orbits closed on
+    Fraction weights, pairing each restricted weight with every Fraction
+    hyperplane.  The first orbit's pairings are kept per distinct weight, and
+    the base is taken over all of them at one common denominator."""
+    J = sorted(set(int(j) for j in J))
+    if preset == "split":
+        rel = preset_relative("split", datum=build_root_system(family, rank))
+        node_count, step = rank, 1
+    elif preset == "su3":
+        rel = preset_relative("su3")
+        node_count, step = 2, 1
+    elif preset == "nonsplit_C":
+        rel = preset_relative("nonsplit_C", rank=rank)
+        node_count, step = rank, 1
+    else:
+        rel = preset_relative("sl_skew", s=s, d=d)
+        node_count, step = s, d
+    datum = rel.datum
+    if J == list(range(1, node_count + 1)):
+        table = True
+    elif preset == "nonsplit_C" and J == list(range(1, rank)):
+        table = True
+    elif preset == "sl_skew" or (preset == "split" and family == "A"):
+        table = gcd(node_count + 1, *J) == 1
+    else:
+        table = False
+    omegas = [datum.fundamental_weights[j * step - 1] for j in J]
+    hyps = root_hyperplanes_by_fractions(rel)
+    reflections = [lambda tup, f=f: tuple(f(v) for v in tup)
+                   for f in simple_shuffles(datum)]
+    pairings: Dict[Vector, List[Q]] = {}
+    for tup in reflection_closure([tuple(omegas)], reflections):
+        for v in tup:
+            if v not in pairings:
+                rv = rel.restrict(v)
+                pairings[v] = [dot(h, rv) for h in hyps]
+        if any(all(c == 0 for c in coeffs)
+               for coeffs in zip(*(pairings[v] for v in tup))):
+            return table, False
+    den = lcm(*(c.denominator for cs in pairings.values() for c in cs))
+    base = 1 + max(abs(c.numerator) * (den // c.denominator)
+                   for cs in pairings.values() for c in cs)
+    lam = (Q(0),) * datum.ambient_dim
+    for k, w in enumerate(omegas):
+        lam = add(lam, scale(Q(base) ** k, w))
+    for (v,) in reflection_closure([(lam,)], reflections):
+        rv = rel.restrict(v)
+        if any(dot(h, rv) == 0 for h in hyps):
+            return table, False
+    return table, True

@@ -1,6 +1,9 @@
 """JSON front-end: frozen outputs, exit codes, byte determinism, rendering."""
 
+import io
 import json
+import random
+import sys
 import time
 from fractions import Fraction as Q
 
@@ -12,6 +15,7 @@ from btgit.cli import (Unsupported, ValidationFailure, main, render_svg, run,
 from btgit.interval import interval_A, interval_A_chi
 from btgit.models import (ModelPoint, make_point, model_relative,
                           weighted_coordinates)
+from btgit.rootdata import build_root_system, preset_relative
 from btgit.torusgit import chi_status, stability_status
 from btgit.valfield import INF, format_rational, parse_puiseux
 
@@ -268,9 +272,11 @@ UNIPOTENT10 = [["1" if i == j else "0" if j < i else f"{i + j} + t^{{1/2}}"
      "model", "grass(6,12)"),
     ("models", {"model": "grass(7,14)", "point": _generic_rows(7, 14)},
      "model", "grass(7,14)"),
+    ("rootsys", {"family": "A", "rank": 12}, "hyperplanes", 4095),
+    ("status", {"model": "proj(80)", "point": ["1"] + ["t"] * 79}, "status", "stable"),
 ], ids=["rootsys-A7", "chi-B4", "chi-D5", "status-grass48", "status-proj40",
         "tree-R800", "models-act-proj10", "models-grass612-rows",
-        "models-grass714-rows"])
+        "models-grass714-rows", "rootsys-A12", "status-proj80"])
 def test_chamber_requests_do_bounded_work(tmp_path, capsys, command, payload,
                                           key, want):
     req = tmp_path / "req.json"
@@ -420,3 +426,93 @@ def test_every_model_answers_like_the_library(payload):
     out = run("chi", with_chi)
     assert out["status"] == chi_status(wp, rel, chi)
     assert out["value"] == format_rational(n if not res.is_empty() else INF)
+
+
+def _fuzz_group(r: random.Random):
+    """A valid group choice of each preset, small enough to answer at once,
+    with its relative rank, node count and ambient dimension."""
+    preset = r.choice(("split", "su3", "nonsplit_C", "sl_skew"))
+    if preset == "split":
+        family = r.choice("ABCD")
+        payload = {"family": family, "rank": r.randint(1 if family == "A" else 2, 4)}
+        if r.random() < 0.5:
+            payload["preset"] = "split"
+        rel = preset_relative("split", datum=build_root_system(family, payload["rank"]))
+        nodes = payload["rank"]
+    elif preset == "su3":
+        payload, rel, nodes = {"preset": "su3"}, preset_relative("su3"), 2
+    elif preset == "nonsplit_C":
+        payload = {"preset": "nonsplit_C", "rank": r.randint(2, 5)}
+        rel, nodes = preset_relative("nonsplit_C", rank=payload["rank"]), payload["rank"]
+    else:
+        payload = {"preset": "sl_skew", "s": r.randint(1, 3), "d": r.randint(1, 2)}
+        rel = preset_relative("sl_skew", s=payload["s"], d=payload["d"])
+        nodes = payload["s"]
+    return payload, rel.rank, nodes, rel.datum.ambient_dim
+
+
+def _fuzz_vector(r: random.Random, n: int):
+    return [r.choice((r.randint(-4, 4), f"{r.randint(-6, 6)}/{r.randint(1, 4)}"))
+            for _ in range(n)]
+
+
+# near-valid values: each breaks the schema or the group's constraints
+_FUZZ_BAD = {
+    "rank": (0, -1, "2", 2.5, None, True),
+    "family": ("E", "G", "", "AB", 3),
+    "preset": ("bogus", "Split", 1),
+    "s": (0, -1, "1"),
+    "d": (0, "2", None),
+    "J": ([], [0], [99], [1, 1], ["1"], [1.5], "1", [True]),
+    "weights": ([["1/0"]], [["x"]], [[]], "1", [[1.5]], [[True]], [["1"] * 9]),
+    "chi": ([0, 0], ["1/0"], ["abc"], [0.5], [], "1", ["1"] * 9),
+    "bogus": (1,),
+}
+
+
+def _fuzz_request(r: random.Random):
+    command = r.choice(("rootsys", "classify", "chambers", "chi"))
+    payload, rank, nodes, ambient = _fuzz_group(r)
+    if command == "classify":
+        payload["J"] = sorted(r.sample(range(1, nodes + 1), r.randint(1, nodes)))
+    elif command == "chambers":
+        payload["weights"] = [_fuzz_vector(r, r.choice((rank, ambient)))
+                              for _ in range(r.randint(0, 3))]
+    elif command == "chi":
+        payload["chi"] = _fuzz_vector(r, rank)
+    if r.random() < 0.5:
+        key = r.choice(sorted(_FUZZ_BAD))
+        if key in payload and r.random() < 0.3:
+            del payload[key]
+        else:
+            payload[key] = r.choice(_FUZZ_BAD[key])
+    return command, payload
+
+
+def _serve(monkeypatch, capsys, command, text):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    try:
+        code = main(["--command", command])
+    except Exception as exc:  # the CLI must answer every request itself
+        pytest.fail(f"{command} {text}: {type(exc).__name__}: {exc}")
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_chamber_commands_fuzz(monkeypatch, capsys):
+    """Seeded schema-valid and near-valid rootsys, classify, chambers and chi
+    requests over all four presets: each exits 0, 2 or 3 without a
+    traceback, writes nothing to stdout unless it answers, and answers the
+    same bytes when repeated."""
+    r = random.Random(1212)
+    codes = set()
+    for _ in range(160):
+        command, payload = _fuzz_request(r)
+        text = json.dumps(payload)
+        code, out, err = _serve(monkeypatch, capsys, command, text)
+        assert code in (0, 2, 3), (command, text)
+        assert "Traceback" not in err, (command, text)
+        assert (out == "") == (code != 0), (command, text)
+        assert _serve(monkeypatch, capsys, command, text) == (code, out, err)
+        codes.add(code)
+    assert codes == {0, 2, 3}

@@ -4,8 +4,8 @@ from fractions import Fraction as Q
 from itertools import combinations
 
 import pytest
-from helpers import (double_description_by_fractions, hull_member_by_lp, rng,
-                     single_point)
+from helpers import (double_description_by_fractions, hull_member_by_lp, line_rep,
+                     rng, single_point)
 
 from btgit.polyhedra import (PivotLimitExceeded, QPolyhedron, QPolytope,
                              _double_description, cone_contains,
@@ -14,7 +14,7 @@ from btgit.polyhedra import (PivotLimitExceeded, QPolyhedron, QPolytope,
                              min_enclosing_ball, minimax_face, polar_cone,
                              polyhedron_generators, polyhedron_vertices, rref,
                              solve_lp, tangent_cone)
-from btgit.qvec import dot, line_rep, neg, primitive, qvec, scale, sub
+from btgit.qvec import dot, neg, primitive, qvec, scale, sub
 from btgit.valfield import INF
 
 

@@ -4,11 +4,16 @@ from fractions import Fraction as Q
 
 import pytest
 
-from btgit.qvec import add, dot, qvec, scale
-from btgit.rootdata import (build_root_system, dominant_weight, preset_relative,
-                            reflect, reflection_closure, simple_shuffles,
-                            weyl_orbit, weyl_order)
-from helpers import orbit_by_reflection, roots_by_reflection, weights_by_solve
+from btgit.qvec import add, dot, primitive_ints, qvec, scale
+from btgit.rootdata import (_ray_reflection, build_root_system, dominant_weight,
+                            fundamental_rays, preset_relative, reflect,
+                            reflection_closure, relative_weyl_orbit,
+                            simple_shuffles, weyl_orbit, weyl_order)
+from helpers import (chamber_points_by_fractions,
+                     fundamental_points_by_fractions, integer_layer_data,
+                     orbit_by_reflection, relative_weyl_orbit_by_fractions,
+                     restricted_by_fractions, roots_by_reflection,
+                     weights_by_solve)
 
 ROOT_COUNTS = {"A": lambda l: l * (l + 1), "B": lambda l: 2 * l * l,
                "C": lambda l: 2 * l * l, "D": lambda l: 2 * l * (l - 1)}
@@ -130,3 +135,45 @@ def test_dominant_weight_examples():
     assert w == qvec([1, 0]) and ample
     with pytest.raises(ValueError):
         dominant_weight(build_root_system("A", 3), [2], [0])
+
+
+def test_restriction_matches_fraction_oracle():
+    for rel in integer_layer_data():
+        assert rel == restricted_by_fractions(rel.name, rel.datum, rel.dual_matrix,
+                                              rel.relative_simple, rel.gram), rel.name
+
+
+def test_ray_orbits_are_point_orbits_up_to_scaling():
+    """Up to rank 5, each ray orbit is the Fraction point orbit with every
+    point made primitive, element for element: the orbit of each fundamental
+    ray alone and, up to rank 4, the orbit of the tuple of all of them
+    (test_root_hyperplanes_match_fraction_oracle covers the single orbits
+    of the larger ranks through their lines)."""
+    for rel in integer_layer_data():
+        rays = fundamental_rays(rel)
+        points = fundamental_points_by_fractions(rel)
+        assert [tuple(primitive_ints(z)) for z in points] == rays
+        if rel.rank > 5:
+            continue
+        cases = [((z,), relative_weyl_orbit_by_fractions(rel, [(q,)]))
+                 for z, q in zip(rays, points)]
+        if rel.rank <= 4:
+            cases.append((tuple(rays), chamber_points_by_fractions(rel)))
+        for seed, by_points in cases:
+            orbit = relative_weyl_orbit(rel, [seed])
+            assert len(orbit) == len(by_points), rel.name
+            assert orbit == {tuple(primitive_ints(z) for z in tup)
+                             for tup in by_points}, rel.name
+
+
+def test_ray_reflection_rescales_off_the_lattice():
+    """Every preset's reflections keep the integer lattice; a pair (A, X)
+    that does not is reflected through (A . X) z - 2(A . z) X and the gcd,
+    and agrees with the Fraction image made primitive."""
+    A, X = (2, 1), (1, 1)
+    reflect_ray = _ray_reflection(A, X)
+    for z in ((1, 0), (0, 1), (1, -2), (3, 5)):
+        t = Q(2 * (A[0] * z[0] + A[1] * z[1]), A[0] * X[0] + A[1] * X[1])
+        image = tuple(Q(c) - t * x for c, x in zip(z, X))
+        assert reflect_ray(z) == primitive_ints(image)
+    assert reflect_ray((1, -2)) == (1, -2)

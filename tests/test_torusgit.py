@@ -1,16 +1,17 @@
 """Weight polytopes, stability statuses, chambers, and the regular-weight table."""
 
 from fractions import Fraction as Q
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 import copy
 import pickle
 
-from helpers import (chamber_presets, grid_points, mu_residue_recomputed,
+from helpers import (chamber_presets, classify_regular_weights_by_fractions,
+                     grid_points, integer_layer_data, mu_residue_recomputed,
                      random_grass24_point, random_proj_point, random_sl3_flag,
                      random_sp4_flag, random_su3_pair, rng,
-                     root_hyperplanes_by_subsets)
+                     root_hyperplanes_by_fractions, root_hyperplanes_by_subsets)
 
 from btgit.models import make_point, model_relative, weighted_coordinates
 from btgit.polyhedra import hull_member
@@ -162,6 +163,11 @@ def test_root_hyperplanes_match_subset_scan():
         assert root_hyperplanes(rel) == root_hyperplanes_by_subsets(rel), rel.name
 
 
+def test_root_hyperplanes_match_fraction_oracle():
+    for rel in integer_layer_data():
+        assert root_hyperplanes(rel) == root_hyperplanes_by_fractions(rel), rel.name
+
+
 def test_chamber_of_examples():
     hyps = root_hyperplanes(REL_A2)
     w12 = REL_A2.restrict(qvec([1, 0, -1]))  # omega1 + omega2
@@ -201,6 +207,41 @@ def test_classify_examples():
     assert classify_regular_weights(preset="su3", J=[1, 2]) == (True, True)
     assert classify_regular_weights(preset="nonsplit_C", rank=2, J=[1]) == \
         (True, True)
+
+
+def _subsets(nodes, sizes):
+    return [list(J) for k in sizes for J in combinations(range(1, nodes + 1), k)]
+
+
+def test_classify_matches_fraction_oracle():
+    """Split groups: every J of one or two nodes, and all nodes; the other
+    presets: every J.  Where the absolute Weyl group has 1920 or more
+    elements (D5, C5 under nonsplit_C of rank 5, A7 under sl_skew(3, 2)),
+    only J of one or two nodes: the Fraction oracle takes about a second
+    per larger J there."""
+    def subsets(nodes, sizes):
+        return [list(J) for k in sizes for J in combinations(range(1, nodes + 1), k)]
+
+    def sizes(nodes, every):
+        return range(1, nodes + 1) if every else (1, 2)
+
+    cases = []
+    for family, ranks in (("A", range(1, 6)), ("B", range(2, 5)),
+                          ("C", range(2, 5)), ("D", range(4, 6))):
+        for rank in ranks:
+            Js = subsets(rank, (1, 2))
+            if (family, rank) != ("D", 5):
+                Js.append(list(range(1, rank + 1)))
+            cases += [dict(family=family, rank=rank, J=J) for J in Js]
+    cases += [dict(preset="su3", J=J) for J in subsets(2, (1, 2))]
+    cases += [dict(preset="nonsplit_C", rank=rank, J=J) for rank in range(2, 6)
+              for J in subsets(rank, sizes(rank, rank < 5))]
+    cases += [dict(preset="sl_skew", s=s, d=d, J=J)
+              for s, d in ((1, 2), (2, 2), (2, 3), (3, 2))
+              for J in subsets(s, sizes(s, s < 3))]
+    for case in cases:
+        assert classify_regular_weights(**case) == \
+            classify_regular_weights_by_fractions(**case), case
 
 
 def test_classify_rejects_bad_j():

@@ -3,14 +3,16 @@
 from fractions import Fraction as Q
 
 import pytest
-from helpers import (chamber_presets, random_p1_point, rng, weyl_chambers,
-                     weyl_chambers_by_sign_patterns)
+from helpers import (chamber_presets, chamber_rays_by_fractions,
+                     integer_layer_data, random_p1_point, random_rational, rng,
+                     weyl_chambers, weyl_chambers_by_sign_patterns)
 
 from btgit.models import act, adjugate, make_point, model_relative
 from btgit.polyhedra import QPolyhedron, cone_generators
-from btgit.qvec import dot
+from btgit.qvec import dot, primitive_ints
 from btgit.rootdata import build_root_system, preset_relative
-from btgit.treebuilding import (ApartmentChart, TreePoint, act_tree,
+from btgit.treebuilding import (ApartmentChart, TreePoint, _chamber_cone,
+                                _chamber_rays, act_tree,
                                 chi_parabolic_member, circumcenter, f_chi_tree,
                                 interval_chi, interval_tree,
                                 invariant_monomials, p_chi_data, r_log,
@@ -315,6 +317,32 @@ def test_p_chi_data_wall_character():
 def test_weyl_chambers_match_sign_pattern_scan():
     for rel in chamber_presets(max_rank=3):
         assert weyl_chambers(rel) == weyl_chambers_by_sign_patterns(rel), rel.name
+
+
+def test_chamber_rays_and_p_chi_data_match_fraction_oracle():
+    """Up to rank 4: the root lines, the chambers' sign vectors in order
+    (all that weyl_chambers reads), and their rays up to positive scaling;
+    and for three seeded characters per datum, the kept chambers and their
+    face."""
+    r = rng(1201)
+    for rel in integer_layer_data():
+        if rel.rank > 4:
+            continue
+        lines, rays = _chamber_rays(rel)
+        want_lines, want_rays = chamber_rays_by_fractions(rel)
+        assert lines == want_lines and list(rays) == list(want_rays), rel.name
+        for signs, gens in want_rays.items():
+            assert rays[signs] == tuple(primitive_ints(g) for g in gens), rel.name
+        for _ in range(3):
+            chi = (Q(0),) * rel.rank
+            while not any(chi):
+                chi = tuple(random_rational(r) for _ in range(rel.rank))
+            data = p_chi_data(chi, rel)
+            kept = tuple(s for s, gens in want_rays.items()
+                         if all(dot(chi, g) >= 0 for g in gens))
+            halves = {h for s in kept for h in _chamber_cone(s, lines)}
+            assert data.chambers == kept, (rel.name, chi)
+            assert data.tau == QPolyhedron(tuple(sorted(halves))), (rel.name, chi)
 
 
 def test_p_chi_data_rejects_zero():
