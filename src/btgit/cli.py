@@ -304,7 +304,7 @@ def _cmd_tree(payload) -> dict:
         if g[0][1]:  # swap chart: degenerate end at [0:1]
             out["witness_end"] = "end [0:1]"
         else:
-            out["witness_end"] = f"end [1:{_fmt_element(g[1][0])}]"
+            out["witness_end"] = f"end [1:{out['witness'][1][0]}]"
     return out
 
 
@@ -525,7 +525,9 @@ def _write_file(path: str, data: bytes) -> None:
         raise ValidationFailure(f"cannot write output file {path!r}: {exc}") from exc
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="btgit",
         description="Exact torus GIT computations: JSON requests in, "
@@ -537,7 +539,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="result file, or - for stdout")
     parser.add_argument("--svg", dest="svgfile",
                         help="also render the result (rank <= 2)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         text = _read_payload(args.infile)
         try:

@@ -10,14 +10,15 @@ reduced coordinates of dimension equal to the relative rank.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction as Q
 from math import factorial, gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .polyhedra import QPolyhedron, cone_generators, rref
-from .qvec import (Vector, add, as_fractions, dot, primitive_ints, qvec,
-                   reduced_ints, scale, sub, zero)
+from .qvec import (Vector, _sum_of_products, add, as_fractions, dot,
+                   primitive_ints, qvec, reduced_ints, scale, sub, zero)
 
 Ray = Tuple[int, ...]  # a primitive integer vector, up to positive scaling
 
@@ -181,9 +182,19 @@ class RelativeDatum:
     gamma: Tuple[Tuple[Vector, Q], ...]
     gram: Tuple[Vector, ...]
 
+    @cached_property
+    def _dual_support(self) -> Tuple[Tuple[Tuple[int, Q], ...], ...]:
+        """The nonzero entries of each dual row, as (column, entry) pairs."""
+        return tuple(tuple((j, x) for j, x in enumerate(row) if x)
+                     for row in self.dual_matrix)
+
     def restrict(self, beta: Vector) -> Vector:
-        """Reduced dual coordinates of the restriction of an absolute weight."""
-        return tuple(dot(row, beta) for row in self.dual_matrix)
+        """Reduced dual coordinates of the restriction of an absolute weight,
+        read through the nonzero entries of each dual row."""
+        if len(beta) != self.datum.ambient_dim:
+            raise ValueError("dimension mismatch")
+        return tuple(_sum_of_products((x, beta[j]) for j, x in row)
+                     for row in self._dual_support)
 
     def gamma_of(self, alpha: Vector) -> Q:
         for root, step in self.gamma:

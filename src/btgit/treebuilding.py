@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import combinations
+from math import lcm
 from operator import mul
 from typing import Optional, Sequence, Tuple
 
@@ -105,29 +106,49 @@ def interval_tree(x: ModelPoint, R=Q(4)) -> TreeInterval:
     The branch coordinate b grows by one digit per step; the walk keeps
     rem = x1 - b * x0 up to date instead of b, and builds b at the exit.
     Each digit cancels the leading term of rem, so the digits' exponents
-    strictly increase and their terms are already in canonical order.
+    strictly increase: this is power-series long division (Knuth, TAOCP
+    vol. 2, 4.7).  The walk runs on integer exponents over one common
+    denominator D of x0's and x1's exponents: rem is a table from exponent
+    times D to coefficient, updated in place.  x0's further terms are
+    divided by its leading coefficient once, so each digit costs that one
+    division and one multiply-add per further term of x0.  The digits'
+    exponents become Fractions once, at the exit.
     """
     R = R if isinstance(R, Q) else Q(R)
     x0, x1 = _proj2_coords(x)
     if not x0:
         return TreeInterval((), "exact", witness=ApartmentChart.swap())
-    v0, lead = x0.valuation(), x0.leading_coefficient()
+    D = lcm(*(q.denominator for q, _ in x0.terms + x1.terms))
+    (v0, lead), *tail = [(q.numerator * (D // q.denominator), c)
+                         for q, c in x0.terms]
+    # rem loses c * x0 / lead when its leading coefficient c is cancelled
+    tail = [(n - v0, -c / lead) for n, c in tail]
+    rem = {q.numerator * (D // q.denominator): c for q, c in x1.terms}
+    # the largest digit exponent inside the radius, times D
+    depth = 2 * R.numerator * D // R.denominator
     digits = []
-    rem = x1
-    depth = 2 * R  # the walk leaves the radius past this digit exponent
     while rem:
-        q0, c0 = rem.terms[0]
-        e = q0 - v0
-        if e.denominator != 1 or e > depth:
+        n = min(rem)
+        e = n - v0
+        if e % D or e > depth:
             break
-        term = (e, c0 / lead)
-        digits.append(term)
-        rem = rem - _canonical((term,)) * x0
-    b = _canonical(tuple(digits))
+        c0 = rem.pop(n)
+        digits.append((e, c0 / lead))
+        for off, m in tail:
+            k = n + off
+            if k in rem:
+                r = rem[k] + c0 * m
+                if r:
+                    rem[k] = r
+                else:
+                    del rem[k]
+            else:
+                rem[k] = c0 * m
+    b = _canonical(tuple((Q(e // D), d) for e, d in digits))
     if not rem:
         return TreeInterval((), "exact", witness=ApartmentChart.branch(b))
-    if e.denominator != 1:
-        return TreeInterval((TreePoint(b, e / 2),), "exact")
+    if e % D:
+        return TreeInterval((TreePoint(b, Q(e, 2 * D)),), "exact")
     return TreeInterval((), "radius_limited", radius=R,
                         witness=ApartmentChart.branch(b))
 

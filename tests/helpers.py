@@ -15,8 +15,9 @@ from btgit.qvec import Vector, add, dot, neg, primitive, qvec, scale, sub
 from btgit.rootdata import (RelativeDatum, build_root_system, fundamental_rays,
                             preset_relative, reflect, reflection_closure,
                             simple_shuffles)
-from btgit.treebuilding import _chamber_cone, _chamber_rays
-from btgit.valfield import INF, ONE, ZERO, PuiseuxElement
+from btgit.treebuilding import (ApartmentChart, TreeInterval, TreePoint,
+                                _chamber_cone, _chamber_rays, _proj2_coords)
+from btgit.valfield import INF, ONE, ZERO, PuiseuxElement, _canonical
 
 
 def line_rep(x: Vector) -> Vector:
@@ -555,3 +556,37 @@ def classify_regular_weights_by_fractions(family=None, rank=None, J=(),
         if any(dot(h, rv) == 0 for h in hyps):
             return table, False
     return table, True
+
+
+def restrict_by_dot(rel: RelativeDatum, beta: Vector) -> Vector:
+    """Reference oracle: the restriction of a weight as one dense dot
+    product per dual row."""
+    return tuple(dot(row, beta) for row in rel.dual_matrix)
+
+
+def interval_tree_by_series(x, R=Q(4)) -> TreeInterval:
+    """Reference oracle: the tree walk on Puiseux elements, one digit
+    element and one product with x0 per step, keeping rem = x1 - b * x0."""
+    R = R if isinstance(R, Q) else Q(R)
+    x0, x1 = _proj2_coords(x)
+    if not x0:
+        return TreeInterval((), "exact", witness=ApartmentChart.swap())
+    v0, lead = x0.valuation(), x0.leading_coefficient()
+    digits = []
+    rem = x1
+    depth = 2 * R  # the walk leaves the radius past this digit exponent
+    while rem:
+        q0, c0 = rem.terms[0]
+        e = q0 - v0
+        if e.denominator != 1 or e > depth:
+            break
+        term = (e, c0 / lead)
+        digits.append(term)
+        rem = rem - _canonical((term,)) * x0
+    b = _canonical(tuple(digits))
+    if not rem:
+        return TreeInterval((), "exact", witness=ApartmentChart.branch(b))
+    if e.denominator != 1:
+        return TreeInterval((TreePoint(b, e / 2),), "exact")
+    return TreeInterval((), "radius_limited", radius=R,
+                        witness=ApartmentChart.branch(b))

@@ -163,6 +163,27 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["--command", "classify", "--in", str(req)]) == 2
 
 
+def test_parser_is_reused_across_requests(tmp_path, capsys):
+    req = tmp_path / "req.json"
+    req.write_text(json.dumps({"point": ["1 + t", "1"], "R": 2}))
+    bad = ["--command", "tree", "--in", str(req), "--colour"]
+    good = ["--command", "tree", "--in", str(req)]
+    answer = ('{"certificate":"radius_limited","interval":"empty","radius":"2",'
+              '"witness":[["1","0"],["1 - t + t^{2} - t^{3} + t^{4}","1"]],'
+              '"witness_end":"end [1:1 - t + t^{2} - t^{3} + t^{4}]"}\n')
+    for argv in (bad, good, bad, good):
+        if argv is bad:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("usage: btgit ")
+            assert err.endswith("btgit: error: unrecognized arguments: --colour\n")
+        else:
+            assert main(argv) == 0
+            assert capsys.readouterr() == (answer, "")
+
+
 @pytest.mark.parametrize("command,payload,pivot_limit,code", [
     ("status", {"model": "grass(x,4)", "point": ["1", "1", "1", "1", "1", "1"]},
      None, 2),

@@ -11,8 +11,9 @@ from btgit.rootdata import (_ray_reflection, build_root_system, dominant_weight,
                             simple_shuffles, weyl_orbit, weyl_order)
 from helpers import (chamber_points_by_fractions,
                      fundamental_points_by_fractions, integer_layer_data,
-                     orbit_by_reflection, relative_weyl_orbit_by_fractions,
-                     restricted_by_fractions, roots_by_reflection,
+                     orbit_by_reflection, random_rational,
+                     relative_weyl_orbit_by_fractions, restrict_by_dot,
+                     restricted_by_fractions, rng, roots_by_reflection,
                      weights_by_solve)
 
 ROOT_COUNTS = {"A": lambda l: l * (l + 1), "B": lambda l: 2 * l * l,
@@ -141,6 +142,23 @@ def test_restriction_matches_fraction_oracle():
     for rel in integer_layer_data():
         assert rel == restricted_by_fractions(rel.name, rel.datum, rel.dual_matrix,
                                               rel.relative_simple, rel.gram), rel.name
+
+
+def test_restrict_matches_dense_dot_oracle():
+    r = rng(1303)
+    for rel in integer_layer_data():
+        datum = rel.datum
+        n = datum.ambient_dim
+        weights = list(datum.all_roots) + list(datum.fundamental_weights)
+        weights += [tuple(random_rational(r) if r.random() < 0.6 else Q(0)
+                          for _ in range(n)) for _ in range(20)]
+        weights += [qvec([0] * n), qvec(range(n))]
+        for w in weights:
+            got = rel.restrict(w)
+            assert got == restrict_by_dot(rel, w), (rel.name, w)
+            assert all(type(c) is Q for c in got)
+        with pytest.raises(ValueError):
+            rel.restrict(qvec([1] * (n + 1)))
 
 
 def test_ray_orbits_are_point_orbits_up_to_scaling():

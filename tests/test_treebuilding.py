@@ -4,8 +4,9 @@ from fractions import Fraction as Q
 
 import pytest
 from helpers import (chamber_presets, chamber_rays_by_fractions,
-                     integer_layer_data, random_p1_point, random_rational, rng,
-                     weyl_chambers, weyl_chambers_by_sign_patterns)
+                     integer_layer_data, interval_tree_by_series,
+                     random_p1_point, random_rational, rng, weyl_chambers,
+                     weyl_chambers_by_sign_patterns)
 
 from btgit.models import act, adjugate, make_point, model_relative
 from btgit.polyhedra import QPolyhedron, cone_generators
@@ -72,6 +73,82 @@ def test_interval_tree_radius_certificate():
 def test_interval_tree_point_at_infinity():
     res = interval_tree(_p1(ZERO, ONE))
     assert res.is_empty() and res.witness is not None
+
+
+def _nonzero_rational(r):
+    c = Q(0)
+    while not c:
+        c = random_rational(r)
+    return c
+
+
+def _oracle_walk_case(r):
+    """A point [x0 : x1] and a radius for the walk-against-oracle test.
+
+    x0 has 1 to 4 terms over a denominator up to 6, a leading coefficient
+    among +-1, +-2 and 3/2, and a valuation that may be negative.  x1 is 0,
+    an exact multiple b * x0 with integer-exponent digits b, such a multiple
+    plus one term at a non-integer (mostly half-integer) offset, or a random
+    element over its own denominator.  R is 0, a random fraction, or sits at
+    or just below one of b's digit exponents halved.
+    """
+    den0 = r.randint(1, 6)
+    v0 = Q(r.randint(-3 * den0, 3 * den0), den0)
+    lead = r.choice((Q(1), Q(-1), Q(2), Q(-2), Q(3, 2)))
+    offsets = r.sample(range(1, 4 * den0 + 1), r.randint(0, min(3, 4 * den0)))
+    x0 = P([(v0, lead)] + [(v0 + Q(k, den0), _nonzero_rational(r))
+                           for k in offsets])
+    e0 = r.randint(-3, 3)
+    exps = sorted(r.sample(range(e0, e0 + 12), r.randint(1, 6)))
+    b = P([(q, _nonzero_rational(r)) for q in exps])
+    kind = r.choice(("zero", "multiple", "half", "half", "random", "random"))
+    if kind == "zero":
+        x1 = ZERO
+    elif kind == "multiple":
+        x1 = b * x0
+    elif kind == "half":
+        den1 = r.choice((2, 2, 2, 3, 4, 5, 6))
+        frac = Q(r.randint(1, den1 - 1), den1)
+        x1 = b * x0 + P.monomial(_nonzero_rational(r),
+                                 v0 + r.choice(exps) + r.randint(0, 3) + frac)
+    else:
+        den1 = r.randint(1, 6)
+        x1 = P([(Q(r.randint(-4 * den1, 8 * den1), den1), _nonzero_rational(r))
+                for _ in range(r.randint(1, 5))])
+    which = r.choice(("zero", "fraction", "at", "below", "below", "far"))
+    if which == "zero":
+        R = Q(0)
+    elif which == "fraction":
+        R = Q(r.randint(0, 30), r.randint(1, 7))
+    elif which == "far":
+        R = Q(40)
+    else:
+        depth = Q(r.choice(exps), 2)
+        R = depth if which == "at" else depth - Q(1, r.choice((2, 4, 12)))
+    return _p1(x0, x1), R
+
+
+def test_interval_tree_matches_series_oracle():
+    r = rng(1301)
+    exits = set()
+    for _ in range(1500):
+        x, R = _oracle_walk_case(r)
+        res = interval_tree(x, R)
+        want = interval_tree_by_series(x, R)
+        # the dataclass compares points, certificate, witness and radius
+        assert res == want, (x, R)
+        for z in res.points:
+            assert isinstance(z.u, Q)
+        elements = [z.b for z in res.points]
+        if res.witness is not None:
+            elements += [c for row in res.witness.g for c in row]
+        assert all(isinstance(q, Q) and isinstance(c, Q)
+                   for e in elements for q, c in e.terms)
+        exits.add((res.certificate, bool(res.points), res.witness is not None))
+    # every way out of the walk was taken: a singleton, an exact end, the
+    # radius; the point at infinity has its own test
+    assert exits == {("exact", True, False), ("exact", False, True),
+                     ("radius_limited", False, True)}
 
 
 def test_r_log_examples():
