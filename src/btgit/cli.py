@@ -16,7 +16,7 @@ import jsonschema
 from .interval import interval_A
 from .models import (ModelPoint, ModelSpec, UnknownModel, act, make_point,
                      model_spec, project, weighted_coordinates)
-from .polyhedra import PivotLimitExceeded, QPolyhedron, polyhedron_vertices
+from .polyhedra import QPolyhedron, WorkLimitExceeded, polyhedron_vertices
 from .rootdata import RelativeDatum, build_root_system, preset_relative
 from .torusgit import (chamber_of, chi_status, classify_regular_weights,
                        root_hyperplanes, stability_status)
@@ -559,7 +559,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValidationFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (Unsupported, PivotLimitExceeded) as exc:
+    except (Unsupported, WorkLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     if args.outfile == "-":

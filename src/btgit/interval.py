@@ -8,7 +8,7 @@ from typing import Mapping, Optional, Sequence, Tuple
 
 from .apartment import ApartmentPoint, InfinityPoint
 from .polyhedra import (Generators, QPolyhedron, cone_generators, minimax_face,
-                        polar_cone, polyhedron_generators, rref)
+                        polar_cone, rref)
 from .qvec import Vector, dot, is_zero, neg, primitive, qvec
 from .rootdata import RelativeDatum, weyl_orbit
 from .torusgit import WeightedPoint, mu_K, point_data, stability_status
@@ -17,8 +17,8 @@ from .valfield import INF
 
 @dataclass(frozen=True)
 class IntervalResult:
-    """Semistable locus of the apartment for one point: a face of an LP optimum,
-    with its points, recession rays and lines.  The point keeps it, so the
+    """Semistable locus of the apartment for one point: the argmax face of a
+    minimax, with its points, recession rays and lines.  The point keeps it, so the
     wall bounds are read-only."""
 
     polyhedron: Optional[QPolyhedron]
@@ -48,12 +48,15 @@ class IntervalResult:
 def interval_A(x: WeightedPoint, rel: RelativeDatum) -> IntervalResult:
     """Apartment points where the reduction of x stays semistable.
 
-    One LP finds the face; every wall bound is its support function, read off
-    the face's generators.  The relative roots are symmetric and span the
+    The locus is the argmax face of sup_z min_w (v_w + w . z) over the
+    restricted weights w of x and their least valuations v_w.  One double
+    description of the hypograph (minimax_face) gives the face and its
+    generators, with no LP; every wall bound is the face's support function,
+    read off those generators.  The relative roots are symmetric and span the
     dual space, so their wall bounds decide the shape: the face is bounded
     when every bound is finite, and a point when every root is constant on
     it, sup a = -sup(-a).  The point keeps the result for the datum last
-    asked, so asking again runs no LP.
+    asked, so asking again describes nothing.
     """
     data = point_data(x, rel)
     if data.interval is None:
@@ -65,15 +68,14 @@ def _interval(profile: Mapping[Vector, object], rel: RelativeDatum) -> IntervalR
     res = minimax_face(sorted(profile.items()))
     if res.value == INF:
         return IntervalResult(None, INF, False, None, MappingProxyType({}), None)
-    face = res.face
-    gens = polyhedron_generators(face)
+    gens = res.generators
     bounds = {a: gens.support(a) for a in rel.relative_roots}
     bounded = INF not in bounds.values()
     singleton = None
     if bounded and all(bounds[a] == -bounds[neg(a)] for a in bounds):
         red, _ = rref([a + (n,) for a, n in bounds.items()])
         singleton = ApartmentPoint(tuple(row[-1] for row in red))
-    return IntervalResult(face, res.value, bounded, singleton,
+    return IntervalResult(res.face, res.value, bounded, singleton,
                           MappingProxyType(bounds), gens)
 
 

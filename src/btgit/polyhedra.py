@@ -1,15 +1,19 @@
-"""Exact rational convex geometry: hull membership, cones, minimax LP, balls.
+"""Exact rational convex geometry: hull membership, cones, minimax faces, balls.
 
 Everything is computed exactly, in Fraction arithmetic or, inside the double
-description, on Python ints; no floating point is used anywhere.  The linear
-programs are solved by a two-phase simplex with Bland's rule, so termination
-is guaranteed; the environment variable BTGIT_LP_PIVOT_LIMIT caps the pivot
-count (default: unlimited).  Cone generators, cone facets, polyhedron
-generators (points, recession rays and lines, and so vertices and the
-support function), hull skeletons and hull membership all come from one
-double-description routine, with no LP and no subset enumeration; hull
-membership reads its integer lines and rays directly, with no Fraction, and
-a polytope keeps that description once it is built.
+description, on Python ints; no floating point is used anywhere.  Cone
+generators, cone facets, polyhedron generators (points, recession rays and
+lines, and so vertices and the support function), hull skeletons, hull
+membership and minimax faces all come from one double-description routine,
+with no LP and no subset enumeration; hull membership reads its integer lines
+and rays directly, with no Fraction, and a polytope keeps that description
+once it is built.  A minimax face and its generators are read off one
+description of the homogenized hypograph.  The environment variable
+BTGIT_DD_RAY_LIMIT caps the number of rays a description may hold after any
+row (default: unlimited).  The linear programs left, behind
+QPolyhedron.sup_linear and is_empty, are solved by a two-phase simplex with
+Bland's rule, so termination is guaranteed; BTGIT_LP_PIVOT_LIMIT caps its
+pivot count (default: unlimited).
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property
 from itertools import combinations
+from math import lcm
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from .qvec import (Vector, add, dot, is_zero, neg, primitive, primitive_ints, qvec,
@@ -26,12 +32,17 @@ from .qvec import (Vector, add, dot, is_zero, neg, primitive, primitive_ints, qv
 from .valfield import INF
 
 
-class PivotLimitExceeded(RuntimeError):
+class WorkLimitExceeded(RuntimeError):
+    """A computation ran past a work budget set in the environment."""
+
+
+class PivotLimitExceeded(WorkLimitExceeded):
     pass
 
 
-def _pivot_limit() -> Optional[int]:
-    raw = os.environ.get("BTGIT_LP_PIVOT_LIMIT")
+def _env_limit(name: str) -> Optional[int]:
+    """A work budget from the environment; unset means unlimited."""
+    raw = os.environ.get(name)
     return int(raw) if raw else None
 
 
@@ -130,7 +141,7 @@ def solve_lp(objective: Sequence[Q], eq=(), ub=(), maximize: bool = True) -> LPR
         rows[i][art0 + i] = Q(1)
         basis.append(art0 + i)
 
-    limit = _pivot_limit()
+    limit = _env_limit("BTGIT_LP_PIVOT_LIMIT")
 
     def run(costs: List[Q], banned: set) -> Tuple[str, Optional[int]]:
         pivots = 0
@@ -302,10 +313,11 @@ def hull_member(p: QPolytope, q: Sequence, mode: str = "closure") -> bool:
 
     The sign tests of hull_cone's halfspaces, read off the integer lines and
     rays of its double description (which p keeps after the first query)
-    against q lifted to height 1 and scaled to integers: q is in the closure
-    when every line vanishes on it and every ray is >= 0, and in the interior
-    when there is no line and every ray is > 0.  Positive rescaling keeps the
-    signs.
+    against q lifted to height 1 and scaled to integers by the lcm of its
+    denominators: q is in the closure when every line vanishes on it and
+    every ray is >= 0, and in the interior when there is no line and every
+    ray is > 0.  Positive rescaling keeps the signs, so the lift is not
+    reduced further.
     """
     q = qvec(q)
     if len(q) != p.dim:
@@ -313,11 +325,12 @@ def hull_member(p: QPolytope, q: Sequence, mode: str = "closure") -> bool:
     if mode not in ("closure", "interior"):
         raise ValueError(f"unknown mode {mode!r}")
     lines, rays = p._lifted_description
-    v = primitive_ints(q + (Q(1),))
+    den = lcm(*(x.denominator for x in q))
+    v = tuple(x.numerator * (den // x.denominator) for x in q) + (den,)
     if mode == "closure":
-        return (all(_int_dot(l, v) == 0 for _, l in lines)
-                and all(_int_dot(r, v) >= 0 for r in rays))
-    return not lines and all(_int_dot(r, v) > 0 for r in rays)
+        return (all(sum(map(mul, l, v)) == 0 for _, l in lines)
+                and all(sum(map(mul, r, v)) >= 0 for r in rays))
+    return not lines and all(sum(map(mul, r, v)) > 0 for r in rays)
 
 
 def hull_member_bruteforce(points: Sequence[Sequence], q: Sequence) -> bool:
@@ -354,10 +367,6 @@ def _combine(c: int, u: Tuple[int, ...], d: int, w: Tuple[int, ...]) -> Tuple[in
     return reduced_ints([c * x - d * y for x, y in zip(u, w)])
 
 
-def _int_dot(u: Tuple[int, ...], v: Tuple[int, ...]) -> int:
-    return sum(x * y for x, y in zip(u, v))
-
-
 def _integer_double_description(rows: Sequence[Vector], dim: int
                                 ) -> Tuple[List[Tuple[int, Tuple[int, ...]]],
                                            List[Tuple[int, ...]]]:
@@ -374,7 +383,11 @@ def _integer_double_description(rows: Sequence[Vector], dim: int
     integer vector, and lines and rays are kept as integer vectors divided
     by the gcd of their entries after every combination.  Only the signs of
     a . x matter, and positive rescaling keeps them.
+
+    The ray count after each row is checked against BTGIT_DD_RAY_LIMIT;
+    past it, WorkLimitExceeded is raised.
     """
+    limit = _env_limit("BTGIT_DD_RAY_LIMIT")
     lines = [(i, tuple(int(j == i) for j in range(dim))) for i in range(dim)]
     rays: List[Tuple[Tuple[int, ...], frozenset]] = []  # (ray, indices of rows tight on it)
     for k, row in enumerate(rows):
@@ -399,20 +412,23 @@ def _integer_double_description(rows: Sequence[Vector], dim: int
             rays = [(_combine(ap, r, v, pivot) if v else r, z | {k})
                     for v, (r, z) in zip([val(r) for r, _ in rays], rays)]
             rays.append((pivot, frozenset(range(k))))
-            continue
-        vals = [val(r) for r, _ in rays]
-        kept = [(r, z | {k} if v == 0 else z) for v, (r, z) in zip(vals, rays) if v >= 0]
-        for i, (vp, (p, zp)) in enumerate(zip(vals, rays)):
-            if vp <= 0:
-                continue
-            for j, (vn, (n, zn)) in enumerate(zip(vals, rays)):
-                if vn >= 0:
+        else:
+            vals = [val(r) for r, _ in rays]
+            kept = [(r, z | {k} if v == 0 else z) for v, (r, z) in zip(vals, rays) if v >= 0]
+            for i, (vp, (p, zp)) in enumerate(zip(vals, rays)):
+                if vp <= 0:
                     continue
-                common = zp & zn
-                # adjacent: no third ray is tight wherever both are
-                if not any(common <= z for m, (_, z) in enumerate(rays) if m not in (i, j)):
-                    kept.append((_combine(vp, n, vn, p), common | {k}))
-        rays = kept
+                for j, (vn, (n, zn)) in enumerate(zip(vals, rays)):
+                    if vn >= 0:
+                        continue
+                    common = zp & zn
+                    # adjacent: no third ray is tight wherever both are
+                    if not any(common <= z for m, (_, z) in enumerate(rays)
+                               if m not in (i, j)):
+                        kept.append((_combine(vp, n, vn, p), common | {k}))
+            rays = kept
+        if limit is not None and len(rays) > limit:
+            raise WorkLimitExceeded("double description ray limit exceeded")
     return lines, [r for r, _ in rays]
 
 
@@ -495,6 +511,7 @@ class MinimaxResult:
     value: object  # Q or INF
     face: Optional[QPolyhedron]  # argmax set; None when value is INF
     ray: Optional[Vector] = None  # an improving direction when value is INF
+    generators: Optional["Generators"] = None  # the face's; None when value is INF
 
 
 def minimax_face(affine_forms: Sequence[Tuple[Sequence, object]]) -> MinimaxResult:
@@ -502,21 +519,41 @@ def minimax_face(affine_forms: Sequence[Tuple[Sequence, object]]) -> MinimaxResu
 
     The affine forms are (normal, offset) pairs.  When the sup is infinite the
     result carries a witness direction along which every form increases.
+
+    One double description of the homogenized hypograph, the cone
+    {(z, s, t) : normal_i . z - s + offset_i t >= 0 for every form, t >= 0},
+    answers both the value and the face (Motzkin et al. 1953; Fukuda-Prodon
+    1996).  The row t >= 0 goes in first and the forms after it by ascending
+    offset, ties broken by normal, which keeps the intermediate descriptions
+    small.  The sup is infinite when a line has s != 0 or a ray at t = 0 has
+    s > 0; otherwise it is the largest s / t over the rays with t > 0, and
+    the face is generated by those rays with s / t at it (divided by t), the
+    rays at t = 0 with s = 0 and all the lines, each with s and t dropped.
     """
     forms = [(qvec(nrm), off if isinstance(off, Q) else Q(off)) for nrm, off in affine_forms]
     if not forms:
         raise ValueError("need at least one affine form")
     d = len(forms[0][0])
-    # vars: z (d), s; maximize s subject to s <= off_i + n_i . z
-    obj = [Q(0)] * d + [Q(1)]
-    ub = [(tuple(neg(nrm)) + (Q(1),), off) for nrm, off in forms]
-    res = solve_lp(obj, ub=ub)
-    if res.status == "unbounded":
-        ray = res.ray[:d]
-        return MinimaxResult(INF, None, ray=tuple(ray))
-    cstar = res.value
+    rows = [zero(d) + (Q(0), Q(1))]
+    rows += [nrm + (Q(-1), off)
+             for nrm, off in sorted(forms, key=lambda f: (f[1], f[0]))]
+    lines, rays = _integer_double_description(rows, d + 2)
+    for _, l in lines:
+        if l[d]:
+            sign = 1 if l[d] > 0 else -1
+            return MinimaxResult(INF, None, ray=tuple(Q(sign * x) for x in l[:d]))
+    for r in rays:
+        if r[d + 1] == 0 and r[d] > 0:
+            return MinimaxResult(INF, None, ray=tuple(map(Q, r[:d])))
+    points = [(Q(r[d], r[d + 1]), r) for r in rays if r[d + 1]]
+    cstar = max(s for s, _ in points)
+    gens = Generators(
+        tuple(sorted(tuple(Q(x, r[d + 1]) for x in r[:d])
+                     for s, r in points if s == cstar)),
+        tuple(tuple(map(Q, r[:d])) for r in rays if r[d + 1] == 0 and r[d] == 0),
+        tuple(tuple(Q(x, l[i]) for x in l[:d]) for i, l in lines))
     face = QPolyhedron([(nrm, cstar - off) for nrm, off in forms], d)
-    return MinimaxResult(cstar, face)
+    return MinimaxResult(cstar, face, generators=gens)
 
 
 # ---------------------------------------------------------------------------

@@ -290,7 +290,7 @@ def parse_puiseux(s) -> PuiseuxElement:
     pieces = re.findall(r"([+-])((?:[^+\-]|(?<=[\^{(])[+-])+)", text)
     if "".join(sign + term for sign, term in pieces) != text:
         raise ValueError(f"cannot parse element {s!r}")
-    out = PuiseuxElement.zero()
+    pairs = []
     for sign, term in pieces:
         m = _TERM.match(term)
         if not m:
@@ -303,8 +303,8 @@ def parse_puiseux(s) -> PuiseuxElement:
             if m.group("coef") is None:
                 raise ValueError(f"cannot parse term {term!r}")
             q = Q(0)
-        out = out + PuiseuxElement.monomial(-coef if sign == "-" else coef, q)
-    return out
+        pairs.append((q, -coef if sign == "-" else coef))
+    return PuiseuxElement(pairs)
 
 
 ZERO = PuiseuxElement.zero()

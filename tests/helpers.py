@@ -10,7 +10,8 @@ from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from btgit.models import make_point, model_relative, symplectic_form
-from btgit.polyhedra import QPolyhedron, QPolytope, rref, solve_lp
+from btgit.polyhedra import (MinimaxResult, QPolyhedron, QPolytope,
+                             polyhedron_generators, rref, solve_lp)
 from btgit.qvec import Vector, add, dot, neg, primitive, qvec, scale, sub
 from btgit.rootdata import (RelativeDatum, build_root_system, fundamental_rays,
                             preset_relative, reflect, reflection_closure,
@@ -325,6 +326,34 @@ def hull_member_by_lp(p: QPolytope, q, mode: str = "closure") -> bool:
             if res.status != "optimal" or res.value <= 0:
                 return False
     return True
+
+
+def minimax_face_by_lp(affine_forms) -> MinimaxResult:
+    """Oracle: sup_z min_i (offset_i + normal_i . z) and its argmax face by the
+    minimax simplex: maximize s subject to s <= offset_i + normal_i . z."""
+    forms = [(qvec(nrm), Q(off)) for nrm, off in affine_forms]
+    if not forms:
+        raise ValueError("need at least one affine form")
+    d = len(forms[0][0])
+    obj = [Q(0)] * d + [Q(1)]
+    ub = [(tuple(neg(nrm)) + (Q(1),), off) for nrm, off in forms]
+    res = solve_lp(obj, ub=ub)
+    if res.status == "unbounded":
+        return MinimaxResult(INF, None, ray=tuple(res.ray[:d]))
+    cstar = res.value
+    face = QPolyhedron([(nrm, cstar - off) for nrm, off in forms], d)
+    return MinimaxResult(cstar, face)
+
+
+def interval_by_lp(profile, rel: RelativeDatum):
+    """Oracle: c*, the face and its wall bounds by the minimax simplex, then
+    one double description of the face it found, with the face's rows in
+    weight order.  The face and the bounds are None when c* is INF."""
+    res = minimax_face_by_lp(sorted(profile.items()))
+    if res.value == INF:
+        return INF, None, None
+    gens = polyhedron_generators(res.face)
+    return res.value, res.face, {a: gens.support(a) for a in rel.relative_roots}
 
 
 def mu_residue_recomputed(x, rel: RelativeDatum, z) -> QPolytope:

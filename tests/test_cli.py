@@ -184,7 +184,7 @@ def test_parser_is_reused_across_requests(tmp_path, capsys):
             assert capsys.readouterr() == (answer, "")
 
 
-@pytest.mark.parametrize("command,payload,pivot_limit,code", [
+@pytest.mark.parametrize("command,payload,env,code", [
     ("status", {"model": "grass(x,4)", "point": ["1", "1", "1", "1", "1", "1"]},
      None, 2),
     ("status", {"model": "proj(1)", "point": ["1"]}, None, 2),
@@ -195,7 +195,8 @@ def test_parser_is_reused_across_requests(tmp_path, capsys):
     ("models", {"model": "proj(2)", "point": ["1", "t"],
                 "act": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
      None, 2),
-    ("interval", {"model": "proj(2)", "point": ["1", "t^{1/2}"]}, "1", 3),
+    ("interval", {"model": "proj(2)", "point": ["1", "t^{1/2}"]},
+     {"BTGIT_DD_RAY_LIMIT": "1"}, 3),
     ("status", {"model": "proj(2)", "point": ["1", "t^{1/2}"],
                 "chi": ["1", "-1"]}, None, 2),
     ("interval", {"model": "proj(4)", "point": ["1", "t", "t^2", "1 + t"],
@@ -207,13 +208,25 @@ def test_parser_is_reused_across_requests(tmp_path, capsys):
         "zero-chi-denominator", "ragged-act", "act-size-mismatch",
         "pivot-limit", "short-chi", "long-chi", "zero-lam"])
 def test_bad_inputs_exit_without_output(tmp_path, capsys, monkeypatch,
-                                        command, payload, pivot_limit, code):
-    if pivot_limit is not None:
-        monkeypatch.setenv("BTGIT_LP_PIVOT_LIMIT", pivot_limit)
+                                        command, payload, env, code):
+    for name, value in (env or {}).items():
+        monkeypatch.setenv(name, value)
     req = tmp_path / "req.json"
     req.write_text(json.dumps(payload))
     assert main(["--command", command, "--in", str(req)]) == code
     assert capsys.readouterr().out == ""
+
+
+def test_lp_pivot_limit_leaves_interval_alone(tmp_path, capsys, monkeypatch):
+    # the interval path runs no LP, so the pivot limit does not touch it
+    req = tmp_path / "req.json"
+    req.write_text(json.dumps({"model": "proj(2)", "point": ["1", "t^{1/2}"]}))
+    argv = ["--command", "interval", "--in", str(req)]
+    assert main(argv) == 0
+    free = capsys.readouterr()
+    monkeypatch.setenv("BTGIT_LP_PIVOT_LIMIT", "1")
+    assert main(argv) == 0
+    assert capsys.readouterr() == free and '"c_star":"1/4"' in free.out
 
 
 @pytest.mark.parametrize("command", ["status", "interval", "models", "chi"])
@@ -295,9 +308,10 @@ UNIPOTENT10 = [["1" if i == j else "0" if j < i else f"{i + j} + t^{{1/2}}"
      "model", "grass(7,14)"),
     ("rootsys", {"family": "A", "rank": 12}, "hyperplanes", 4095),
     ("status", {"model": "proj(80)", "point": ["1"] + ["t"] * 79}, "status", "stable"),
+    ("interval", {"model": "grass(5,10)", "point": _generic_rows(5, 10)}, "singleton", 9),
 ], ids=["rootsys-A7", "chi-B4", "chi-D5", "status-grass48", "status-proj40",
         "tree-R800", "models-act-proj10", "models-grass612-rows",
-        "models-grass714-rows", "rootsys-A12", "status-proj80"])
+        "models-grass714-rows", "rootsys-A12", "status-proj80", "interval-grass510"])
 def test_chamber_requests_do_bounded_work(tmp_path, capsys, command, payload,
                                           key, want):
     req = tmp_path / "req.json"

@@ -3,20 +3,21 @@
 from fractions import Fraction as Q
 
 import pytest
-from helpers import (grid_points, is_bounded, random_grass24_point,
-                     random_proj_point, random_sl3_flag, random_sp4_flag,
-                     random_su3_pair, rng, single_point, wall_h_rep)
+from helpers import (grid_points, interval_by_lp, is_bounded, random_element,
+                     random_grass24_point, random_proj_point, random_sl3_flag,
+                     random_sp4_flag, random_su3_pair, rng, single_point,
+                     wall_h_rep)
 
-from btgit import polyhedra
+from btgit import interval, polyhedra
 from btgit.apartment import InfinityPoint, nu
 from btgit.cli import run
 from btgit.interval import (destabilizing_1ps, fixed_locus_possible,
                             interval_A, interval_A_chi, lambda_A)
 from btgit.models import make_point, model_relative, project, weighted_coordinates
-from btgit.polyhedra import hull_member
-from btgit.qvec import add, dot, primitive, qvec, scale
+from btgit.polyhedra import hull_member, minimax_face
+from btgit.qvec import add, dot, neg, primitive, qvec, scale
 from btgit.rootdata import build_root_system, preset_relative
-from btgit.torusgit import mu_residue, translate
+from btgit.torusgit import mu_residue, point_data, stability_status, translate
 from btgit.valfield import INF, ONE, ZERO, PuiseuxElement, format_rational
 
 P = PuiseuxElement
@@ -148,7 +149,6 @@ def test_equivariance_under_torus_translation():
 
 
 def test_bounded_iff_stable_on_samples():
-    from btgit.torusgit import stability_status
     r = rng(53)
     rel = model_relative("proj(3)")
     for _ in range(40):
@@ -194,16 +194,24 @@ def test_interval_shape_matches_lp_oracles():
 
 
 def test_interval_and_character_run_one_lp(monkeypatch):
-    # the minimax LP finds the face; wall bounds, shape and the character
-    # optimum are read off the face's generators
-    calls = []
-    real = polyhedra.solve_lp
+    # one double description of the hypograph finds the face and its
+    # generators, with no LP; wall bounds, shape and the character optimum
+    # are read off those generators
+    lps, minimax = [], []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(real, calls):
+        def wrapped(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(polyhedra, "solve_lp", counting)
+    monkeypatch.setattr(polyhedra, "solve_lp", counting(polyhedra.solve_lp, lps))
+    monkeypatch.setattr(interval, "minimax_face",
+                        counting(interval.minimax_face, minimax))
+
+    def counts():
+        return len(lps), len(minimax)
+
     r = rng(61)
     cases = [("proj(3)", lambda: random_proj_point(r, 3), None),
              ("grass(2,4)", lambda: random_grass24_point(r), None),
@@ -211,17 +219,18 @@ def test_interval_and_character_run_one_lp(monkeypatch):
     for model, draw, lam in cases:
         rel = model_relative(model)
         for _ in range(4):
-            calls.clear()
+            lps.clear()
+            minimax.clear()
             wp = weighted_coordinates(draw(), lam=lam)
             res = interval_A(wp, rel)
-            assert len(calls) == 1, model
+            assert counts() == (0, 1), model
             if not res.is_empty():
                 res.chi_optimum(rel.relative_roots[0])
-                assert len(calls) == 1, model
+                assert counts() == (0, 1), model
                 # the point keeps its interval, also for an equal fresh datum
                 for again in (rel, model_relative(model)):
                     interval_A_chi(wp, again, rel.relative_roots[0])
-                    assert len(calls) == 1, model
+                    assert counts() == (0, 1), model
     chi = [format_rational(c) for c in GR24_REL.restrict((1, 1, 0, 0))]
     requests = [
         ("interval", {"model": "proj(2)", "point": ["1", "t^{1/2}"], "chi": ["3"]}),
@@ -233,6 +242,110 @@ def test_interval_and_character_run_one_lp(monkeypatch):
                  "chi": ["1", "0"]}),
     ]
     for command, payload in requests:
-        calls.clear()
+        lps.clear()
+        minimax.clear()
         run(command, payload)
-        assert len(calls) == 1, (command, payload)
+        assert counts() == (0, 1), (command, payload)
+
+
+def _assert_interval_matches_oracle(wp, rel, chis=(), singleton_by_lp=True):
+    """interval_A against the minimax simplex and a description of its face:
+    c*, the face, the wall bounds, the singleton (by LPs along the axes, or
+    else as the point every bound is attained at) and the character optimum
+    (by an LP); an infinite c* has a witness ray along which every form
+    increases."""
+    got = interval_A(wp, rel)
+    profile = point_data(wp, rel).profile
+    c_star, face, bounds = interval_by_lp(profile, rel)
+    assert got.c_star == c_star
+    if c_star == INF:
+        assert got.is_empty()
+        ray = minimax_face(sorted(profile.items())).ray
+        assert all(dot(w, ray) > 0 for w in profile)
+        return
+    assert got.polyhedron == face
+    assert dict(got.wall_bounds) == bounds
+    point = got.singleton.coords if got.singleton else None
+    if singleton_by_lp:
+        assert point == single_point(face)
+    elif point is None:
+        assert any(n == INF or n != -bounds[neg(a)] for a, n in bounds.items())
+    else:
+        assert all(dot(a, point) == n for a, n in bounds.items())
+    for chi in chis:
+        n, chi_face = got.chi_optimum(chi)
+        want = face.sup_linear(chi)
+        assert n == want
+        assert chi_face == (None if want == INF else face.with_equality(chi, want))
+
+
+def _random_grass_point(r, j, n):
+    while True:
+        rows = [[random_element(r, max_terms=2) for _ in range(n)] for _ in range(j)]
+        try:
+            return make_point(f"grass({j},{n})", rows)
+        except ValueError:
+            continue
+
+
+def test_minimax_face_matches_lp_oracle():
+    r = rng(67)
+    draws = [(f"proj({n})", lambda n=n: random_proj_point(r, n), None)
+             for n in range(2, 9)]
+    draws += [("grass(2,4)", lambda: random_grass24_point(r), None),
+              ("grass(3,6)", lambda: _random_grass_point(r, 3, 6), None)]
+    draws += [(m, draw, lam) for m, draw in (("su3_pair", lambda: random_su3_pair(r)),
+                                             ("sl3_flag", lambda: random_sl3_flag(r)),
+                                             ("sp4_flag", lambda: random_sp4_flag(r)))
+              for lam in ((1, 1), (2, 1))]
+    statuses = set()
+    for model, draw, lam in draws:
+        rel = model_relative(model)
+        for _ in range(8):
+            wp = weighted_coordinates(draw(), lam=lam)
+            statuses.add(stability_status(wp, rel))
+            chis = [tuple(Q(r.randint(-2, 2)) for _ in range(rel.rank))
+                    for _ in range(3)]
+            _assert_interval_matches_oracle(wp, rel, chis)
+    assert statuses == {"stable", "strictly_semistable", "unstable"}
+
+
+def _stress_rows(r, j, n):
+    """j rows of n entries a*t^{b/2} + c*t^{d/3}."""
+    coef = (-3, -2, -1, 1, 2, 3)
+    return [[PuiseuxElement([(Q(r.randint(0, 4), 2), r.choice(coef)),
+                             (Q(r.randint(0, 4), 3), r.choice(coef))])
+             for _ in range(n)] for _ in range(j)]
+
+
+@pytest.mark.parametrize("j,n,count,ray_limit,oracle", [
+    (4, 8, 20, 100, True), (5, 10, 2, 250, False)], ids=["grass48", "grass510"])
+def test_interval_description_stays_small(monkeypatch, j, n, count, ray_limit,
+                                          oracle):
+    # the hypograph's rows go in by ascending valuation, which keeps every
+    # intermediate description under the limit (largest seen: 70 rays on
+    # grass(4,8), 168 on grass(5,10)); the simplex oracle takes minutes on
+    # grass(5,10), so there every face point is checked to attain c* instead
+    r = rng(71 + j)
+    rel = model_relative(f"grass({j},{n})")
+    for _ in range(count):
+        while True:
+            try:
+                wp = weighted_coordinates(make_point(f"grass({j},{n})",
+                                                     _stress_rows(r, j, n)))
+                break
+            except ValueError:
+                continue
+        # the limit covers interval_A alone: the oracle describes its face
+        # with the rows in weight order
+        monkeypatch.setenv("BTGIT_DD_RAY_LIMIT", str(ray_limit))
+        res = interval_A(wp, rel)
+        monkeypatch.delenv("BTGIT_DD_RAY_LIMIT")
+        assert not res.is_empty()
+        if oracle:
+            _assert_interval_matches_oracle(wp, rel, singleton_by_lp=False)
+            continue
+        profile = point_data(wp, rel).profile
+        for z in res.generators.points:
+            assert res.contains(z)
+            assert min(v + dot(w, z) for w, v in profile.items()) == res.c_star

@@ -8,6 +8,7 @@ from helpers import (double_description_by_fractions, hull_member_by_lp, line_re
                      rng, single_point)
 
 from btgit.polyhedra import (PivotLimitExceeded, QPolyhedron, QPolytope,
+                             WorkLimitExceeded,
                              _double_description, cone_contains,
                              cone_generators, cone_h_rep, hull_member,
                              hull_member_bruteforce, hull_skeleton,
@@ -173,6 +174,15 @@ def test_lp_pivot_limit_env(monkeypatch):
                  ub=[((Q(1), Q(0)), Q(5)), ((Q(0), Q(1)), Q(5)),
                      ((Q(-1), Q(0)), Q(5)), ((Q(0), Q(-1)), Q(5))],
                  maximize=True)
+
+
+def test_dd_ray_limit_env(monkeypatch):
+    square = QPolyhedron([((1, 0), 0), ((0, 1), 0), ((-1, 0), -1), ((0, -1), -1)])
+    assert len(polyhedron_vertices(square)) == 4
+    monkeypatch.setenv("BTGIT_DD_RAY_LIMIT", "3")
+    with pytest.raises(WorkLimitExceeded):
+        polyhedron_vertices(square)
+    assert issubclass(PivotLimitExceeded, WorkLimitExceeded)
 
 
 def _rand_vec(r, dim):
