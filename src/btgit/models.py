@@ -5,7 +5,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import comb
 from typing import Dict, Optional, Sequence, Tuple
@@ -95,11 +95,9 @@ class ModelSpec:
 
     @property
     def relative(self) -> RelativeDatum:
-        """Restriction data of the group acting on the model."""
-        if self.group == ("su3",):
-            return preset_relative("su3")
-        _, family, rank = self.group
-        return preset_relative("split", datum=build_root_system(family, rank))
+        """Restriction data of the group acting on the model (one datum per
+        group, shared by every model of that group)."""
+        return _group_relative(self.group)
 
     @property
     def defining_weights(self) -> Tuple[Vector, ...]:
@@ -114,6 +112,17 @@ class ModelSpec:
         """Torus weights of the coordinates of each factor of a point."""
         w = self.defining_weights
         return tuple(_weigh(how, w, self.args) for how in self.factors)
+
+
+@lru_cache(maxsize=16)
+def _group_relative(group: Tuple) -> RelativeDatum:
+    """The datum of a group preset, built once per group.  proj(n) and
+    grass(j,n) make the groups unbounded in number, so only the most
+    recently asked are kept."""
+    if group == ("su3",):
+        return preset_relative("su3")
+    _, family, rank = group
+    return preset_relative("split", datum=build_root_system(family, rank))
 
 
 def _weigh(how: str, w: Sequence[Vector], args) -> Tuple[Vector, ...]:

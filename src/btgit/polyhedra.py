@@ -10,8 +10,9 @@ and rays directly, with no Fraction, and a polytope keeps that description
 once it is built.  A minimax face and its generators are read off one
 description of the homogenized hypograph.  The environment variable
 BTGIT_DD_RAY_LIMIT caps the number of rays a description may hold after any
-row (default: unlimited).  The linear programs left, behind
-QPolyhedron.sup_linear and is_empty, are solved by a two-phase simplex with
+row (default: unlimited).  QPolyhedron.is_empty reads the same
+description.  The one linear program left, behind QPolyhedron.sup_linear
+(which nothing in the package calls), is solved by a two-phase simplex with
 Bland's rule, so termination is guaranteed; BTGIT_LP_PIVOT_LIMIT caps its
 pivot count (default: unlimited).
 """
@@ -288,9 +289,9 @@ class QPolyhedron:
         return res.value
 
     def is_empty(self) -> bool:
-        res = solve_lp([Q(0)] * self.dim,
-                       ub=[(neg(nrm), -off) for nrm, off in self.halfspaces])
-        return res.status != "optimal"
+        """Whether no point satisfies every halfspace: the homogenization
+        has no ray at height t > 0 (polyhedron_generators)."""
+        return not polyhedron_generators(self).points
 
 
 # ---------------------------------------------------------------------------
@@ -318,19 +319,31 @@ def hull_member(p: QPolytope, q: Sequence, mode: str = "closure") -> bool:
     every ray is >= 0, and in the interior when there is no line and every
     ray is > 0.  Positive rescaling keeps the signs, so the lift is not
     reduced further.
+
+    p keeps the answer to its last query, so asking an equal q in the same
+    mode again, as a residue sweep asks each kept polytope, tests nothing.
+    A q that is not a tuple is copied into one first, so changing it later
+    cannot change the kept answer.
     """
-    q = qvec(q)
-    if len(q) != p.dim:
+    key = q if type(q) is tuple else tuple(q)
+    last = p.__dict__.get("_last_query")
+    if last is not None and (last[0] is key or last[0] == key) and last[1] == mode:
+        return last[2]
+    qv = qvec(key)
+    if len(qv) != p.dim:
         raise ValueError("dimension mismatch")
     if mode not in ("closure", "interior"):
         raise ValueError(f"unknown mode {mode!r}")
     lines, rays = p._lifted_description
-    den = lcm(*(x.denominator for x in q))
-    v = tuple(x.numerator * (den // x.denominator) for x in q) + (den,)
+    den = lcm(*(x.denominator for x in qv))
+    v = tuple(x.numerator * (den // x.denominator) for x in qv) + (den,)
     if mode == "closure":
-        return (all(sum(map(mul, l, v)) == 0 for _, l in lines)
-                and all(sum(map(mul, r, v)) >= 0 for r in rays))
-    return not lines and all(sum(map(mul, r, v)) > 0 for r in rays)
+        answer = (all(sum(map(mul, l, v)) == 0 for _, l in lines)
+                  and all(sum(map(mul, r, v)) >= 0 for r in rays))
+    else:
+        answer = not lines and all(sum(map(mul, r, v)) > 0 for r in rays)
+    p.__dict__["_last_query"] = (key, mode, answer)
+    return answer
 
 
 def hull_member_bruteforce(points: Sequence[Sequence], q: Sequence) -> bool:
@@ -375,7 +388,10 @@ def _integer_double_description(rows: Sequence[Vector], dim: int
 
     Double description (Motzkin et al. 1953; Fukuda-Prodon 1996): start from
     the whole space and add the inequalities one at a time, tracking the rows
-    tight on each ray.  The lines span the kernel of the rows, each one
+    tight on each ray.  A pair of rays on opposite sides of the new row is
+    combined when they are adjacent: they share at least dim - len(lines) - 2
+    tight rows (checked first, as it is cheap) and no third ray is tight on
+    all of those.  The lines span the kernel of the rows, each one
     nonzero at its own free coordinate and zero at the other lines' free
     coordinates, and every ray vanishes on all the free coordinates.
 
@@ -415,6 +431,9 @@ def _integer_double_description(rows: Sequence[Vector], dim: int
         else:
             vals = [val(r) for r, _ in rays]
             kept = [(r, z | {k} if v == 0 else z) for v, (r, z) in zip(vals, rays) if v >= 0]
+            # two adjacent rays span a 2-face, whose tight rows have rank
+            # dim - len(lines) - 2, so they share at least that many
+            least = dim - len(lines) - 2
             for i, (vp, (p, zp)) in enumerate(zip(vals, rays)):
                 if vp <= 0:
                     continue
@@ -423,8 +442,9 @@ def _integer_double_description(rows: Sequence[Vector], dim: int
                         continue
                     common = zp & zn
                     # adjacent: no third ray is tight wherever both are
-                    if not any(common <= z for m, (_, z) in enumerate(rays)
-                               if m not in (i, j)):
+                    if len(common) >= least and not any(
+                            common <= z for m, (_, z) in enumerate(rays)
+                            if m not in (i, j)):
                         kept.append((_combine(vp, n, vn, p), common | {k}))
             rays = kept
         if limit is not None and len(rays) > limit:

@@ -32,8 +32,7 @@ class WeightedPoint:
             raise ValueError("all coordinates are zero")
         m = min(vals)
         if m != 0:
-            shift = PuiseuxElement.t_power(-m)
-            cleaned = tuple((w, i, c * shift) for w, i, c in cleaned)
+            cleaned = tuple((w, i, c.shift(-m)) for w, i, c in cleaned)
         object.__setattr__(self, "entries", cleaned)
 
     def __getstate__(self):
@@ -56,8 +55,7 @@ class WeightedPoint:
 def translate(x: WeightedPoint, vals: Sequence) -> WeightedPoint:
     """Act by a diagonal torus element with the given entry valuations."""
     v = qvec(vals)
-    return WeightedPoint([(w, i, c * PuiseuxElement.t_power(dot(w, v)))
-                          for w, i, c in x.entries])
+    return WeightedPoint([(w, i, c.shift(dot(w, v))) for w, i, c in x.entries])
 
 
 class PointData:
@@ -95,8 +93,9 @@ class PointData:
 
 def point_data(x: WeightedPoint, rel: RelativeDatum) -> PointData:
     """The point's derived data under rel, kept on the point for the datum
-    last asked.  model_relative builds a new datum on every call, so an equal
-    datum counts as the same one."""
+    last asked.  model_relative shares one datum per group, but a datum
+    built elsewhere can equal it without being it, so an equal datum counts
+    as the same one."""
     data = x.__dict__.get("_data")
     if data is None or (data.rel is not rel and data.rel != rel):
         data = PointData(x, rel)

@@ -104,6 +104,8 @@ class PuiseuxElement:
     def __pow__(self, n: int) -> "PuiseuxElement":
         if n < 0:
             raise ValueError("negative powers are not supported")
+        if n == 1:
+            return self
         out = PuiseuxElement.one()
         for _ in range(n):
             out = out * self
@@ -150,6 +152,13 @@ class PuiseuxElement:
             raise ValueError("division by a zero monomial")
         q = _q(q)
         return _canonical(tuple((qq - q, cc / c) for qq, cc in self.terms))
+
+    def shift(self, q: Rational) -> "PuiseuxElement":
+        """The product by t^q: every exponent moved by q, coefficients kept."""
+        q = _q(q)
+        if not q:
+            return self
+        return _canonical(tuple((qq + q, c) for qq, c in self.terms))
 
     def residue(self) -> Q:
         """Image in the residue field; requires valuation >= 0."""

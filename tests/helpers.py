@@ -274,6 +274,14 @@ def is_bounded(poly: QPolyhedron) -> bool:
     return True
 
 
+def is_empty_by_lp(poly: QPolyhedron) -> bool:
+    """Reference oracle: emptiness as the infeasibility of one LP with a zero
+    objective."""
+    res = solve_lp([Q(0)] * poly.dim,
+                   ub=[(neg(nrm), -off) for nrm, off in poly.halfspaces])
+    return res.status != "optimal"
+
+
 def single_point(poly: QPolyhedron) -> Optional[Vector]:
     """Reference oracle: the unique point of the polyhedron, or None, by two
     LPs along each coordinate axis."""
@@ -380,7 +388,9 @@ def double_description_by_fractions(rows: Sequence[Vector], dim: int
                                     ) -> Tuple[List[Vector], List[Vector]]:
     """Reference oracle: the double description carried out in Fraction
     arithmetic, with the same row order, pivot choice and adjacency test as
-    polyhedra._double_description, so its lines and rays match in order.
+    polyhedra._double_description, so its lines and rays match in order; its
+    adjacency test scans every pair, with no count of shared tight rows
+    first.
 
     Lines stay the reduced kernel basis of the rows, one unit entry per free
     coordinate; rays are rescaled to primitive integer vectors."""

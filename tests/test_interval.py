@@ -3,7 +3,8 @@
 from fractions import Fraction as Q
 
 import pytest
-from helpers import (grid_points, interval_by_lp, is_bounded, random_element,
+from helpers import (double_description_by_fractions, grid_points,
+                     interval_by_lp, is_bounded, random_element,
                      random_grass24_point, random_proj_point, random_sl3_flag,
                      random_sp4_flag, random_su3_pair, rng, single_point,
                      wall_h_rep)
@@ -13,7 +14,8 @@ from btgit.apartment import InfinityPoint, nu
 from btgit.cli import run
 from btgit.interval import (destabilizing_1ps, fixed_locus_possible,
                             interval_A, interval_A_chi, lambda_A)
-from btgit.models import make_point, model_relative, project, weighted_coordinates
+from btgit.models import (make_point, model_relative, model_spec, project,
+                          weighted_coordinates)
 from btgit.polyhedra import hull_member, minimax_face
 from btgit.qvec import add, dot, neg, primitive, qvec, scale
 from btgit.rootdata import build_root_system, preset_relative
@@ -227,8 +229,12 @@ def test_interval_and_character_run_one_lp(monkeypatch):
             if not res.is_empty():
                 res.chi_optimum(rel.relative_roots[0])
                 assert counts() == (0, 1), model
-                # the point keeps its interval, also for an equal fresh datum
-                for again in (rel, model_relative(model)):
+                # the point keeps its interval, also for an equal datum
+                # built anew
+                _, family, rank = model_spec(model).group
+                fresh = preset_relative("split", datum=build_root_system(family, rank))
+                assert fresh == rel and fresh is not rel
+                for again in (rel, fresh):
                     interval_A_chi(wp, again, rel.relative_roots[0])
                     assert counts() == (0, 1), model
     chi = [format_rational(c) for c in GR24_REL.restrict((1, 1, 0, 0))]
@@ -318,6 +324,19 @@ def _stress_rows(r, j, n):
              for _ in range(n)] for _ in range(j)]
 
 
+def _stress_points(j, n, count):
+    """count seeded points of grass(j,n) with _stress_rows."""
+    r = rng(71 + j)
+    for _ in range(count):
+        while True:
+            try:
+                yield weighted_coordinates(make_point(f"grass({j},{n})",
+                                                      _stress_rows(r, j, n)))
+                break
+            except ValueError:
+                continue
+
+
 @pytest.mark.parametrize("j,n,count,ray_limit,oracle", [
     (4, 8, 20, 100, True), (5, 10, 2, 250, False)], ids=["grass48", "grass510"])
 def test_interval_description_stays_small(monkeypatch, j, n, count, ray_limit,
@@ -325,23 +344,30 @@ def test_interval_description_stays_small(monkeypatch, j, n, count, ray_limit,
     # the hypograph's rows go in by ascending valuation, which keeps every
     # intermediate description under the limit (largest seen: 70 rays on
     # grass(4,8), 168 on grass(5,10)); the simplex oracle takes minutes on
-    # grass(5,10), so there every face point is checked to attain c* instead
-    r = rng(71 + j)
+    # grass(5,10), so there every face point is checked to attain c* instead.
+    # Counting the shared tight rows before the adjacency scan drops no ray
+    # and moves none: each hypograph's description equals the Fraction
+    # oracle's, which scans every pair.
+    described = []
+    real = polyhedra._integer_double_description
+
+    def recording(rows, dim):
+        described.append((rows, dim))
+        return real(rows, dim)
+
+    monkeypatch.setattr(polyhedra, "_integer_double_description", recording)
     rel = model_relative(f"grass({j},{n})")
-    for _ in range(count):
-        while True:
-            try:
-                wp = weighted_coordinates(make_point(f"grass({j},{n})",
-                                                     _stress_rows(r, j, n)))
-                break
-            except ValueError:
-                continue
+    for wp in _stress_points(j, n, count):
         # the limit covers interval_A alone: the oracle describes its face
         # with the rows in weight order
+        described.clear()
         monkeypatch.setenv("BTGIT_DD_RAY_LIMIT", str(ray_limit))
         res = interval_A(wp, rel)
         monkeypatch.delenv("BTGIT_DD_RAY_LIMIT")
         assert not res.is_empty()
+        ((rows, dim),) = described
+        assert polyhedra._double_description(rows, dim) == \
+            double_description_by_fractions(rows, dim)
         if oracle:
             _assert_interval_matches_oracle(wp, rel, singleton_by_lp=False)
             continue

@@ -18,6 +18,7 @@ from btgit.models import (ModelPoint, UnknownModel, _plucker,
                           p_epsilon_member, project, symplectic_form,
                           weighted_coordinates)
 from btgit.qvec import dot, qvec
+from btgit.rootdata import build_root_system, preset_relative
 from btgit.torusgit import mu_K, stability_status
 from btgit.valfield import ONE, ZERO, PuiseuxElement
 
@@ -34,6 +35,17 @@ def test_model_table_tells_unknown_from_malformed_names():
         with pytest.raises(ValueError) as info:
             model_spec(name)
         assert not isinstance(info.value, UnknownModel)
+
+
+def test_model_relative_is_one_datum_per_group():
+    # equal names, and models of one group, share one datum
+    assert model_relative("proj(3)") is model_relative("proj(3)")
+    assert model_relative("proj(3)") is model_relative("sl3_flag")
+    assert model_relative("su3_pair") is model_relative("su3_pair")
+    assert model_relative("grass(2,4)") is model_relative("proj(4)")
+    assert model_relative("proj(2)") is not model_relative("proj(3)")
+    assert model_relative("sp4_line") == preset_relative(
+        "split", datum=build_root_system("C", 2))
 
 
 def test_grass_rows_to_plucker():

@@ -4,8 +4,8 @@ from fractions import Fraction as Q
 from itertools import combinations
 
 import pytest
-from helpers import (double_description_by_fractions, hull_member_by_lp, line_rep,
-                     rng, single_point)
+from helpers import (double_description_by_fractions, hull_member_by_lp,
+                     is_empty_by_lp, line_rep, rng, single_point)
 
 from btgit.polyhedra import (PivotLimitExceeded, QPolyhedron, QPolytope,
                              WorkLimitExceeded,
@@ -94,6 +94,60 @@ def test_hull_member_matches_lp_oracle():
         assert poly == QPolytope(pts)
         assert (hash(poly), repr(poly)) == before
     assert len(seen) == 4
+
+
+def test_hull_member_keeps_last_answer():
+    # a polytope keeps the answer to its last query; repeats, alternating q
+    # and modes, lists and tuples, ints and Fractions, and a list changed in
+    # place between two queries all answer as a fresh polytope would
+    r = rng(37)
+    seen = set()
+    for _ in range(60):
+        dim = r.randint(1, 3)
+        pts = [_rand_vec(r, dim) for _ in range(r.randint(1, 5))]
+        poly = QPolytope(pts)
+        before = (hash(poly), repr(poly))
+        qs = [tuple(Q(r.randint(-2, 2)) for _ in range(dim)), _rand_vec(r, dim)]
+        for _ in range(8):
+            q = qs[r.randrange(2)]
+            mode = r.choice(("closure", "interior"))
+            form = r.randrange(3)
+            if form == 1:
+                q = list(q)
+            elif form == 2 and all(x.denominator == 1 for x in q):
+                q = tuple(int(x) for x in q)
+            got = hull_member(poly, q, mode)
+            if mode == "closure":
+                assert got == hull_member_bruteforce(pts, q), (pts, q)
+            else:
+                assert got == hull_member_by_lp(QPolytope(pts), q, mode), (pts, q)
+            assert hull_member(poly, q, mode) == got
+            seen.add((mode, got))
+            if isinstance(q, list):
+                q[0] += 1
+                assert hull_member(poly, q, "closure") == \
+                    hull_member_bruteforce(pts, q), (pts, q)
+        assert poly == QPolytope(pts)
+        assert (hash(poly), repr(poly)) == before
+    assert len(seen) == 4
+
+
+def test_is_empty_matches_lp_oracle():
+    # the polyhedron kinds of the support-function test, and the direction
+    # sets semi_convex_hull_sphere asks about: d . z >= 1 for every direction
+    r = rng(43)
+    seen = set()
+    for _ in range(12):
+        for kind in ("empty", "bounded", "unbounded", "line"):
+            poly = _random_polyhedron(r, r.randint(1, 4), kind)
+            assert poly.is_empty() == is_empty_by_lp(poly) == (kind == "empty")
+        dim = r.randint(2, 4)
+        dirs = [_rand_vec(r, dim) for _ in range(r.randint(1, 2 * dim))]
+        poly = QPolyhedron([(d, Q(1)) for d in dirs], dim)
+        assert poly.is_empty() == is_empty_by_lp(poly), dirs
+        seen.add(poly.is_empty())
+    assert QPolyhedron([], 2).is_empty() is False
+    assert seen == {True, False}
 
 
 def test_tangent_cone_examples():

@@ -203,3 +203,22 @@ def test_equality_and_hash_ignore_input_order():
             y = P(pairs)
             assert _is_canonical(y.terms)
             assert y == x and hash(y) == hash(x)
+
+
+def test_shift_matches_product_by_t_power():
+    r = rng(83)
+    for _ in range(300):
+        x = random_element(r)
+        q = random_rational(r) if r.random() < 0.7 else r.randint(-3, 3)
+        got = x.shift(q)
+        assert got == x * P.t_power(q)
+        assert _is_canonical(got.terms)
+        assert got.shift(-q) == x
+
+
+def test_first_power_is_the_element():
+    r = rng(89)
+    for _ in range(50):
+        x = random_element(r)
+        assert x ** 1 == x and x ** 1 is x
+        assert x ** 0 == ONE and x ** 2 == x * x
