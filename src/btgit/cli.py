@@ -6,10 +6,12 @@ import argparse
 import functools
 import json
 import math
+import numbers
+import re
 import sys
 from fractions import Fraction as Q
 from importlib import resources
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import jsonschema
 
@@ -38,7 +40,7 @@ class Unsupported(Exception):
     """Recognized request for a family or model outside scope; exit status 3."""
 
 
-# -- payload decoding ---------------------------------------------------------
+# -- request validation -------------------------------------------------------
 
 def _load_schema(name: str) -> dict:
     root = resources.files("btgit").joinpath("schemas")
@@ -48,21 +50,123 @@ def _load_schema(name: str) -> dict:
     return schema
 
 
+_DRAFT = "https://json-schema.org/draft/2020-12/schema"
+_METADATA = frozenset(("$schema", "$id", "$defs"))
+_REF_PREFIX = "#/$defs/"
+
+
+def _is_integer(x) -> bool:
+    # draft 2020-12: 1.0 is an integer, true is not
+    if isinstance(x, bool):
+        return False
+    return isinstance(x, int) or (isinstance(x, float) and x.is_integer())
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, numbers.Number) and not isinstance(x, bool)
+
+
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "integer": _is_integer,
+}
+
+
+def compile_schema(schema: dict) -> Callable[[object], bool]:
+    """A predicate equal to draft 2020-12 validity under ``schema``.
+
+    It knows exactly the keywords the request schemas use, and raises
+    ValueError on any other, so a schema edit cannot slip past it.  Every
+    definition under ``$defs`` compiles now; a ``$ref`` looks its definition
+    up when called, so recursive definitions are safe.
+    """
+    if schema.get("$schema", _DRAFT) != _DRAFT:
+        raise ValueError(f"schema dialect {schema['$schema']!r} has no compiled form")
+    defs = schema.get("$defs", {})
+    compiled = {}
+
+    def keyword(key, value, node):
+        if key == "$ref":
+            name = value[len(_REF_PREFIX):] if value.startswith(_REF_PREFIX) else None
+            if name not in defs:
+                raise ValueError(f"$ref {value!r} is not a local definition")
+            return lambda x: compiled[name](x)
+        if key == "type":
+            if not isinstance(value, str) or value not in _TYPES:
+                raise ValueError(f"type {value!r} has no compiled form")
+            return _TYPES[value]
+        if key == "enum":
+            if not all(isinstance(v, str) for v in value):
+                raise ValueError("only enums of strings have a compiled form")
+            options = frozenset(value)
+            return lambda x: isinstance(x, str) and x in options
+        if key == "pattern":
+            search = re.compile(value).search
+            return lambda x: not isinstance(x, str) or search(x) is not None
+        if key == "minLength":
+            return lambda x: not isinstance(x, str) or len(x) >= value
+        if key == "minItems":
+            return lambda x: not isinstance(x, list) or len(x) >= value
+        if key == "maxItems":
+            return lambda x: not isinstance(x, list) or len(x) <= value
+        if key == "minimum":
+            return lambda x: not _is_number(x) or not x < value
+        if key == "prefixItems":
+            heads = [build(sub) for sub in value]
+            return lambda x: not isinstance(x, list) or all(
+                f(y) for f, y in zip(heads, x))
+        if key == "items":
+            each, skip = build(value), len(node.get("prefixItems", ()))
+            return lambda x: not isinstance(x, list) or all(
+                each(x[i]) for i in range(skip, len(x)))
+        if key == "oneOf":
+            branches = [build(sub) for sub in value]
+            return lambda x: sum(f(x) for f in branches) == 1
+        if key == "properties":
+            props = [(name, build(sub)) for name, sub in value.items()]
+            return lambda x: not isinstance(x, dict) or all(
+                f(x[name]) for name, f in props if name in x)
+        if key == "additionalProperties" and value is False:
+            known = frozenset(node.get("properties", ()))
+            return lambda x: not isinstance(x, dict) or known.issuperset(x)
+        if key == "required":
+            return lambda x: not isinstance(x, dict) or all(k in x for k in value)
+        raise ValueError(f"schema keyword {key!r} has no compiled form")
+
+    def build(node):
+        if not isinstance(node, dict):
+            raise ValueError(f"schema {node!r} has no compiled form")
+        checks = tuple(keyword(key, value, node) for key, value in node.items()
+                       if key not in _METADATA)
+        return lambda x: all(check(x) for check in checks)
+
+    compiled.update((name, build(sub)) for name, sub in defs.items())
+    return build(schema)
+
+
 @functools.lru_cache(maxsize=None)
 def _validator(command: str):
-    """The command's schema, checked and compiled once per process."""
+    """The command's schema, checked and compiled once per process: its
+    jsonschema validator and its predicate."""
     schema = _load_schema(command)
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
-    return cls(schema)
+    return cls(schema), compile_schema(schema)
 
 
 def validate_payload(command: str, payload) -> None:
+    validator, accepts = _validator(command)
+    if accepts(payload):
+        return
     # the error jsonschema.validate would raise: the best match of all errors
-    exc = jsonschema.exceptions.best_match(_validator(command).iter_errors(payload))
+    exc = jsonschema.exceptions.best_match(validator.iter_errors(payload))
     if exc is not None:
         raise ValidationFailure(f"payload: {exc.message}") from exc
 
+
+# -- payload decoding ---------------------------------------------------------
 
 def _rat(x) -> Q:
     if isinstance(x, str):
@@ -105,13 +209,19 @@ def _element_vec(xs) -> tuple:
     return tuple(_element(x) for x in xs)
 
 
+def _count(payload, key: str) -> Optional[int]:
+    """An integer field as an int: the schemas admit 2.0 as an integer."""
+    value = payload.get(key)
+    return None if value is None else int(value)
+
+
 def _relative(payload) -> RelativeDatum:
     preset = payload.get("preset", "split")
     if preset not in _KNOWN_PRESETS:
         raise Unsupported(f"unsupported preset {preset!r}")
     try:
         if preset == "split":
-            family, rank = payload.get("family"), payload.get("rank")
+            family, rank = payload.get("family"), _count(payload, "rank")
             if family is None or rank is None:
                 raise ValidationFailure("split data needs 'family' and 'rank'")
             if family not in _KNOWN_FAMILIES:
@@ -120,8 +230,9 @@ def _relative(payload) -> RelativeDatum:
         if preset == "su3":
             return preset_relative("su3")
         if preset == "nonsplit_C":
-            return preset_relative("nonsplit_C", rank=payload.get("rank"))
-        return preset_relative("sl_skew", s=payload.get("s"), d=payload.get("d"))
+            return preset_relative("nonsplit_C", rank=_count(payload, "rank"))
+        return preset_relative("sl_skew", s=_count(payload, "s"),
+                               d=_count(payload, "d"))
     except ValueError as exc:
         raise ValidationFailure(str(exc)) from exc
 
@@ -221,9 +332,9 @@ def _cmd_classify(payload) -> dict:
         raise Unsupported(f"unsupported family {payload.get('family')!r}")
     try:
         table, scan = classify_regular_weights(
-            family=payload.get("family"), rank=payload.get("rank"),
+            family=payload.get("family"), rank=_count(payload, "rank"),
             J=payload["J"], preset=preset,
-            s=payload.get("s"), d=payload.get("d"))
+            s=_count(payload, "s"), d=_count(payload, "d"))
     except ValueError as exc:
         raise ValidationFailure(str(exc)) from exc
     return {"table": table, "scan": scan}

@@ -1,5 +1,7 @@
 """JSON front-end: frozen outputs, exit codes, byte determinism, rendering."""
 
+import ast
+import copy
 import io
 import json
 import random
@@ -7,6 +9,7 @@ import sys
 import time
 from fractions import Fraction as Q
 
+import jsonschema
 import pytest
 
 from btgit import cli
@@ -491,13 +494,14 @@ def _fuzz_vector(r: random.Random, n: int):
             for _ in range(n)]
 
 
-# near-valid values: each breaks the schema or the group's constraints
+# near-valid values: each breaks the schema or the group's constraints, or
+# is an integer-valued float, which the schemas admit as an integer
 _FUZZ_BAD = {
-    "rank": (0, -1, "2", 2.5, None, True),
+    "rank": (0, -1, "2", 2.5, None, True, 2.0),
     "family": ("E", "G", "", "AB", 3),
     "preset": ("bogus", "Split", 1),
-    "s": (0, -1, "1"),
-    "d": (0, "2", None),
+    "s": (0, -1, "1", 1.0),
+    "d": (0, "2", None, 1.0),
     "J": ([], [0], [99], [1, 1], ["1"], [1.5], "1", [True]),
     "weights": ([["1/0"]], [["x"]], [[]], "1", [[1.5]], [[True]], [["1"] * 9]),
     "chi": ([0, 0], ["1/0"], ["abc"], [0.5], [], "1", ["1"] * 9),
@@ -505,7 +509,7 @@ _FUZZ_BAD = {
 }
 
 
-def _fuzz_request(r: random.Random):
+def _fuzz_group_request(r: random.Random):
     command = r.choice(("rootsys", "classify", "chambers", "chi"))
     payload, rank, nodes, ambient = _fuzz_group(r)
     if command == "classify":
@@ -542,7 +546,7 @@ def test_chamber_commands_fuzz(monkeypatch, capsys):
     r = random.Random(1212)
     codes = set()
     for _ in range(160):
-        command, payload = _fuzz_request(r)
+        command, payload = _fuzz_group_request(r)
         text = json.dumps(payload)
         code, out, err = _serve(monkeypatch, capsys, command, text)
         assert code in (0, 2, 3), (command, text)
@@ -551,3 +555,263 @@ def test_chamber_commands_fuzz(monkeypatch, capsys):
         assert _serve(monkeypatch, capsys, command, text) == (code, out, err)
         codes.add(code)
     assert codes == {0, 2, 3}
+
+
+def test_integer_valued_floats_answer_like_ints(tmp_path, capsys):
+    """The schemas admit 2.0 as an integer, so rank, s and d given as
+    integer-valued floats answer the same bytes as their int forms."""
+    for command, payload, floats in [
+        ("rootsys", {"family": "A", "rank": 2}, {"rank": 2.0}),
+        ("rootsys", {"preset": "sl_skew", "s": 1, "d": 2}, {"s": 1.0}),
+        ("rootsys", {"preset": "sl_skew", "s": 1, "d": 2}, {"s": 1.0, "d": 2.0}),
+        ("rootsys", {"preset": "nonsplit_C", "rank": 3}, {"rank": 3.0}),
+        ("classify", {"family": "A", "rank": 2, "J": [1]}, {"rank": 2.0}),
+        ("classify", {"preset": "sl_skew", "s": 2, "d": 1, "J": [1]},
+         {"s": 2.0, "d": 1.0}),
+        ("chambers", {"family": "A", "rank": 2, "weights": [[1, "1/2"]]},
+         {"rank": 2.0}),
+        ("chi", {"family": "B", "rank": 2, "chi": ["1", "-1"]}, {"rank": 2.0}),
+    ]:
+        code, out = _exit_and_stdout(tmp_path, capsys, command, payload)
+        assert code == 0 and out
+        assert _exit_and_stdout(tmp_path, capsys, command,
+                                dict(payload, **floats)) == (0, out), floats
+
+
+# coordinates: valid ones, then ones the schema or the parser refuses
+_FUZZ_COORDS = ("1", "t", "-1", "0", "t^{1/2}", "1 + t", "2*t^{-1}", "t^2",
+                3, -2, [["1/2", "1"]], [[0, -2], ["1", 1]])
+_FUZZ_BAD_COORDS = ("t^{1/0}", "", "x", "1\n", "t^{1/2}\n", True, 1.0, 2.5,
+                    None, [], {}, [["1"]], [["1/2", "1", "3"]], [["1/2", "x"]],
+                    [["1\n", "1"]], [[1.0, 1]])
+_FUZZ_POINTS = {
+    "proj(2)": ["1", "t"],
+    "proj(3)": ["1", "t", "t^{-1}"],
+    "grass(2,4)": ["1", "1", "0", "0", "-1", "-1"],
+    "sp4_line": ["1", "t", "0", "1"],
+    "sp4_quadric": ["1", "t", "t", "t^2", "0"],
+    "sp4_flag": SP4_POINT,
+    "su3_pair": SU3_POINT,
+    "sl3_flag": SL3_POINT,
+}
+_FUZZ_BAD_MODELS = ("proj(1)", "grass(x,4)", "proj(2", "grass(2)", "grass(2,4",
+                    "flag(7)", "sp4_linex", "", "proj(2)\n", 2, None, ["proj(2)"])
+_FUZZ_LAMS = ([1, 1], [2, 1], [0, 3], [1.0, 2], [0, 0], [1], [1, 1, 1],
+              [-1, 1], [True, 1], ["1", 1], [1.5, 1], "1")
+_FUZZ_CHIS = (["1"], ["1", "-1"], [1, 0, "2/3"], ["-1/2", 2], ["1/0"], ["abc"],
+              [0.5], [1.0], ["1\n"], [True], [], "1", ["1"] * 4)
+_FUZZ_RADII = (1, 2, 4, "3/2", "-1", "0", 2.0, "1/0", "x", "2\n", True, None,
+               [2])
+
+
+def _fuzz_coordinate(r: random.Random):
+    return r.choice(_FUZZ_COORDS if r.random() < 0.75 else _FUZZ_BAD_COORDS)
+
+
+def _fuzz_point(r: random.Random, model):
+    """The model's sample point with a few coordinates redrawn, sometimes
+    reshaped: a row short or long, rows flattened or nested, no list."""
+    point = copy.deepcopy(_FUZZ_POINTS.get(str(model), ["1", "t"]))
+    rows = point if isinstance(point[0], list) else [point]
+    for _ in range(r.randint(0, 2)):
+        row = r.choice(rows)
+        row[r.randrange(len(row))] = _fuzz_coordinate(r)
+    shape = r.random()
+    if shape < 0.05:
+        return "1"
+    if shape < 0.1:
+        return []
+    if shape < 0.15:
+        r.choice(rows).pop()
+    elif shape < 0.2:
+        r.choice(rows).append(_fuzz_coordinate(r))
+    elif shape < 0.25:
+        return [c for row in rows for c in row] if rows is point else [point]
+    return point
+
+
+def _fuzz_act(r: random.Random, n: int):
+    g = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+    g[r.randrange(n)][r.randrange(n)] = _fuzz_coordinate(r)
+    if r.random() < 0.2:
+        g[-1] = g[-1][:-1]
+    return g
+
+
+def _fuzz_point_request(r: random.Random):
+    """A schema-valid or near-valid request on a model point or a tree
+    point: status, interval, tree, models, or chi on a model."""
+    command = r.choice(("status", "interval", "tree", "models", "chi"))
+    if command == "tree":
+        payload = {"point": [_fuzz_coordinate(r)
+                             for _ in range(r.choice((2, 2, 2, 1, 3)))]}
+        if r.random() < 0.7:
+            payload["R"] = r.choice(_FUZZ_RADII)
+        if r.random() < 0.05:
+            payload["point"] = r.choice(("1", [], None))
+    else:
+        model = r.choice(sorted(_FUZZ_POINTS) if r.random() < 0.85
+                         else _FUZZ_BAD_MODELS)
+        payload = {"model": model, "point": _fuzz_point(r, model)}
+        if command != "models":
+            if r.random() < 0.3:
+                payload["lam"] = r.choice(_FUZZ_LAMS)
+            if command == "chi" or r.random() < 0.4:
+                payload["chi"] = r.choice(_FUZZ_CHIS)
+        else:
+            if r.random() < 0.3:
+                payload["act"] = _fuzz_act(r, r.choice((2, 3, 4)))
+            if r.random() < 0.3:
+                payload["project"] = r.choice(
+                    ("sp4_line", "sp4_quadric", "proj(2)", 1))
+    if r.random() < 0.1:
+        key = r.choice(sorted(payload) + ["bogus"])
+        if key in payload:
+            del payload[key]
+        else:
+            payload[key] = 1
+    return command, payload
+
+
+def _fuzz_request(r: random.Random):
+    """A request for any of the eight commands."""
+    return _fuzz_group_request(r) if r.random() < 0.35 else _fuzz_point_request(r)
+
+
+def _jsonschema_accepts(command, payload) -> bool:
+    validator, _ = cli._validator(command)
+    return next(validator.iter_errors(payload), None) is None
+
+
+def test_fuzz_verdicts_match_jsonschema_and_keep_the_exit_contract(monkeypatch,
+                                                                    capsys):
+    """Seeded requests over all eight commands: the compiled predicate
+    accepts exactly what jsonschema accepts, and each request exits 0, 2 or
+    3 without a traceback, with stdout empty unless it answers."""
+    r = random.Random(1616)
+    verdicts = {command: set() for command in cli.COMMANDS}
+    codes = set()
+    for _ in range(1000):
+        command, payload = _fuzz_request(r)
+        verdict = _jsonschema_accepts(command, payload)
+        assert cli._validator(command)[1](payload) == verdict, (command, payload)
+        verdicts[command].add(verdict)
+        text = json.dumps(payload)
+        code, out, err = _serve(monkeypatch, capsys, command, text)
+        assert code in (0, 2, 3), (command, text)
+        assert "Traceback" not in err, (command, text)
+        assert (out == "") == (code != 0), (command, text)
+        codes.add(code)
+    assert all(seen == {True, False} for seen in verdicts.values()), verdicts
+    assert codes == {0, 2, 3}
+
+
+def _dict_literals():
+    """Every dict literal of this file that evaluates on module names alone."""
+    with open(__file__) as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            try:
+                yield eval(compile(ast.Expression(node), __file__, "eval"),
+                           globals())
+            except NameError:  # reads a local name
+                continue
+
+
+def test_request_literals_get_jsonschema_verdicts():
+    """Every request literal of this file, under every command's schema,
+    gets jsonschema's verdict from the compiled predicate."""
+    literals = list(_dict_literals())
+    assert len(literals) > 60
+    for payload in literals:
+        for command in cli.COMMANDS:
+            assert cli._validator(command)[1](payload) == \
+                _jsonschema_accepts(command, payload), (command, payload)
+
+
+@pytest.mark.parametrize("schema,instance,valid", [
+    ({"type": "integer"}, 1.0, True),
+    ({"type": "integer"}, 2.5, False),
+    ({"type": "integer"}, True, False),
+    ({"type": "integer"}, float("inf"), False),
+    ({"minimum": 1}, True, True),
+    ({"minimum": 1}, 0.5, False),
+    ({"minimum": 1}, "0", True),
+    ({"type": "integer", "minimum": 1}, False, False),
+    ({"pattern": "^-?[0-9]+$"}, "12\n", True),
+    ({"pattern": "^-?[0-9]+$"}, "x12", False),
+    ({"pattern": "[0-9]"}, "a1b", True),
+    ({"pattern": "^a"}, 3, True),
+    ({"minLength": 1}, "", False),
+    ({"minLength": 1}, [], True),
+    ({"minItems": 2, "maxItems": 2}, ["a", "b"], True),
+    ({"minItems": 2, "maxItems": 2}, "a", True),
+    ({"prefixItems": [{"type": "string"}], "items": {"type": "integer"}},
+     ["a", 1, 2], True),
+    ({"prefixItems": [{"type": "string"}], "items": {"type": "integer"}},
+     [1, 1], False),
+    ({"prefixItems": [{"type": "string"}], "items": {"type": "integer"}},
+     ["a", "b"], False),
+    ({"prefixItems": [{"type": "string"}]}, [], True),
+    ({"oneOf": [{"type": "integer"}, {"minimum": 0}]}, -1, True),
+    ({"oneOf": [{"type": "integer"}, {"minimum": 0}]}, 1, False),
+    ({"oneOf": [{"type": "integer"}, {"minimum": 0}]}, -0.5, False),
+    ({"enum": ["a", "b"]}, "a", True),
+    ({"enum": ["a", "b"]}, ["a"], False),
+    ({"properties": {"a": {"type": "string"}}, "required": ["a"],
+      "additionalProperties": False}, {"a": "x"}, True),
+    ({"properties": {"a": {"type": "string"}}, "required": ["a"],
+      "additionalProperties": False}, {"a": "x", "b": 1}, False),
+    ({"properties": {"a": {"type": "string"}}, "required": ["a"]}, {}, False),
+    ({"properties": {"a": {"type": "string"}}, "required": ["a"]}, [1], True),
+    ({"$defs": {"nest": {"type": "array", "items": {"$ref": "#/$defs/nest"}}},
+      "$ref": "#/$defs/nest"}, [[], [[[]]]], True),
+    ({"$defs": {"nest": {"type": "array", "items": {"$ref": "#/$defs/nest"}}},
+      "$ref": "#/$defs/nest"}, [[], [[1]]], False),
+])
+def test_compiled_predicate_keeps_draft_2020_12_rules(schema, instance, valid):
+    schema = dict(schema, **{"$schema": "https://json-schema.org/draft/2020-12/schema"})
+    assert jsonschema.Draft202012Validator(schema).is_valid(instance) == valid
+    assert cli.compile_schema(schema)(instance) == valid
+
+
+@pytest.mark.parametrize("schema", [
+    {"anyOf": [{"type": "string"}, {"type": "integer"}]},
+    {"type": "integer", "exclusiveMinimum": 0},
+    {"type": "string", "maxLength": 1},
+    {"additionalProperties": {"type": "string"}},
+    {"type": ["string", "integer"]},
+    {"type": "null"},
+    {"enum": [1, "a"]},
+    {"items": True},
+    {"$ref": "#/$defs/missing"},
+    {"$ref": "btgit:defs#/$defs/vector"},
+    {"$defs": {"unused": {"const": 1}}, "type": "object"},
+    {"$schema": "http://json-schema.org/draft-07/schema#", "type": "string"},
+])
+def test_compiler_refuses_unsupported_keywords(schema):
+    with pytest.raises(ValueError):
+        cli.compile_schema(schema)
+
+
+@pytest.mark.parametrize("command,payload,err", [
+    ("classify", {"family": "A", "rank": 2, "J": []},
+     "error: payload: [] should be non-empty\n"),
+    ("status", {"model": "proj(2)", "point": ["1", "t"], "extra": 1},
+     "error: payload: Additional properties are not allowed "
+     "('extra' was unexpected)\n"),
+    ("interval", {"model": "proj(2)", "point": ["1", "t"], "lam": [1, 1]},
+     "error: 'lam' only applies to two-factor models\n"),
+    ("chambers", {"family": "A", "rank": 2, "weights": [["1/0x"]]},
+     "error: payload: '1/0x' does not match '^-?[0-9]+(/[0-9]+)?$'\n"),
+    ("tree", {"point": ["1"]}, "error: payload: ['1'] is too short\n"),
+    ("tree", {"point": ["1", "t", "t"]},
+     "error: payload: ['1', 't', 't'] is too long\n"),
+    ("rootsys", {"family": "A", "rank": True},
+     "error: payload: True is not of type 'integer'\n"),
+])
+def test_rejections_keep_jsonschema_wording(monkeypatch, capsys, command,
+                                            payload, err):
+    assert _serve(monkeypatch, capsys, command, json.dumps(payload)) == (2, "", err)
+
