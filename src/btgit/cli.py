@@ -179,8 +179,8 @@ def _rat(x) -> Q:
         if v == INF:
             raise ValidationFailure("'inf' is not accepted on input")
         return v
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Q(x)
+    if _is_integer(x):  # the schemas admit 2.0 as an integer
+        return Q(int(x))
     raise ValidationFailure(f"not a rational: {x!r}")
 
 
@@ -195,6 +195,8 @@ def _element(x) -> PuiseuxElement:
         return PuiseuxElement((_rat(q), _rat(c)) for q, c in x)
     if isinstance(x, bool):
         raise ValidationFailure(f"not a coordinate: {x!r}")
+    if isinstance(x, float) and x.is_integer():  # the schemas admit 1.0 as an integer
+        x = int(x)
     try:
         return parse_puiseux(x)
     except ValueError as exc:
@@ -210,9 +212,14 @@ def _element_vec(xs) -> tuple:
 
 
 def _count(payload, key: str) -> Optional[int]:
-    """An integer field as an int: the schemas admit 2.0 as an integer."""
+    """An integer field as an int: the schemas admit 2.0 as an integer.
+    A count no index can reach (above sys.maxsize) is unsupported."""
     value = payload.get(key)
-    return None if value is None else int(value)
+    if value is None:
+        return None
+    if value > sys.maxsize:
+        raise Unsupported(f"unsupported {key} above {sys.maxsize}")
+    return int(value)
 
 
 def _relative(payload) -> RelativeDatum:
@@ -669,6 +676,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _write_file(args.outfile, doc.encode())
     except ValidationFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # only a payload is nested without bound: json.loads, and the repr in
+        # a rejection's wording, recurse on it; no computation recurses on it
+        print("error: payload is nested too deeply", file=sys.stderr)
         return 2
     except (Unsupported, WorkLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)

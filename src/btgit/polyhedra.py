@@ -4,17 +4,16 @@ Everything is computed exactly, in Fraction arithmetic or, inside the double
 description, on Python ints; no floating point is used anywhere.  Cone
 generators, cone facets, polyhedron generators (points, recession rays and
 lines, and so vertices and the support function), hull skeletons, hull
-membership and minimax faces all come from one double-description routine,
-with no LP and no subset enumeration; hull membership reads its integer lines
-and rays directly, with no Fraction, and a polytope keeps that description
-once it is built.  A minimax face and its generators are read off one
-description of the homogenized hypograph.  The environment variable
-BTGIT_DD_RAY_LIMIT caps the number of rays a description may hold after any
-row (default: unlimited).  QPolyhedron.is_empty reads the same
-description.  The one linear program left, behind QPolyhedron.sup_linear
-(which nothing in the package calls), is solved by a two-phase simplex with
-Bland's rule, so termination is guaranteed; BTGIT_LP_PIVOT_LIMIT caps its
-pivot count (default: unlimited).
+membership, minimax faces and linear programs all come from one
+double-description routine, with no simplex and no subset enumeration; hull
+membership reads its integer lines and rays directly, with no Fraction, and a
+polytope keeps that description once it is built.  A minimax face and its
+generators are read off one description of the homogenized hypograph, and
+solve_lp (behind QPolyhedron.sup_linear, which nothing in the package calls)
+reads its optimum or improving direction off the generators of the feasible
+set.  QPolyhedron.is_empty reads the same description.  The environment
+variable BTGIT_DD_RAY_LIMIT caps the number of rays a description may hold
+after any row (default: unlimited); it is the only work budget.
 """
 
 from __future__ import annotations
@@ -35,10 +34,6 @@ from .valfield import INF
 
 class WorkLimitExceeded(RuntimeError):
     """A computation ran past a work budget set in the environment."""
-
-
-class PivotLimitExceeded(WorkLimitExceeded):
-    pass
 
 
 def _env_limit(name: str) -> Optional[int]:
@@ -77,147 +72,6 @@ def rref(rows: Sequence[Sequence[Q]]) -> Tuple[List[List[Q]], List[int]]:
 
 def matrix_rank(rows: Sequence[Sequence[Q]]) -> int:
     return len(rref(rows)[0])
-
-
-# ---------------------------------------------------------------------------
-# exact simplex
-
-
-@dataclass
-class LPResult:
-    status: str  # optimal | unbounded | infeasible
-    value: Optional[Q] = None
-    x: Optional[Vector] = None
-    ray: Optional[Vector] = None  # an improving direction when unbounded
-
-
-def _pivot(rows: List[List[Q]], r: int, col: int) -> None:
-    """Scale row r to a unit entry in col and clear col from the other rows.
-
-    The tableau is mostly zeros, so zero entries are passed over."""
-    p = rows[r][col]
-    piv = [x / p if x else x for x in rows[r]]
-    rows[r] = piv
-    nz = [j for j, y in enumerate(piv) if y]
-    for i, row in enumerate(rows):
-        f = row[col]
-        if i != r and f:
-            row = row[:]
-            for j in nz:
-                row[j] -= f * piv[j]
-            rows[i] = row
-
-
-def solve_lp(objective: Sequence[Q], eq=(), ub=(), maximize: bool = True) -> LPResult:
-    """Optimize a linear functional of free rational variables.
-
-    eq: pairs (row, rhs) with row . x == rhs
-    ub: pairs (row, rhs) with row . x <= rhs
-    """
-    n = len(objective)
-    obj = [x if isinstance(x, Q) else Q(x) for x in objective]
-    if not maximize:
-        obj = [-x for x in obj]
-    n_slack = len(ub)
-    m = len(eq) + len(ub)
-    width = 2 * n + n_slack + m  # +/- split, slacks, artificials
-    rows: List[List[Q]] = []
-    all_rows = [(list(r), Q(rhs) if not isinstance(rhs, Q) else rhs, False) for r, rhs in eq]
-    all_rows += [(list(r), Q(rhs) if not isinstance(rhs, Q) else rhs, True) for r, rhs in ub]
-    for k, (r, rhs, slack) in enumerate(all_rows):
-        row = [Q(0)] * (width + 1)
-        for j, a in enumerate(r):
-            a = a if isinstance(a, Q) else Q(a)
-            row[j] = a
-            row[n + j] = -a
-        if slack:
-            row[2 * n + (k - len(eq))] = Q(1)
-        row[-1] = rhs
-        if rhs < 0:
-            row = [-x for x in row]
-        rows.append(row)
-    art0 = 2 * n + n_slack
-    basis = []
-    for i in range(m):
-        rows[i][art0 + i] = Q(1)
-        basis.append(art0 + i)
-
-    limit = _env_limit("BTGIT_LP_PIVOT_LIMIT")
-
-    def run(costs: List[Q], banned: set) -> Tuple[str, Optional[int]]:
-        pivots = 0
-        while True:
-            if limit is not None and pivots > limit:
-                raise PivotLimitExceeded("LP pivot limit exceeded")
-            # reduced costs over the rows whose basic variable has a cost
-            priced = [(costs[b], rows[i]) for i, b in enumerate(basis) if costs[b]]
-            entering = None
-            in_basis = set(basis)
-            for j in range(width):
-                if j in banned or j in in_basis:
-                    continue
-                rc = costs[j] - sum(c * row[j] for c, row in priced if row[j])
-                if rc > 0:
-                    entering = j
-                    break
-            if entering is None:
-                return "optimal", None
-            leaving = None
-            best = None
-            for i in range(len(rows)):
-                if rows[i][entering] > 0:
-                    ratio = rows[i][-1] / rows[i][entering]
-                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                        best = ratio
-                        leaving = i
-            if leaving is None:
-                return "unbounded", entering
-            _pivot(rows, leaving, entering)
-            basis[leaving] = entering
-            pivots += 1
-
-    # phase 1: drive the artificials to zero
-    costs1 = [Q(0)] * width
-    for j in range(art0, art0 + m):
-        costs1[j] = Q(-1)
-    run(costs1, banned=set())
-    if sum(rows[i][-1] for i in range(len(rows)) if basis[i] >= art0) != 0:
-        return LPResult("infeasible")
-    # pivot remaining artificials out of the basis; drop redundant rows
-    keep = []
-    for i in range(len(rows)):
-        if basis[i] >= art0:
-            col = next((j for j in range(art0) if rows[i][j] != 0), None)
-            if col is None:
-                continue  # redundant constraint
-            _pivot(rows, i, col)
-            basis[i] = col
-        keep.append(i)
-    rows[:] = [rows[i] for i in keep]
-    basis[:] = [basis[i] for i in keep]
-
-    costs2 = [Q(0)] * width
-    for j in range(n):
-        costs2[j] = obj[j]
-        costs2[n + j] = -obj[j]
-    status, entering = run(costs2, banned=set(range(art0, art0 + m)))
-
-    def extract(vals_from_col) -> Vector:
-        full = [Q(0)] * width
-        for i, b in enumerate(basis):
-            full[b] = vals_from_col(i)
-        return tuple(full[j] - full[n + j] for j in range(n))
-
-    if status == "unbounded":
-        ray_full = [Q(0)] * width
-        ray_full[entering] = Q(1)
-        for i, b in enumerate(basis):
-            ray_full[b] = -rows[i][entering]
-        ray = tuple(ray_full[j] - ray_full[n + j] for j in range(n))
-        return LPResult("unbounded", ray=ray)
-    x = extract(lambda i: rows[i][-1])
-    value = sum(o * xi for o, xi in zip(obj, x))
-    return LPResult("optimal", value=value if maximize else -value, x=x)
 
 
 # ---------------------------------------------------------------------------
@@ -697,3 +551,42 @@ def polyhedron_vertices(poly: QPolyhedron) -> List[Vector]:
     """Vertices of a polyhedron; one that contains a line has none."""
     gens = polyhedron_generators(poly)
     return [] if gens.lines else list(gens.points)
+
+
+# ---------------------------------------------------------------------------
+# linear programs
+
+
+@dataclass
+class LPResult:
+    status: str  # optimal | unbounded | infeasible
+    value: Optional[Q] = None
+    x: Optional[Vector] = None
+    ray: Optional[Vector] = None  # an improving direction when unbounded
+
+
+def solve_lp(objective: Sequence[Q], eq=(), ub=(), maximize: bool = True) -> LPResult:
+    """Optimize a linear functional of free rational variables, read off the
+    generators of the feasible set (polyhedron_generators).
+
+    eq: pairs (row, rhs) with row . x == rhs
+    ub: pairs (row, rhs) with row . x <= rhs
+
+    An optimal x is the first best point in the generators' sorted order;
+    an unbounded result carries a line or ray along which the objective
+    improves.
+    """
+    obj = qvec(objective)
+    sense = obj if maximize else neg(obj)
+    halves = [(neg(row), -rhs) for row, rhs in ub]
+    for row, rhs in eq:
+        halves += [(row, rhs), (neg(row), -rhs)]
+    gens = polyhedron_generators(QPolyhedron(halves, len(obj)))
+    if not gens.points:
+        return LPResult("infeasible")
+    directions = [d for line in gens.lines for d in (line, neg(line))] + list(gens.rays)
+    ray = next((d for d in directions if dot(sense, d) > 0), None)
+    if ray is not None:
+        return LPResult("unbounded", ray=ray)
+    x = max(gens.points, key=lambda p: dot(sense, p))
+    return LPResult("optimal", value=dot(obj, x), x=x)

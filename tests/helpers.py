@@ -10,8 +10,8 @@ from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from btgit.models import make_point, model_relative, symplectic_form
-from btgit.polyhedra import (MinimaxResult, QPolyhedron, QPolytope,
-                             polyhedron_generators, rref, solve_lp)
+from btgit.polyhedra import (LPResult, MinimaxResult, QPolyhedron, QPolytope,
+                             polyhedron_generators, rref)
 from btgit.qvec import Vector, add, dot, neg, primitive, qvec, scale, sub
 from btgit.rootdata import (RelativeDatum, build_root_system, fundamental_rays,
                             preset_relative, reflect, reflection_closure,
@@ -241,6 +241,141 @@ def weyl_chambers(rel: RelativeDatum):
     return lines, [(s, QPolyhedron(_chamber_cone(s, lines))) for s in rays]
 
 
+def _pivot(rows: List[List[Q]], r: int, col: int) -> None:
+    """Scale row r to a unit entry in col and clear col from the other rows.
+
+    The tableau is mostly zeros, so zero entries are passed over."""
+    p = rows[r][col]
+    piv = [x / p if x else x for x in rows[r]]
+    rows[r] = piv
+    nz = [j for j, y in enumerate(piv) if y]
+    for i, row in enumerate(rows):
+        f = row[col]
+        if i != r and f:
+            row = row[:]
+            for j in nz:
+                row[j] -= f * piv[j]
+            rows[i] = row
+
+
+def solve_lp_by_simplex(objective: Sequence[Q], eq=(), ub=(), maximize: bool = True) -> LPResult:
+    """Reference oracle: optimize a linear functional of free rational
+    variables by a two-phase simplex with Bland's rule, so it terminates.
+
+    eq: pairs (row, rhs) with row . x == rhs
+    ub: pairs (row, rhs) with row . x <= rhs
+    """
+    n = len(objective)
+    obj = [x if isinstance(x, Q) else Q(x) for x in objective]
+    if not maximize:
+        obj = [-x for x in obj]
+    n_slack = len(ub)
+    m = len(eq) + len(ub)
+    width = 2 * n + n_slack + m  # +/- split, slacks, artificials
+    rows: List[List[Q]] = []
+    all_rows = [(list(r), Q(rhs) if not isinstance(rhs, Q) else rhs, False) for r, rhs in eq]
+    all_rows += [(list(r), Q(rhs) if not isinstance(rhs, Q) else rhs, True) for r, rhs in ub]
+    for k, (r, rhs, slack) in enumerate(all_rows):
+        row = [Q(0)] * (width + 1)
+        for j, a in enumerate(r):
+            a = a if isinstance(a, Q) else Q(a)
+            row[j] = a
+            row[n + j] = -a
+        if slack:
+            row[2 * n + (k - len(eq))] = Q(1)
+        row[-1] = rhs
+        if rhs < 0:
+            row = [-x for x in row]
+        rows.append(row)
+    art0 = 2 * n + n_slack
+    basis = []
+    for i in range(m):
+        rows[i][art0 + i] = Q(1)
+        basis.append(art0 + i)
+
+    def run(costs: List[Q], banned: set) -> Tuple[str, Optional[int]]:
+        while True:
+            # reduced costs over the rows whose basic variable has a cost
+            priced = [(costs[b], rows[i]) for i, b in enumerate(basis) if costs[b]]
+            entering = None
+            in_basis = set(basis)
+            for j in range(width):
+                if j in banned or j in in_basis:
+                    continue
+                rc = costs[j] - sum(c * row[j] for c, row in priced if row[j])
+                if rc > 0:
+                    entering = j
+                    break
+            if entering is None:
+                return "optimal", None
+            leaving = None
+            best = None
+            for i in range(len(rows)):
+                if rows[i][entering] > 0:
+                    ratio = rows[i][-1] / rows[i][entering]
+                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
+                        best = ratio
+                        leaving = i
+            if leaving is None:
+                return "unbounded", entering
+            _pivot(rows, leaving, entering)
+            basis[leaving] = entering
+
+    # phase 1: drive the artificials to zero
+    costs1 = [Q(0)] * width
+    for j in range(art0, art0 + m):
+        costs1[j] = Q(-1)
+    run(costs1, banned=set())
+    if sum(rows[i][-1] for i in range(len(rows)) if basis[i] >= art0) != 0:
+        return LPResult("infeasible")
+    # pivot remaining artificials out of the basis; drop redundant rows
+    keep = []
+    for i in range(len(rows)):
+        if basis[i] >= art0:
+            col = next((j for j in range(art0) if rows[i][j] != 0), None)
+            if col is None:
+                continue  # redundant constraint
+            _pivot(rows, i, col)
+            basis[i] = col
+        keep.append(i)
+    rows[:] = [rows[i] for i in keep]
+    basis[:] = [basis[i] for i in keep]
+
+    costs2 = [Q(0)] * width
+    for j in range(n):
+        costs2[j] = obj[j]
+        costs2[n + j] = -obj[j]
+    status, entering = run(costs2, banned=set(range(art0, art0 + m)))
+
+    def extract(vals_from_col) -> Vector:
+        full = [Q(0)] * width
+        for i, b in enumerate(basis):
+            full[b] = vals_from_col(i)
+        return tuple(full[j] - full[n + j] for j in range(n))
+
+    if status == "unbounded":
+        ray_full = [Q(0)] * width
+        ray_full[entering] = Q(1)
+        for i, b in enumerate(basis):
+            ray_full[b] = -rows[i][entering]
+        ray = tuple(ray_full[j] - ray_full[n + j] for j in range(n))
+        return LPResult("unbounded", ray=ray)
+    x = extract(lambda i: rows[i][-1])
+    value = sum(o * xi for o, xi in zip(obj, x))
+    return LPResult("optimal", value=value if maximize else -value, x=x)
+
+
+def sup_linear_by_lp(poly: QPolyhedron, c: Sequence):
+    """Reference oracle: sup of c . z over the polyhedron by the simplex;
+    INF if unbounded, None if empty."""
+    res = solve_lp_by_simplex(qvec(c), ub=[(neg(nrm), -off) for nrm, off in poly.halfspaces])
+    if res.status == "infeasible":
+        return None
+    if res.status == "unbounded":
+        return INF
+    return res.value
+
+
 def weyl_chambers_by_sign_patterns(rel):
     """Reference oracle: the sign patterns on the root lines whose open cone
     is nonempty, by one LP per pattern, listed in itertools.product order.
@@ -254,7 +389,7 @@ def weyl_chambers_by_sign_patterns(rel):
 
     def extend(signs):
         ub = [(tuple(-s * c for c in a), Q(-1)) for s, a in zip(signs, lines)]
-        if solve_lp((Q(0),) * rel.rank, ub=ub).status == "infeasible":
+        if solve_lp_by_simplex((Q(0),) * rel.rank, ub=ub).status == "infeasible":
             return []
         if len(signs) == len(lines):
             halves = tuple((tuple(s * c for c in a), Q(0))
@@ -269,7 +404,7 @@ def is_bounded(poly: QPolyhedron) -> bool:
     """Reference oracle: boundedness by two LPs along each coordinate axis."""
     for i in range(poly.dim):
         e = tuple(Q(1) if j == i else Q(0) for j in range(poly.dim))
-        if poly.sup_linear(e) == INF or poly.sup_linear(neg(e)) == INF:
+        if sup_linear_by_lp(poly, e) == INF or sup_linear_by_lp(poly, neg(e)) == INF:
             return False
     return True
 
@@ -277,7 +412,7 @@ def is_bounded(poly: QPolyhedron) -> bool:
 def is_empty_by_lp(poly: QPolyhedron) -> bool:
     """Reference oracle: emptiness as the infeasibility of one LP with a zero
     objective."""
-    res = solve_lp([Q(0)] * poly.dim,
+    res = solve_lp_by_simplex([Q(0)] * poly.dim,
                    ub=[(neg(nrm), -off) for nrm, off in poly.halfspaces])
     return res.status != "optimal"
 
@@ -288,8 +423,8 @@ def single_point(poly: QPolyhedron) -> Optional[Vector]:
     coords = []
     for i in range(poly.dim):
         e = tuple(Q(1) if j == i else Q(0) for j in range(poly.dim))
-        hi = poly.sup_linear(e)
-        lo = poly.sup_linear(neg(e))
+        hi = sup_linear_by_lp(poly, e)
+        lo = sup_linear_by_lp(poly, neg(e))
         if hi is None or lo is None:
             return None
         if hi == INF or lo == INF or hi != -lo:
@@ -321,7 +456,7 @@ def hull_member_by_lp(p: QPolytope, q, mode: str = "closure") -> bool:
     if mode == "closure":
         eq = [(tuple(pt[i] for pt in pts), q[i]) for i in range(p.dim)]
         eq.append((tuple(Q(1) for _ in pts), Q(1)))
-        return solve_lp([Q(0)] * k, eq=eq, ub=nonneg).status == "optimal"
+        return solve_lp_by_simplex([Q(0)] * k, eq=eq, ub=nonneg).status == "optimal"
     for axis in range(p.dim):
         for sign in (1, -1):
             d = tuple(Q(sign) if j == axis else Q(0) for j in range(p.dim))
@@ -330,7 +465,7 @@ def hull_member_by_lp(p: QPolytope, q, mode: str = "closure") -> bool:
                   for i in range(p.dim)]
             eq.append((tuple(Q(1) for _ in pts) + (Q(0),), Q(1)))
             ub = [(row + (Q(0),), rhs) for row, rhs in nonneg]
-            res = solve_lp([Q(0)] * k + [Q(1)], eq=eq, ub=ub)
+            res = solve_lp_by_simplex([Q(0)] * k + [Q(1)], eq=eq, ub=ub)
             if res.status != "optimal" or res.value <= 0:
                 return False
     return True
@@ -345,7 +480,7 @@ def minimax_face_by_lp(affine_forms) -> MinimaxResult:
     d = len(forms[0][0])
     obj = [Q(0)] * d + [Q(1)]
     ub = [(tuple(neg(nrm)) + (Q(1),), off) for nrm, off in forms]
-    res = solve_lp(obj, ub=ub)
+    res = solve_lp_by_simplex(obj, ub=ub)
     if res.status == "unbounded":
         return MinimaxResult(INF, None, ray=tuple(res.ray[:d]))
     cstar = res.value

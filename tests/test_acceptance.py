@@ -6,7 +6,8 @@ from fractions import Fraction as Q
 
 from helpers import (grid_points, random_element, random_grass24_point,
                      random_p1_point, random_proj_point, random_sl3_flag,
-                     random_sp4_flag, random_su3_pair, rng, single_point)
+                     random_sp4_flag, random_su3_pair, rng, single_point,
+                     sup_linear_by_lp)
 
 from btgit.interval import interval_A, interval_A_chi
 from btgit.models import (act, make_point, model_relative, project,
@@ -29,7 +30,7 @@ def poly_subset(a, b):
     if a is None:
         return True
     for n, o in b.halfspaces:
-        s = a.sup_linear(neg(n))
+        s = sup_linear_by_lp(a, neg(n))
         if s is None:
             return True  # a turned out to be empty
         if s == INF or -s < o:

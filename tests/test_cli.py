@@ -207,9 +207,14 @@ def test_parser_is_reused_across_requests(tmp_path, capsys):
     ("status", {"model": "sl3_flag", "point": [["1", "t", "1"],
                                                 ["1", "1", "-1 - t"]],
                 "lam": [0, 0]}, None, 2),
+    ("rootsys", {"family": "A", "rank": 2 ** 63}, None, 3),
+    ("rootsys", {"family": "A", "rank": 1e300}, None, 3),
+    ("rootsys", {"preset": "sl_skew", "s": 1, "d": 10 ** 24}, None, 3),
+    ("classify", {"preset": "sl_skew", "s": 1, "d": 10 ** 24, "J": [1]}, None, 3),
 ], ids=["malformed-grass", "proj-1", "zero-exponent-denominator",
         "zero-chi-denominator", "ragged-act", "act-size-mismatch",
-        "pivot-limit", "short-chi", "long-chi", "zero-lam"])
+        "pivot-limit", "short-chi", "long-chi", "zero-lam", "rank-2**63",
+        "rank-1e300", "sl_skew-d-10**24", "classify-d-10**24"])
 def test_bad_inputs_exit_without_output(tmp_path, capsys, monkeypatch,
                                         command, payload, env, code):
     for name, value in (env or {}).items():
@@ -218,18 +223,6 @@ def test_bad_inputs_exit_without_output(tmp_path, capsys, monkeypatch,
     req.write_text(json.dumps(payload))
     assert main(["--command", command, "--in", str(req)]) == code
     assert capsys.readouterr().out == ""
-
-
-def test_lp_pivot_limit_leaves_interval_alone(tmp_path, capsys, monkeypatch):
-    # the interval path runs no LP, so the pivot limit does not touch it
-    req = tmp_path / "req.json"
-    req.write_text(json.dumps({"model": "proj(2)", "point": ["1", "t^{1/2}"]}))
-    argv = ["--command", "interval", "--in", str(req)]
-    assert main(argv) == 0
-    free = capsys.readouterr()
-    monkeypatch.setenv("BTGIT_LP_PIVOT_LIMIT", "1")
-    assert main(argv) == 0
-    assert capsys.readouterr() == free and '"c_star":"1/4"' in free.out
 
 
 @pytest.mark.parametrize("command", ["status", "interval", "models", "chi"])
@@ -272,6 +265,23 @@ def test_unreadable_payload_file_exits_2(tmp_path, capsys, name, content):
     assert main(["--command", "classify", "--in", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: cannot read payload file")
+
+
+def test_deeply_nested_payload_exits_2(tmp_path, capsys):
+    # json.loads and the repr in a rejection's wording recurse on nesting;
+    # the depths around the recursion limit reach each of them
+    cases = [("tree", "[" * 100_000)]
+    for depth in range(800, 1001):
+        deep = "[" * depth + "]" * depth
+        cases += [("tree", deep), ("tree", f'{{"point": [{deep}, "1"]}}'),
+                  ("status", f'{{"model": "proj(2)", "point": [{deep}, "1"]}}')]
+    req = tmp_path / "req.json"
+    for command, text in cases:
+        req.write_text(text)
+        assert main(["--command", command, "--in", str(req)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: "), text[-40:]
+    assert err == "error: payload is nested too deeply\n"
 
 
 @pytest.mark.parametrize("flag", ["--out", "--svg"])
@@ -558,8 +568,9 @@ def test_chamber_commands_fuzz(monkeypatch, capsys):
 
 
 def test_integer_valued_floats_answer_like_ints(tmp_path, capsys):
-    """The schemas admit 2.0 as an integer, so rank, s and d given as
-    integer-valued floats answer the same bytes as their int forms."""
+    """The schemas admit 2.0 as an integer, so counts (rank, s, d),
+    rationals and coordinates given as integer-valued floats answer the
+    same bytes as their int forms."""
     for command, payload, floats in [
         ("rootsys", {"family": "A", "rank": 2}, {"rank": 2.0}),
         ("rootsys", {"preset": "sl_skew", "s": 1, "d": 2}, {"s": 1.0}),
@@ -571,6 +582,15 @@ def test_integer_valued_floats_answer_like_ints(tmp_path, capsys):
         ("chambers", {"family": "A", "rank": 2, "weights": [[1, "1/2"]]},
          {"rank": 2.0}),
         ("chi", {"family": "B", "rank": 2, "chi": ["1", "-1"]}, {"rank": 2.0}),
+        ("chambers", {"family": "A", "rank": 2, "weights": [[1, 2]]},
+         {"weights": [[1.0, 2]]}),
+        ("chi", {"family": "A", "rank": 2, "chi": [1, 0]}, {"chi": [1.0, 0]}),
+        ("tree", {"point": ["1 + t", 1], "R": 3}, {"point": ["1 + t", 1.0]}),
+        ("tree", {"point": ["1 + t", 1], "R": 2}, {"R": 2.0}),
+        ("tree", {"point": ["1 + t", [[0, 1]]], "R": 3},
+         {"point": ["1 + t", [[0.0, 1.0]]]}),
+        ("status", {"model": "proj(2)", "point": [1, "t"]},
+         {"point": [1.0, "t"]}),
     ]:
         code, out = _exit_and_stdout(tmp_path, capsys, command, payload)
         assert code == 0 and out

@@ -7,7 +7,7 @@ from helpers import (double_description_by_fractions, grid_points,
                      interval_by_lp, is_bounded, random_element,
                      random_grass24_point, random_proj_point, random_sl3_flag,
                      random_sp4_flag, random_su3_pair, rng, single_point,
-                     wall_h_rep)
+                     sup_linear_by_lp, wall_h_rep)
 
 from btgit import interval, polyhedra
 from btgit.apartment import InfinityPoint, nu
@@ -280,7 +280,7 @@ def _assert_interval_matches_oracle(wp, rel, chis=(), singleton_by_lp=True):
         assert all(dot(a, point) == n for a, n in bounds.items())
     for chi in chis:
         n, chi_face = got.chi_optimum(chi)
-        want = face.sup_linear(chi)
+        want = sup_linear_by_lp(face, chi)
         assert n == want
         assert chi_face == (None if want == INF else face.with_equality(chi, want))
 
