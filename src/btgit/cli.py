@@ -19,7 +19,7 @@ from .interval import interval_A
 from .models import (ModelPoint, ModelSpec, UnknownModel, act, make_point,
                      model_spec, project, weighted_coordinates)
 from .polyhedra import QPolyhedron, WorkLimitExceeded, polyhedron_vertices
-from .rootdata import RelativeDatum, build_root_system, preset_relative
+from .rootdata import RelativeDatum, UnknownGroup, group_relative
 from .torusgit import (chamber_of, chi_status, classify_regular_weights,
                        root_hyperplanes, stability_status)
 from .treebuilding import TREE_MODEL, interval_tree, p_chi_data
@@ -28,8 +28,6 @@ from .valfield import (INF, PuiseuxElement, format_rational, parse_puiseux,
 
 COMMANDS = ("rootsys", "classify", "chambers", "status", "interval",
             "tree", "models", "chi")
-_KNOWN_FAMILIES = ("A", "B", "C", "D")
-_KNOWN_PRESETS = ("split", "su3", "nonsplit_C", "sl_skew")
 
 
 class ValidationFailure(Exception):
@@ -174,8 +172,6 @@ def _rat(x) -> Q:
             v = parse_rational(x)
         except ZeroDivisionError as exc:
             raise ValidationFailure(f"zero denominator in {x!r}") from exc
-        except ValueError as exc:
-            raise ValidationFailure(str(exc)) from exc
         if v == INF:
             raise ValidationFailure("'inf' is not accepted on input")
         return v
@@ -199,8 +195,6 @@ def _element(x) -> PuiseuxElement:
         x = int(x)
     try:
         return parse_puiseux(x)
-    except ValueError as exc:
-        raise ValidationFailure(str(exc)) from exc
     except ZeroDivisionError as exc:
         raise ValidationFailure(f"zero denominator in {x!r}") from exc
 
@@ -223,36 +217,15 @@ def _count(payload, key: str) -> Optional[int]:
 
 
 def _relative(payload) -> RelativeDatum:
-    preset = payload.get("preset", "split")
-    if preset not in _KNOWN_PRESETS:
-        raise Unsupported(f"unsupported preset {preset!r}")
-    try:
-        if preset == "split":
-            family, rank = payload.get("family"), _count(payload, "rank")
-            if family is None or rank is None:
-                raise ValidationFailure("split data needs 'family' and 'rank'")
-            if family not in _KNOWN_FAMILIES:
-                raise Unsupported(f"unsupported family {family!r}")
-            return preset_relative("split", datum=build_root_system(family, rank))
-        if preset == "su3":
-            return preset_relative("su3")
-        if preset == "nonsplit_C":
-            return preset_relative("nonsplit_C", rank=_count(payload, "rank"))
-        return preset_relative("sl_skew", s=_count(payload, "s"),
-                               d=_count(payload, "d"))
-    except ValueError as exc:
-        raise ValidationFailure(str(exc)) from exc
+    return group_relative(payload.get("preset", "split"), payload.get("family"),
+                          _count(payload, "rank"), _count(payload, "s"),
+                          _count(payload, "d"))
 
 
 def _decode_point(model: str, raw) -> Tuple[ModelSpec, ModelPoint]:
     """The model's table entry, and the point given as its coordinate rows or
     as one flat vector."""
-    try:
-        spec = model_spec(model)
-    except UnknownModel as exc:
-        raise Unsupported(str(exc)) from exc
-    except ValueError as exc:
-        raise ValidationFailure(str(exc)) from exc
+    spec = model_spec(model)
     count, length = spec.rows or (0, 0)
     if len(raw) == count and all(isinstance(r, list) and len(r) == length
                                  for r in raw):
@@ -262,10 +235,7 @@ def _decode_point(model: str, raw) -> Tuple[ModelSpec, ModelPoint]:
     else:
         raise ValidationFailure(f"{model} needs {count} coordinate rows of "
                                 f"{length} entries")
-    try:
-        return spec, make_point(model, coords)
-    except ValueError as exc:
-        raise ValidationFailure(str(exc)) from exc
+    return spec, make_point(model, coords)
 
 
 def _weighted_point(payload):
@@ -277,10 +247,7 @@ def _weighted_point(payload):
         lam = tuple(lam) if lam is not None else (1, 1)
     elif lam is not None:
         raise ValidationFailure("'lam' only applies to two-factor models")
-    try:
-        return spec.relative, weighted_coordinates(p, lam=lam)
-    except ValueError as exc:
-        raise ValidationFailure(str(exc)) from exc
+    return spec.relative, weighted_coordinates(p, lam=lam)
 
 
 def _character(payload, rel: RelativeDatum) -> tuple:
@@ -332,18 +299,10 @@ def _cmd_rootsys(payload) -> dict:
 
 
 def _cmd_classify(payload) -> dict:
-    preset = payload.get("preset", "split")
-    if preset not in _KNOWN_PRESETS:
-        raise Unsupported(f"unsupported preset {preset!r}")
-    if preset == "split" and payload.get("family") not in _KNOWN_FAMILIES:
-        raise Unsupported(f"unsupported family {payload.get('family')!r}")
-    try:
-        table, scan = classify_regular_weights(
-            family=payload.get("family"), rank=_count(payload, "rank"),
-            J=payload["J"], preset=preset,
-            s=_count(payload, "s"), d=_count(payload, "d"))
-    except ValueError as exc:
-        raise ValidationFailure(str(exc)) from exc
+    table, scan = classify_regular_weights(
+        family=payload.get("family"), rank=_count(payload, "rank"),
+        J=payload["J"], preset=payload.get("preset", "split"),
+        s=_count(payload, "s"), d=_count(payload, "d"))
     return {"table": table, "scan": scan}
 
 
@@ -402,10 +361,7 @@ def _cmd_tree(payload) -> dict:
     coords = _element_vec(payload["point"])
     if len(coords) != 2:
         raise ValidationFailure("tree points live on the projective line")
-    try:
-        x = make_point(TREE_MODEL, coords)
-    except ValueError as exc:
-        raise ValidationFailure(str(exc)) from exc
+    x = make_point(TREE_MODEL, coords)
     R = _rat(payload.get("R", 4))
     res = interval_tree(x, R)
     out = {
@@ -430,16 +386,10 @@ def _cmd_models(payload) -> dict:
     spec, p = _decode_point(payload["model"], payload["point"])
     if "act" in payload:
         g = [_element_vec(row) for row in payload["act"]]
-        try:
-            p = act(g, p)
-        except ValueError as exc:
-            raise ValidationFailure(str(exc)) from exc
+        p = act(g, p)
     if "project" in payload:
-        try:
-            # the projection targets are the models of the point's factors
-            p = project(p, spec.factor_models.index(payload["project"]) + 1)
-        except ValueError as exc:
-            raise ValidationFailure(str(exc)) from exc
+        # the projection targets are the models of the point's factors
+        p = project(p, spec.factor_models.index(payload["project"]) + 1)
     return {"model": p.model, "point": p.to_json(),
             "display": [[_fmt_element(c) for c in vec] for vec in p.data]}
 
@@ -452,10 +402,7 @@ def _cmd_chi(payload) -> dict:
     else:
         rel, wp = _relative(payload), None
     chiv = _character(payload, rel)
-    try:
-        data = p_chi_data(chiv, rel)
-    except ValueError as exc:
-        raise ValidationFailure(str(exc)) from exc
+    data = p_chi_data(chiv, rel)
     out = {
         "rank": rel.rank,
         "chambers": [list(signs) for signs in data.chambers],
@@ -487,11 +434,19 @@ _HANDLERS = {
 
 
 def run(command: str, payload) -> dict:
-    """Validate one request and produce its JSON-able result."""
+    """Validate one request and produce its JSON-able result.
+
+    The library refuses a request by raising: a group or model outside its
+    tables is unsupported, and any other ValueError is a bad payload."""
     if command not in _HANDLERS:
         raise ValidationFailure(f"unknown command {command!r}")
     validate_payload(command, payload)
-    return _HANDLERS[command](payload)
+    try:
+        return _HANDLERS[command](payload)
+    except (UnknownGroup, UnknownModel) as exc:
+        raise Unsupported(str(exc)) from exc
+    except ValueError as exc:
+        raise ValidationFailure(str(exc)) from exc
 
 
 def serialize(result: dict) -> str:

@@ -5,13 +5,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import combinations
 from math import comb
 from typing import Dict, Optional, Sequence, Tuple
 
 from .qvec import Vector, add, dot, neg, qvec, zero
-from .rootdata import RelativeDatum, build_root_system, preset_relative
+from .rootdata import RelativeDatum, group_relative
 from .torusgit import WeightedPoint
 from .valfield import PuiseuxElement, ZERO, ONE
 
@@ -97,7 +97,7 @@ class ModelSpec:
     def relative(self) -> RelativeDatum:
         """Restriction data of the group acting on the model (one datum per
         group, shared by every model of that group)."""
-        return _group_relative(self.group)
+        return group_relative(*self.group)
 
     @property
     def defining_weights(self) -> Tuple[Vector, ...]:
@@ -112,17 +112,6 @@ class ModelSpec:
         """Torus weights of the coordinates of each factor of a point."""
         w = self.defining_weights
         return tuple(_weigh(how, w, self.args) for how in self.factors)
-
-
-@lru_cache(maxsize=16)
-def _group_relative(group: Tuple) -> RelativeDatum:
-    """The datum of a group preset, built once per group.  proj(n) and
-    grass(j,n) make the groups unbounded in number, so only the most
-    recently asked are kept."""
-    if group == ("su3",):
-        return preset_relative("su3")
-    _, family, rank = group
-    return preset_relative("split", datum=build_root_system(family, rank))
 
 
 def _weigh(how: str, w: Sequence[Vector], args) -> Tuple[Vector, ...]:

@@ -10,7 +10,7 @@ reduced coordinates of dimension equal to the relative rank.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction as Q
 from math import factorial, gcd, lcm
 from operator import mul
@@ -36,6 +36,14 @@ class RootDatum:
     simple_roots: Tuple[Vector, ...]
     all_roots: Tuple[Vector, ...]
     fundamental_weights: Tuple[Vector, ...]
+
+
+class UnknownGroup(ValueError):
+    """A preset, or a split family, outside the group table.  A known group
+    with missing or out-of-range parameters (B1) raises a plain ValueError."""
+
+
+_FAMILIES = ("A", "B", "C", "D")
 
 
 def _ints(n: int, entries: Iterable[Tuple[int, int]]) -> Tuple[int, ...]:
@@ -77,8 +85,8 @@ def build_root_system(family: str, rank: int) -> RootDatum:
     of B and D.  The roots are written and sorted as integer tuples, and
     turned into Fractions once.
     """
-    if family not in ("A", "B", "C", "D"):
-        raise ValueError(f"unsupported family {family!r}")
+    if family not in _FAMILIES:
+        raise UnknownGroup(f"unsupported family {family!r}")
     if rank < 1 or (family != "A" and rank < 2):
         raise ValueError(f"unsupported rank {rank} for family {family}")
     l = rank
@@ -364,25 +372,54 @@ def _sl_skew_relative(s: int, d: int) -> RelativeDatum:
                        small.gram)
 
 
+# the group table: each preset, the parameters it reads, and its constructor
+_GROUPS = {
+    "split": (("family", "rank"),
+              lambda family, rank: _split_relative(build_root_system(family, rank))),
+    "su3": ((), _su3_relative),
+    "nonsplit_C": (("rank",), _nonsplit_c_relative),
+    "sl_skew": (("s", "d"), _sl_skew_relative),
+}
+
+
+def group_relative(preset: str = "split", family: Optional[str] = None,
+                   rank: Optional[int] = None, s: Optional[int] = None,
+                   d: Optional[int] = None) -> RelativeDatum:
+    """The relative datum of a group: one cached constructor per group.
+
+    The checks run in one order: a preset, then a given split family,
+    outside the table raises UnknownGroup; a parameter the preset reads but
+    is not given raises ValueError; the constructor rejects out-of-range
+    values (B1, nonsplit_C of rank 1) with ValueError.  The cache is keyed
+    on the preset and the parameters it reads, so every call form of one
+    group shares one datum.  proj(n) and grass(j,n) make the groups
+    unbounded in number, so only the most recent are kept."""
+    if preset not in _GROUPS:
+        raise UnknownGroup(f"unsupported preset {preset!r}")
+    if preset == "split" and family is not None and family not in _FAMILIES:
+        raise UnknownGroup(f"unsupported family {family!r}")
+    names = _GROUPS[preset][0]
+    args = tuple({"family": family, "rank": rank, "s": s, "d": d}[name]
+                 for name in names)
+    if None in args:
+        raise ValueError(f"{preset} data needs "
+                         + " and ".join(f"'{name}'" for name in names))
+    return _cached_relative(preset, args)
+
+
+@lru_cache(maxsize=16)
+def _cached_relative(preset: str, args: tuple) -> RelativeDatum:
+    return _GROUPS[preset][1](*args)
+
+
 def preset_relative(name: str, datum: Optional[RootDatum] = None,
                     rank: Optional[int] = None, s: Optional[int] = None,
                     d: Optional[int] = None) -> RelativeDatum:
-    """Validated restriction presets: split, su3, nonsplit_C, sl_skew."""
-    if name == "split":
-        if datum is None:
-            raise ValueError("split preset needs a root datum")
+    """Validated restriction presets: split, su3, nonsplit_C, sl_skew.  A
+    given split datum is restricted afresh, else group_relative answers."""
+    if name == "split" and datum is not None:
         return _split_relative(datum)
-    if name == "su3":
-        return _su3_relative()
-    if name == "nonsplit_C":
-        if rank is None:
-            raise ValueError("nonsplit_C preset needs a rank")
-        return _nonsplit_c_relative(rank)
-    if name == "sl_skew":
-        if s is None or d is None:
-            raise ValueError("sl_skew preset needs s and d")
-        return _sl_skew_relative(s, d)
-    raise ValueError(f"unsupported preset {name!r}")
+    return group_relative(name, rank=rank, s=s, d=d)
 
 
 def dominant_weight(datum: RootDatum, J, coeffs) -> Tuple[Vector, bool]:

@@ -13,9 +13,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .polyhedra import (QPolytope, cone_contains, cone_h_rep,
                         cone_interior_contains, hull_cone, origin_tangent_cone)
 from .qvec import Vector, as_fractions, dot, neg, qvec, reduced_ints
-from .rootdata import (Ray, RelativeDatum, build_root_system, fundamental_rays,
-                       preset_relative, reflection_closure,
-                       relative_weyl_orbit, simple_shuffles)
+from .rootdata import (Ray, RelativeDatum, fundamental_rays, group_relative,
+                       reflection_closure, relative_weyl_orbit, simple_shuffles)
 from .valfield import PuiseuxElement, parse_rational, format_rational
 
 
@@ -231,30 +230,9 @@ def classify_regular_weights(family: Optional[str] = None,
     arrangement; the two must agree.
     """
     J = sorted(set(int(j) for j in J))
-    if preset == "split":
-        if family is None or rank is None:
-            raise ValueError("split classification needs family and rank")
-        datum = build_root_system(family, rank)
-        rel = preset_relative("split", datum=datum)
-        node_count, step = rank, 1
-    elif preset == "su3":
-        rel = preset_relative("su3")
-        datum = rel.datum
-        node_count, step = 2, 1
-    elif preset == "nonsplit_C":
-        if rank is None:
-            raise ValueError("nonsplit_C classification needs a rank")
-        rel = preset_relative("nonsplit_C", rank=rank)
-        datum = rel.datum
-        node_count, step = rank, 1
-    elif preset == "sl_skew":
-        if s is None or d is None:
-            raise ValueError("sl_skew classification needs s and d")
-        rel = preset_relative("sl_skew", s=s, d=d)
-        datum = rel.datum
-        node_count, step = s, d
-    else:
-        raise ValueError(f"unsupported preset {preset!r}")
+    rel = group_relative(preset, family, rank, s, d)
+    datum = rel.datum
+    node_count, step = (s, d) if preset == "sl_skew" else (datum.rank, 1)
     if not J or any(j < 1 or j > node_count for j in J):
         raise ValueError("J must be a nonempty subset of the node range")
 

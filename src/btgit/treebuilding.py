@@ -255,14 +255,12 @@ def _compositions(total: int, parts: int):
 
 
 def _eval_monomials(coords, monomials):
-    vals = []
-    for expo in monomials:
-        term = ONE
-        for c, e in zip(coords, expo):
-            for _ in range(e):
-                term = term * c
-        vals.append(term.valuation() if term else INF)
-    return vals
+    """The valuation of each monomial in the coordinates, with no product
+    formed: valuation is additive and the ring has no zero divisors, so a
+    zero coordinate's INF gives INF."""
+    vals = [c.valuation() for c in coords]
+    return [sum((e * v for v, e in zip(vals, expo) if e > 0), Q(0))
+            for expo in monomials]
 
 
 def r_log(x: ModelPoint, chart: ApartmentChart, degree: Optional[int] = None) -> Q:

@@ -586,6 +586,20 @@ def determinant_by_permutations(m: Sequence[Sequence[PuiseuxElement]]
     return out
 
 
+def eval_monomials_by_products(coords: Sequence[PuiseuxElement],
+                               monomials: Sequence[Sequence[int]]) -> list:
+    """Reference oracle: each monomial built by repeated products of the
+    coordinates, then its valuation read (INF for zero)."""
+    vals = []
+    for expo in monomials:
+        term = ONE
+        for c, e in zip(coords, expo):
+            for _ in range(e):
+                term = term * c
+        vals.append(term.valuation() if term else INF)
+    return vals
+
+
 def plucker_relations_by_all_subsets(vec: Sequence[PuiseuxElement], j: int,
                                      n: int) -> bool:
     """Reference oracle: every quadratic Plucker relation of grass(j,n),

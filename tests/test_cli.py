@@ -211,10 +211,18 @@ def test_parser_is_reused_across_requests(tmp_path, capsys):
     ("rootsys", {"family": "A", "rank": 1e300}, None, 3),
     ("rootsys", {"preset": "sl_skew", "s": 1, "d": 10 ** 24}, None, 3),
     ("classify", {"preset": "sl_skew", "s": 1, "d": 10 ** 24, "J": [1]}, None, 3),
+    # an unknown family is unsupported before a missing rank is invalid
+    ("rootsys", {"family": "G"}, None, 3),
+    ("chambers", {"family": "G"}, None, 3),
+    ("chi", {"family": "G", "chi": ["1"]}, None, 3),
+    ("classify", {"J": [1]}, None, 2),
+    ("rootsys", {"family": "B", "rank": 1}, None, 2),
 ], ids=["malformed-grass", "proj-1", "zero-exponent-denominator",
         "zero-chi-denominator", "ragged-act", "act-size-mismatch",
         "pivot-limit", "short-chi", "long-chi", "zero-lam", "rank-2**63",
-        "rank-1e300", "sl_skew-d-10**24", "classify-d-10**24"])
+        "rank-1e300", "sl_skew-d-10**24", "classify-d-10**24",
+        "rootsys-family-G", "chambers-family-G", "chi-family-G",
+        "classify-no-family", "rootsys-B1"])
 def test_bad_inputs_exit_without_output(tmp_path, capsys, monkeypatch,
                                         command, payload, env, code):
     for name, value in (env or {}).items():

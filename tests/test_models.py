@@ -10,6 +10,7 @@ from helpers import (determinant_by_permutations,
                      random_grass24_point, random_proj_point, random_sl3_flag,
                      random_sp4_flag, random_su3_pair, rng)
 
+from btgit import cli
 from btgit.cli import main, run
 from btgit.interval import destabilizing_1ps
 from btgit.models import (ModelPoint, UnknownModel, _plucker,
@@ -18,7 +19,7 @@ from btgit.models import (ModelPoint, UnknownModel, _plucker,
                           p_epsilon_member, project, symplectic_form,
                           weighted_coordinates)
 from btgit.qvec import dot, qvec
-from btgit.rootdata import build_root_system, preset_relative
+from btgit.rootdata import build_root_system, group_relative, preset_relative
 from btgit.torusgit import mu_K, stability_status
 from btgit.valfield import ONE, ZERO, PuiseuxElement
 
@@ -37,15 +38,30 @@ def test_model_table_tells_unknown_from_malformed_names():
         assert not isinstance(info.value, UnknownModel)
 
 
-def test_model_relative_is_one_datum_per_group():
+def test_model_relative_is_one_datum_per_group(monkeypatch):
     # equal names, and models of one group, share one datum
     assert model_relative("proj(3)") is model_relative("proj(3)")
     assert model_relative("proj(3)") is model_relative("sl3_flag")
     assert model_relative("su3_pair") is model_relative("su3_pair")
     assert model_relative("grass(2,4)") is model_relative("proj(4)")
     assert model_relative("proj(2)") is not model_relative("proj(3)")
-    assert model_relative("sp4_line") == preset_relative(
-        "split", datum=build_root_system("C", 2))
+    # every call form of one group reaches the same datum
+    su3 = group_relative("su3")
+    assert su3 is group_relative("su3", None, None, None, None)
+    assert su3 is group_relative(preset="su3")
+    assert su3 is preset_relative("su3") is model_relative("su3_pair")
+    assert group_relative("split", "A", 2) is group_relative(
+        family="A", rank=2)
+    read = []
+    hyperplanes = cli.root_hyperplanes
+    monkeypatch.setattr(cli, "root_hyperplanes",
+                        lambda rel: read.append(rel) or hyperplanes(rel))
+    run("rootsys", {"family": "A", "rank": 2})
+    assert len(read) == 1 and read[0] is model_relative("proj(3)")
+    # a given split datum is restricted afresh
+    fresh = preset_relative("split", datum=build_root_system("C", 2))
+    assert model_relative("sp4_line") == fresh
+    assert model_relative("sp4_line") is not fresh
 
 
 def test_grass_rows_to_plucker():

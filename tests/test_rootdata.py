@@ -5,10 +5,11 @@ from fractions import Fraction as Q
 import pytest
 
 from btgit.qvec import add, dot, primitive_ints, qvec, scale
-from btgit.rootdata import (_ray_reflection, build_root_system, dominant_weight,
-                            fundamental_rays, preset_relative, reflect,
-                            reflection_closure, relative_weyl_orbit,
-                            simple_shuffles, weyl_orbit, weyl_order)
+from btgit.rootdata import (UnknownGroup, _ray_reflection, build_root_system,
+                            dominant_weight, fundamental_rays, group_relative,
+                            preset_relative, reflect, reflection_closure,
+                            relative_weyl_orbit, simple_shuffles, weyl_orbit,
+                            weyl_order)
 from helpers import (chamber_points_by_fractions,
                      fundamental_points_by_fractions, integer_layer_data,
                      orbit_by_reflection, random_rational,
@@ -124,6 +125,27 @@ def test_sl_skew_preset_matches_quotient_type():
     assert rel.rank == 2
     small = preset_relative("split", datum=build_root_system("A", 2))
     assert sorted(rel.relative_roots) == sorted(small.relative_roots)
+
+
+@pytest.mark.parametrize("args,unknown", [
+    (("bogus", "G"), True),
+    (("split", "G"), True),
+    (("split", "E", None), True),
+    (("split",), False),
+    (("split", "A"), False),
+    (("nonsplit_C",), False),
+    (("sl_skew", None, None, 1), False),
+    (("split", "B", 1), False),
+    (("nonsplit_C", None, 1), False),
+], ids=["unknown-preset", "unknown-family", "unknown-family-no-rank",
+        "split-empty", "split-no-rank",
+        "nonsplit_C-no-rank", "sl_skew-no-d", "B1", "nonsplit_C-1"])
+def test_group_table_checks_in_one_order(args, unknown):
+    # names outside the table before missing parameters, then the
+    # constructor's own range checks
+    with pytest.raises(ValueError) as info:
+        group_relative(*args)
+    assert isinstance(info.value, UnknownGroup) == unknown
 
 
 def test_dominant_weight_examples():

@@ -4,8 +4,9 @@ from fractions import Fraction as Q
 
 import pytest
 from helpers import (chamber_presets, chamber_rays_by_fractions,
-                     integer_layer_data, interval_tree_by_series,
-                     random_p1_point, random_rational, rng, weyl_chambers,
+                     eval_monomials_by_products, integer_layer_data,
+                     interval_tree_by_series, random_element, random_p1_point,
+                     random_rational, rng, weyl_chambers,
                      weyl_chambers_by_sign_patterns)
 
 from btgit.models import act, adjugate, make_point, model_relative
@@ -13,7 +14,7 @@ from btgit.polyhedra import QPolyhedron, cone_generators
 from btgit.qvec import dot, primitive_ints
 from btgit.rootdata import build_root_system, preset_relative
 from btgit.treebuilding import (ApartmentChart, TreePoint, _chamber_cone,
-                                _chamber_rays, act_tree,
+                                _chamber_rays, _eval_monomials, act_tree,
                                 chi_parabolic_member, circumcenter, f_chi_tree,
                                 interval_chi, interval_tree,
                                 invariant_monomials, p_chi_data, r_log,
@@ -167,6 +168,17 @@ def test_r_log_antisymmetry():
         ginv = tuple(tuple(row) for row in adjugate(g.g))
         y = act(ginv, x)
         assert r_log(x, g) == -r_log(y, ApartmentChart(ginv))
+
+
+def test_monomial_valuations_match_products():
+    r = rng(107)
+    for _ in range(2000):
+        n = r.randint(1, 4)
+        coords = [random_element(r) for _ in range(n)]
+        monomials = [tuple(r.randint(0, 3) for _ in range(n))
+                     for _ in range(r.randint(1, 3))]
+        assert (_eval_monomials(coords, monomials)
+                == eval_monomials_by_products(coords, monomials))
 
 
 def test_r_tilde_identity_family_is_zero():
