@@ -6,14 +6,15 @@ generators, cone facets, polyhedron generators (points, recession rays and
 lines, and so vertices and the support function), hull skeletons, hull
 membership, minimax faces and linear programs all come from one
 double-description routine, with no simplex and no subset enumeration; hull
-membership reads its integer lines and rays directly, with no Fraction, and a
-polytope keeps that description once it is built.  A minimax face and its
-generators are read off one description of the homogenized hypograph, and
-solve_lp (behind QPolyhedron.sup_linear, which nothing in the package calls)
-reads its optimum or improving direction off the generators of the feasible
-set.  QPolyhedron.is_empty reads the same description.  The environment
-variable BTGIT_DD_RAY_LIMIT caps the number of rays a description may hold
-after any row (default: unlimited); it is the only work budget.
+membership and hull skeletons read its integer lines and rays directly, with
+no Fraction and no rank test, and a polytope keeps that description once it
+is built.  A minimax face and its generators are read off one description of
+the homogenized hypograph, and solve_lp (behind QPolyhedron.sup_linear, which
+nothing in the package calls) reads its optimum or improving direction off
+the generators of the feasible set.  QPolyhedron.is_empty reads the same
+description.  The environment variable BTGIT_DD_RAY_LIMIT caps the number of
+rays a description may hold after any row (default: unlimited); it is the
+only work budget.
 """
 
 from __future__ import annotations
@@ -68,10 +69,6 @@ def rref(rows: Sequence[Sequence[Q]]) -> Tuple[List[List[Q]], List[int]]:
         if r == len(m):
             break
     return m[:r], pivots
-
-
-def matrix_rank(rows: Sequence[Sequence[Q]]) -> int:
-    return len(rref(rows)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +160,13 @@ def hull_cone(p: QPolytope) -> QPolyhedron:
     return cone_h_rep([pt + (Q(1),) for pt in p.points], p.dim + 1)
 
 
+def _lifted_ints(q: Vector) -> Tuple[int, ...]:
+    """q lifted to height 1 and scaled to integers by the lcm of its
+    denominators: a positive multiple, so every sign test keeps its sign."""
+    den = lcm(*(x.denominator for x in q))
+    return tuple(x.numerator * (den // x.denominator) for x in q) + (den,)
+
+
 def hull_member(p: QPolytope, q: Sequence, mode: str = "closure") -> bool:
     """Exact membership of q in conv(points), in the closure or the interior.
 
@@ -189,8 +193,7 @@ def hull_member(p: QPolytope, q: Sequence, mode: str = "closure") -> bool:
     if mode not in ("closure", "interior"):
         raise ValueError(f"unknown mode {mode!r}")
     lines, rays = p._lifted_description
-    den = lcm(*(x.denominator for x in qv))
-    v = tuple(x.numerator * (den // x.denominator) for x in qv) + (den,)
+    v = _lifted_ints(qv)
     if mode == "closure":
         answer = (all(sum(map(mul, l, v)) == 0 for _, l in lines)
                   and all(sum(map(mul, r, v)) >= 0 for r in rays))
@@ -485,23 +488,30 @@ def min_enclosing_ball(points: Sequence[Sequence], gram=None) -> Tuple[Vector, Q
 def hull_skeleton(p: QPolytope):
     """Vertices and edges (with primitive directions) of the hull; dim <= 4.
 
-    Both come from the facets of the cone over the points lifted to height 1:
-    a point is a vertex when the facets through it have rank dim, and two
-    vertices span an edge when the facets through both have rank dim - 1.
+    Both are read off the rays of p's kept integer description, the facets
+    of the cone over the points lifted to height 1: each point gets the bit
+    mask of the facets through it.  That cone is pointed and each of its
+    faces is generated by the points it holds, so a point is a vertex when
+    no other point's mask contains its mask, and two vertices span an edge
+    when no third vertex's mask contains the meet of theirs (the
+    combinatorial adjacency test; Fukuda-Prodon 1996).
     """
     if p.dim > 4:
         raise ValueError("hull skeleton supported up to ambient dimension 4")
-    facets = [nrm for nrm, _ in hull_cone(p).halfspaces]
-    tight = {}
+    _, rays = p._lifted_description
+    masks = []
     for pt in p.points:
-        q = pt + (Q(1),)
-        through = frozenset(i for i, nrm in enumerate(facets) if dot(nrm, q) == 0)
-        if matrix_rank([facets[i] for i in through]) == p.dim:
-            tight[pt] = through
+        v = _lifted_ints(pt)
+        masks.append(sum(1 << k for k, r in enumerate(rays) if not sum(map(mul, r, v))))
+    tight = {pt: m for i, (pt, m) in enumerate(zip(p.points, masks))
+             if not any(n & m == m for j, n in enumerate(masks) if j != i)}
     vertices = list(tight)
-    edges = [(va, vb, primitive(sub(vb, va)))
-             for va, vb in combinations(vertices, 2)
-             if matrix_rank([facets[i] for i in tight[va] & tight[vb]]) == p.dim - 1]
+    edges = []
+    for va, vb in combinations(vertices, 2):
+        meet = tight[va] & tight[vb]
+        if not any(m & meet == meet for v, m in tight.items()
+                   if v is not va and v is not vb):
+            edges.append((va, vb, primitive(sub(vb, va))))
     return vertices, edges
 
 

@@ -83,6 +83,8 @@ def primitive_ints(v: Sequence[Q]) -> Tuple[int, ...]:
 
 def as_fractions(rows: Iterable[Sequence[int]], den: int = 1) -> Tuple[Vector, ...]:
     """Integer rows divided by den, as Fraction tuples."""
+    if den == 1:
+        return tuple(tuple(map(Q, r)) for r in rows)
     return tuple(tuple(Q(n, den) for n in r) for r in rows)
 
 

@@ -196,6 +196,53 @@ class RelativeDatum:
         return tuple(tuple((j, x) for j, x in enumerate(row) if x)
                      for row in self.dual_matrix)
 
+    @cached_property
+    def _reflections(self) -> Tuple[Tuple[Ray, Ray], ...]:
+        """The primitive integer (A, X) that _ray_reflection reads, per
+        relative simple root a and its coroot direction x (gram x = a), from
+        one solve of the gram for all of them."""
+        xs = _solve_columns(self.gram, self.relative_simple)
+        return tuple((primitive_ints(a), primitive_ints(x))
+                     for a, x in zip(self.relative_simple, xs))
+
+    @cached_property
+    def _fundamental_rays(self) -> Tuple[Ray, ...]:
+        """The rays of the fundamental chamber (fundamental_rays)."""
+        chamber = QPolyhedron([(a, Q(0)) for a in self.relative_simple], self.rank)
+        return tuple(primitive_ints(z) for z in cone_generators(chamber))
+
+    @cached_property
+    def _root_lines(self) -> Tuple[Ray, ...]:
+        """The primitive normals of the root hyperplanes as integer tuples:
+        the orbit of the fundamental rays, each with its first nonzero entry
+        made positive, sorted (see torusgit.root_hyperplanes)."""
+        lines = set()
+        for (z,) in relative_weyl_orbit(self, [(z,) for z in self._fundamental_rays]):
+            lines.add(z if next(c for c in z if c) > 0 else tuple(-c for c in z))
+        return tuple(sorted(lines))
+
+    @cached_property
+    def _chamber_table(self) -> Tuple[Tuple[Vector, ...],
+                                      Tuple[Tuple[Tuple[int, ...], Tuple[Ray, ...]], ...]]:
+        """Root lines, and the rays of every chamber of their arrangement by
+        sign vector (see treebuilding._chamber_rays).
+
+        The chambers are the Weyl translates of the fundamental one, so their
+        rays are the orbit images of its rays, as primitive integer vectors,
+        and their sign vectors those of the images' sums.  They are listed
+        with + before - in each sign, root by root.
+        """
+        lines: List[Vector] = []
+        for a in self.relative_roots:
+            if a not in lines and tuple(-c for c in a) not in lines:
+                lines.append(a)
+        keys = [primitive_ints(a) for a in lines]
+        rays = {}
+        for imgs in relative_weyl_orbit(self, [self._fundamental_rays]):
+            inside = [sum(c) for c in zip(*imgs)]
+            rays[tuple(1 if sum(map(mul, a, inside)) > 0 else -1 for a in keys)] = imgs
+        return tuple(lines), tuple((s, rays[s]) for s in sorted(rays, reverse=True))
+
     def restrict(self, beta: Vector) -> Vector:
         """Reduced dual coordinates of the restriction of an absolute weight,
         read through the nonzero entries of each dual row."""
@@ -225,12 +272,10 @@ def relative_weyl_orbit(rel: RelativeDatum,
     reflected ray is its primitive form, and a ray with A . z = 0 is fixed.
     The group keeps the gram norm, so an element fixing a ray fixes its
     points: the ray orbits are the point orbits up to positive scaling.
+    The datum keeps each reflection's integers, so the gram is solved once.
     """
-    xs = _solve_columns(rel.gram, rel.relative_simple)
-    maps = []
-    for a, x in zip(rel.relative_simple, xs):
-        f = _ray_reflection(primitive_ints(a), primitive_ints(x))
-        maps.append(lambda zs, f=f: tuple(map(f, zs)))
+    maps = [lambda zs, f=_ray_reflection(A, X): tuple(map(f, zs))
+            for A, X in rel._reflections]
     return reflection_closure(seeds, maps)
 
 
@@ -262,10 +307,8 @@ def _ray_reflection(A: Ray, X: Ray) -> Callable[[Ray], Ray]:
 
 def fundamental_rays(rel: RelativeDatum) -> List[Ray]:
     """Primitive integer rays of the fundamental chamber {z : a . z >= 0, a
-    relative simple}."""
-    return [primitive_ints(z) for z in
-            cone_generators(QPolyhedron([(a, Q(0)) for a in rel.relative_simple],
-                                        rel.rank))]
+    relative simple}, described once per datum."""
+    return list(rel._fundamental_rays)
 
 
 def _restricted(name: str, datum: RootDatum, dual: Sequence[Vector],

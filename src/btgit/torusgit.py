@@ -13,8 +13,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .polyhedra import (QPolytope, cone_contains, cone_h_rep,
                         cone_interior_contains, hull_cone, origin_tangent_cone)
 from .qvec import Vector, as_fractions, dot, neg, qvec, reduced_ints
-from .rootdata import (Ray, RelativeDatum, fundamental_rays, group_relative,
-                       reflection_closure, relative_weyl_orbit, simple_shuffles)
+from .rootdata import (Ray, RelativeDatum, group_relative, reflection_closure,
+                       simple_shuffles)
 from .valfield import PuiseuxElement, parse_rational, format_rational
 
 
@@ -170,18 +170,10 @@ def root_hyperplanes(rel: RelativeDatum) -> Tuple[Vector, ...]:
 
     Each such hyperplane is a Weyl translate of the span of all simple roots
     but one (Bourbaki, Lie VI §1), whose normal is a ray of the fundamental
-    chamber; so the normals are the orbit of those rays, up to sign.
+    chamber; so the normals are the orbit of those rays, up to sign, which
+    the datum keeps as integer tuples (RelativeDatum._root_lines).
     """
-    return as_fractions(_root_lines(rel))
-
-
-def _root_lines(rel: RelativeDatum) -> List[Ray]:
-    """root_hyperplanes as integer tuples: the orbit's rays with their first
-    nonzero entry made positive, sorted."""
-    lines = set()
-    for (z,) in relative_weyl_orbit(rel, [(z,) for z in fundamental_rays(rel)]):
-        lines.add(z if next(c for c in z if c) > 0 else tuple(-c for c in z))
-    return sorted(lines)
+    return as_fractions(rel._root_lines)
 
 
 @dataclass(frozen=True)
@@ -259,7 +251,7 @@ def classify_regular_weights(family: Optional[str] = None,
     dual_rows = [[(i, a.numerator * (dual_den // a.denominator))
                   for i, a in enumerate(r) if a] for r in rel.dual_matrix]
     covectors = []
-    for h in _root_lines(rel):
+    for h in rel._root_lines:
         g = [0] * datum.ambient_dim
         for hk, row in zip(h, dual_rows):
             if hk:

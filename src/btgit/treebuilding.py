@@ -16,7 +16,7 @@ from .models import (ModelPoint, act, adjugate, determinant, model_relative,
 from .polyhedra import (QPolyhedron, cone_generators, min_enclosing_ball,
                         polyhedron_generators)
 from .qvec import Vector, is_zero, primitive_ints, qvec
-from .rootdata import RelativeDatum, fundamental_rays, relative_weyl_orbit
+from .rootdata import RelativeDatum
 from .valfield import (INF, ONE, PuiseuxElement, ZERO, _canonical,
                        format_rational)
 
@@ -315,23 +315,11 @@ def interval_chi(x: ModelPoint, chi, R=Q(4), rel: Optional[RelativeDatum] = None
 
 
 def _chamber_rays(rel: RelativeDatum):
-    """Root lines, and the rays of every chamber of their arrangement by sign vector.
-
-    The chambers are the Weyl translates of the fundamental one, so their
-    rays are the orbit images of its rays, as primitive integer vectors, and
-    their sign vectors those of the images' sums.  They are listed with +
-    before - in each sign, root by root.
-    """
-    lines = []
-    for a in rel.relative_roots:
-        if a not in lines and tuple(-c for c in a) not in lines:
-            lines.append(a)
-    keys = [primitive_ints(a) for a in lines]
-    rays = {}
-    for imgs in relative_weyl_orbit(rel, [tuple(fundamental_rays(rel))]):
-        inside = [sum(c) for c in zip(*imgs)]
-        rays[tuple(1 if sum(map(mul, a, inside)) > 0 else -1 for a in keys)] = imgs
-    return lines, {s: rays[s] for s in sorted(rays, reverse=True)}
+    """Root lines, and the rays of every chamber of their arrangement by sign
+    vector, as a fresh list and dict over the table the datum keeps
+    (RelativeDatum._chamber_table)."""
+    lines, chambers = rel._chamber_table
+    return list(lines), dict(chambers)
 
 
 def _chamber_cone(signs: Tuple[int, ...], lines: Sequence[Vector]) -> Tuple:
@@ -355,10 +343,10 @@ def p_chi_data(chi: Sequence, rel: RelativeDatum) -> PChiData:
         raise ValueError("the character must be nonzero")
     if len(chiv) != rel.rank:
         raise ValueError("dimension mismatch")
-    lines, rays = _chamber_rays(rel)
+    lines, chambers = rel._chamber_table
     # the rays are read only through signs, so chi is scaled to integers
     c = primitive_ints(chiv)
-    kept = [s for s, gens in rays.items()
+    kept = [s for s, gens in chambers
             if all(sum(map(mul, c, g)) >= 0 for g in gens)]
     if not kept:
         raise AssertionError("the character is negative on every chamber")

@@ -11,7 +11,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from btgit.models import make_point, model_relative, symplectic_form
 from btgit.polyhedra import (LPResult, MinimaxResult, QPolyhedron, QPolytope,
-                             polyhedron_generators, rref)
+                             hull_cone, polyhedron_generators, rref)
 from btgit.qvec import Vector, add, dot, neg, primitive, qvec, scale, sub
 from btgit.rootdata import (RelativeDatum, build_root_system, fundamental_rays,
                             preset_relative, reflect, reflection_closure,
@@ -513,6 +513,33 @@ def mu_residue_recomputed(x, rel: RelativeDatum, z) -> QPolytope:
     shifted = {rw: n + dot(rw, zc) for rw, n in profile.items()}
     m = min(shifted.values())
     return QPolytope([rw for rw, v in shifted.items() if v == m])
+
+
+def matrix_rank(rows: Sequence[Sequence[Q]]) -> int:
+    return len(rref(rows)[0])
+
+
+def hull_skeleton_by_rank(p: QPolytope):
+    """Reference oracle: polyhedra.hull_skeleton by rank tests on the Fraction
+    facets of hull_cone.
+
+    A point is a vertex when the facets through it have rank dim, and two
+    vertices span an edge when the facets through both have rank dim - 1.
+    """
+    if p.dim > 4:
+        raise ValueError("hull skeleton supported up to ambient dimension 4")
+    facets = [nrm for nrm, _ in hull_cone(p).halfspaces]
+    tight = {}
+    for pt in p.points:
+        q = pt + (Q(1),)
+        through = frozenset(i for i, nrm in enumerate(facets) if dot(nrm, q) == 0)
+        if matrix_rank([facets[i] for i in through]) == p.dim:
+            tight[pt] = through
+    vertices = list(tight)
+    edges = [(va, vb, primitive(sub(vb, va)))
+             for va, vb in combinations(vertices, 2)
+             if matrix_rank([facets[i] for i in tight[va] & tight[vb]]) == p.dim - 1]
+    return vertices, edges
 
 
 def _fraction_dot(x, y) -> Q:

@@ -5,8 +5,9 @@ from itertools import combinations
 
 import pytest
 from helpers import (double_description_by_fractions, hull_member_by_lp,
-                     is_empty_by_lp, line_rep, rng, single_point,
-                     solve_lp_by_simplex, sup_linear_by_lp)
+                     hull_skeleton_by_rank, is_empty_by_lp, line_rep,
+                     matrix_rank, rng, single_point, solve_lp_by_simplex,
+                     sup_linear_by_lp)
 
 from btgit.polyhedra import (QPolyhedron, QPolytope, WorkLimitExceeded,
                              _double_description, cone_contains,
@@ -207,6 +208,29 @@ def test_hull_skeleton_examples():
     seg = QPolytope([(0, 0), (3, 3)])
     assert len(hull_skeleton(seg)[1]) == 1
     assert hull_skeleton(QPolytope([(2, 2)]))[1] == []
+
+
+def test_hull_skeleton_matches_rank_oracle():
+    """Seeded polytopes in dimension 1 to 4 whose points lie on affine
+    subspaces of every dimension 0..d, with repeated points and single
+    points: vertices, edges and edge directions equal the rank oracle's, in
+    order."""
+    r = rng(1901)
+    for d in range(1, 5):
+        spans = set()
+        for _ in range(250):
+            k = r.randint(0, d)
+            base = _rand_vec(r, d)
+            dirs = [_rand_vec(r, d) for _ in range(k)]
+            pts = [tuple(b + sum(r.randint(-2, 2) * v[i] for v in dirs)
+                         for i, b in enumerate(base))
+                   for _ in range(r.choice((1, r.randint(2, 9))))]
+            pts += r.sample(pts, r.randint(0, len(pts)))  # repeats
+            p = QPolytope(pts)
+            spans.add(matrix_rank([sub(q, p.points[0]) for q in p.points])
+                      if len(p.points) > 1 else 0)
+            assert hull_skeleton(p) == hull_skeleton_by_rank(p), pts
+        assert spans == set(range(d + 1)), d
 
 
 def test_edge_directions_are_canonical():

@@ -1,15 +1,20 @@
 """Root systems, Weyl orbits, and relative (restricted) data."""
 
+import copy
+import pickle
 from fractions import Fraction as Q
 
 import pytest
 
+from btgit import torusgit
 from btgit.qvec import add, dot, primitive_ints, qvec, scale
 from btgit.rootdata import (UnknownGroup, _ray_reflection, build_root_system,
                             dominant_weight, fundamental_rays, group_relative,
                             preset_relative, reflect, reflection_closure,
                             relative_weyl_orbit, simple_shuffles, weyl_orbit,
                             weyl_order)
+from btgit.torusgit import classify_regular_weights, root_hyperplanes
+from btgit.treebuilding import _chamber_rays
 from helpers import (chamber_points_by_fractions,
                      fundamental_points_by_fractions, integer_layer_data,
                      orbit_by_reflection, random_rational,
@@ -217,3 +222,38 @@ def test_ray_reflection_rescales_off_the_lattice():
         image = tuple(Q(c) - t * x for c, x in zip(z, X))
         assert reflect_ray(z) == primitive_ints(image)
     assert reflect_ray((1, -2)) == (1, -2)
+
+
+def test_weyl_tables_are_kept_per_datum(monkeypatch):
+    """A datum that has built its Weyl tables and a fresh equal one answer
+    alike; a datum with built tables round-trips through pickle and
+    deepcopy; and no caller can change a kept table through an answer."""
+    tables = {"_reflections", "_fundamental_rays", "_root_lines", "_chamber_table"}
+    for family, rank in (("A", 3), ("B", 3), ("C", 2), ("D", 4)):
+        J = list(range(1, rank + 1, 2))
+        built = group_relative("split", family, rank)
+        answer = classify_regular_weights(family, rank, J)
+        _chamber_rays(built)
+        assert tables <= set(built.__dict__), family
+        fresh = preset_relative("split", datum=build_root_system(family, rank))
+        assert fresh is not built and not tables & set(fresh.__dict__)
+        assert fresh == built and hash(fresh) == hash(built)
+        assert repr(fresh) == repr(built)
+        seeds = [tuple(fundamental_rays(built))]
+        for rel in (fresh, pickle.loads(pickle.dumps(built)), copy.deepcopy(built)):
+            assert rel == built and repr(rel) == repr(built)
+            assert root_hyperplanes(rel) == root_hyperplanes(built)
+            assert _chamber_rays(rel) == _chamber_rays(built)
+            assert fundamental_rays(rel) == fundamental_rays(built)
+            assert relative_weyl_orbit(rel, seeds) == relative_weyl_orbit(built, seeds)
+        with monkeypatch.context() as m:
+            m.setattr(torusgit, "group_relative", lambda *args: fresh)
+            assert classify_regular_weights(family, rank, J) == answer
+        rays = fundamental_rays(built)
+        rays.append(rays[0])
+        rays.reverse()
+        lines, chambers = _chamber_rays(built)
+        lines.clear()
+        chambers.clear()
+        assert fundamental_rays(built) == fundamental_rays(fresh)
+        assert _chamber_rays(built) == _chamber_rays(fresh)
