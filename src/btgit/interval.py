@@ -8,8 +8,8 @@ from typing import Mapping, Optional, Sequence, Tuple
 
 from .apartment import ApartmentPoint, InfinityPoint
 from .polyhedra import (Generators, QPolyhedron, cone_generators, minimax_face,
-                        polar_cone, rref)
-from .qvec import Vector, dot, is_zero, neg, primitive, qvec
+                        polar_cone)
+from .qvec import Vector, dot, is_zero, primitive, qvec
 from .rootdata import RelativeDatum, weyl_orbit
 from .torusgit import WeightedPoint, mu_K, point_data, stability_status
 from .valfield import INF
@@ -52,11 +52,11 @@ def interval_A(x: WeightedPoint, rel: RelativeDatum) -> IntervalResult:
     restricted weights w of x and their least valuations v_w.  One double
     description of the hypograph (minimax_face) gives the face and its
     generators, with no LP; every wall bound is the face's support function,
-    read off those generators.  The relative roots are symmetric and span the
-    dual space, so their wall bounds decide the shape: the face is bounded
-    when every bound is finite, and a point when every root is constant on
-    it, sup a = -sup(-a).  The point keeps the result for the datum last
-    asked, so asking again describes nothing.
+    read off those generators.  The face is bounded when it has no recession
+    ray or line, and then a point when it has one generator point.  The
+    relative roots are symmetric and span the dual space, so this is the
+    shape their wall bounds show.  The point keeps the result for the datum
+    last asked, so asking again describes nothing.
     """
     data = point_data(x, rel)
     if data.interval is None:
@@ -70,11 +70,10 @@ def _interval(profile: Mapping[Vector, object], rel: RelativeDatum) -> IntervalR
         return IntervalResult(None, INF, False, None, MappingProxyType({}), None)
     gens = res.generators
     bounds = {a: gens.support(a) for a in rel.relative_roots}
-    bounded = INF not in bounds.values()
+    bounded = not (gens.rays or gens.lines)
     singleton = None
-    if bounded and all(bounds[a] == -bounds[neg(a)] for a in bounds):
-        red, _ = rref([a + (n,) for a, n in bounds.items()])
-        singleton = ApartmentPoint(tuple(row[-1] for row in red))
+    if bounded and len(gens.points) == 1:
+        singleton = ApartmentPoint(gens.points[0])
     return IntervalResult(res.face, res.value, bounded, singleton,
                           MappingProxyType(bounds), gens)
 

@@ -8,13 +8,14 @@ membership, minimax faces and linear programs all come from one
 double-description routine, with no simplex and no subset enumeration; hull
 membership and hull skeletons read its integer lines and rays directly, with
 no Fraction and no rank test, and a polytope keeps that description once it
-is built.  A minimax face and its generators are read off one description of
-the homogenized hypograph, and solve_lp (behind QPolyhedron.sup_linear, which
-nothing in the package calls) reads its optimum or improving direction off
-the generators of the feasible set.  QPolyhedron.is_empty reads the same
-description.  The environment variable BTGIT_DD_RAY_LIMIT caps the number of
-rays a description may hold after any row (default: unlimited); it is the
-only work budget.
+is built; its hull_cone and tangent cone are read off the same kept
+description.  A minimax face and its generators are read off one description
+of the homogenized hypograph.  QPolyhedron.sup_linear and is_empty read the
+generators of the polyhedron's homogenization; solve_lp, which nothing in
+the package calls, reads its optimum or improving direction off the
+generators of the feasible set.  The environment variable BTGIT_DD_RAY_LIMIT
+caps the number of rays a description may hold after any row (default:
+unlimited); it is the only work budget.
 """
 
 from __future__ import annotations
@@ -131,13 +132,7 @@ class QPolyhedron:
 
     def sup_linear(self, c: Sequence):
         """sup of c . z over the polyhedron; INF if unbounded, None if empty."""
-        c = qvec(c)
-        res = solve_lp(c, ub=[(neg(nrm), -off) for nrm, off in self.halfspaces])
-        if res.status == "infeasible":
-            return None
-        if res.status == "unbounded":
-            return INF
-        return res.value
+        return polyhedron_generators(self).support(c)
 
     def is_empty(self) -> bool:
         """Whether no point satisfies every halfspace: the homogenization
@@ -155,9 +150,10 @@ def hull_cone(p: QPolytope) -> QPolyhedron:
     q lies in the hull when q lifted the same way lies in this cone, and in
     the hull's interior (relative to the full ambient space) when strictly
     inside every halfspace; a lower-dimensional hull shows up as equality
-    pairs, which never hold strictly.
+    pairs, which never hold strictly.  The facets are read off p's kept
+    integer description, so building them describes nothing.
     """
-    return cone_h_rep([pt + (Q(1),) for pt in p.points], p.dim + 1)
+    return _h_rep(p._lifted_description, p.dim + 1)
 
 
 def _lifted_ints(q: Vector) -> Tuple[int, ...]:
@@ -309,14 +305,27 @@ def _integer_double_description(rows: Sequence[Vector], dim: int
     return lines, [r for r, _ in rays]
 
 
-def _double_description(rows: Sequence[Vector],
-                        dim: int) -> Tuple[List[Vector], List[Vector]]:
-    """The integer double description in Fractions: each line divided by its
+def _fractions(description) -> Tuple[List[Vector], List[Vector]]:
+    """An integer double description in Fractions: each line divided by its
     entry at its free coordinate, so the lines are the reduced kernel basis
     of the rows, and the rays as they are."""
-    lines, rays = _integer_double_description(rows, dim)
+    lines, rays = description
     return ([tuple(Q(x, l[i]) for x in l) for i, l in lines],
             [tuple(Q(x) for x in r) for r in rays])
+
+
+def _double_description(rows: Sequence[Vector],
+                        dim: int) -> Tuple[List[Vector], List[Vector]]:
+    """The integer double description of the rows, in Fractions."""
+    return _fractions(_integer_double_description(rows, dim))
+
+
+def _h_rep(description, dim: int) -> QPolyhedron:
+    """The cone dual to an integer double description: its lines become
+    equality pairs and its rays, sorted, halfspaces through 0."""
+    lines, rays = _fractions(description)
+    halfspaces = [(w, Q(0)) for v in lines for w in (v, neg(v))]
+    return QPolyhedron(halfspaces + [(r, Q(0)) for r in sorted(rays)], dim)
 
 
 def cone_h_rep(generators: Sequence[Sequence], dim: int) -> QPolyhedron:
@@ -326,24 +335,16 @@ def cone_h_rep(generators: Sequence[Sequence], dim: int) -> QPolyhedron:
     {n : n . g >= 0 for every generator g}; its lines, the directions
     orthogonal to the span, become equality pairs.
     """
-    lines, rays = _double_description([qvec(g) for g in generators], dim)
-    halfspaces = [(w, Q(0)) for v in lines for w in (v, neg(v))]
-    return QPolyhedron(halfspaces + [(r, Q(0)) for r in sorted(rays)], dim)
-
-
-def origin_tangent_cone(hull: QPolyhedron) -> QPolyhedron:
-    """Tangent cone at the origin of a hull that holds it, from its hull_cone:
-    the facets through the origin are the lifted ones with last entry 0."""
-    return QPolyhedron([(nrm[:-1], off) for nrm, off in hull.halfspaces
-                        if nrm[-1] == 0], hull.dim - 1)
+    return _h_rep(_integer_double_description([qvec(g) for g in generators], dim), dim)
 
 
 def tangent_cone(p: QPolytope) -> QPolyhedron:
-    """Tangent cone of the hull at the origin, which must lie in it."""
-    hull = hull_cone(p)
-    if not hull.contains(zero(p.dim) + (Q(1),)):
+    """Tangent cone of the hull at the origin, which must lie in it: the
+    facets of hull_cone through the lifted origin, those with last entry 0."""
+    if not hull_member(p, zero(p.dim)):
         raise ValueError("tangent cone requested at a point outside the hull")
-    return origin_tangent_cone(hull)
+    return QPolyhedron([(nrm[:-1], off) for nrm, off in hull_cone(p).halfspaces
+                        if nrm[-1] == 0], p.dim)
 
 
 def polar_cone(generators: Sequence[Sequence]) -> QPolyhedron:

@@ -11,7 +11,7 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .polyhedra import (QPolytope, cone_contains, cone_h_rep,
-                        cone_interior_contains, hull_cone, origin_tangent_cone)
+                        cone_interior_contains, hull_member, tangent_cone)
 from .qvec import Vector, as_fractions, dot, neg, qvec, reduced_ints
 from .rootdata import (Ray, RelativeDatum, group_relative, reflection_closure,
                        simple_shuffles)
@@ -136,28 +136,31 @@ def mu_residue(x: WeightedPoint, rel: RelativeDatum, z: Sequence) -> QPolytope:
     return poly
 
 
-def _weight_hull(x: WeightedPoint, rel: RelativeDatum):
-    """The hull_cone of mu_K, and the origin lifted to it: every hull
-    question below reads this one double description."""
-    return hull_cone(mu_K(x, rel)), (Q(0),) * rel.rank + (Q(1),)
-
-
 def stability_status(x: WeightedPoint, rel: RelativeDatum) -> str:
-    hull, origin = _weight_hull(x, rel)
-    if cone_interior_contains(hull, origin):
+    """The torus Hilbert-Mumford criterion (Mumford-Fogarty-Kirwan, GIT §2):
+    x is stable when the origin lies in the interior of its weight polytope
+    mu_K (in the whole space), strictly semistable when it lies in mu_K but
+    not its interior, and unstable otherwise.  Both tests read the
+    polytope's one description."""
+    p = mu_K(x, rel)
+    origin = (Q(0),) * rel.rank
+    if hull_member(p, origin, "interior"):
         return "stable"
-    if hull.contains(origin):
+    if hull_member(p, origin):
         return "strictly_semistable"
     return "unstable"
 
 
 def chi_status(x: WeightedPoint, rel: RelativeDatum, chi: Sequence) -> str:
-    """Stability after shifting the reference point by a rational character."""
-    hull, origin = _weight_hull(x, rel)
-    if not hull.contains(origin):
-        return "unstable"
-    cone = origin_tangent_cone(hull)
+    """Stability after shifting the reference point by a rational character:
+    only the tangent cone of mu_K at the origin decides it."""
     target = neg(qvec(chi))
+    if len(target) != rel.rank:
+        raise ValueError("dimension mismatch")
+    p = mu_K(x, rel)
+    if not hull_member(p, (Q(0),) * rel.rank):
+        return "unstable"
+    cone = tangent_cone(p)
     if not cone_contains(cone, target):
         return "unstable"
     if cone_interior_contains(cone, target):

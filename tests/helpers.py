@@ -11,11 +11,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from btgit.models import make_point, model_relative, symplectic_form
 from btgit.polyhedra import (LPResult, MinimaxResult, QPolyhedron, QPolytope,
-                             hull_cone, polyhedron_generators, rref)
+                             cone_h_rep, polyhedron_generators, rref)
 from btgit.qvec import Vector, add, dot, neg, primitive, qvec, scale, sub
 from btgit.rootdata import (RelativeDatum, build_root_system, fundamental_rays,
                             preset_relative, reflect, reflection_closure,
                             simple_shuffles)
+from btgit.torusgit import mu_K
 from btgit.treebuilding import (ApartmentChart, TreeInterval, TreePoint,
                                 _chamber_cone, _chamber_rays, _proj2_coords)
 from btgit.valfield import INF, ONE, ZERO, PuiseuxElement, _canonical
@@ -519,16 +520,62 @@ def matrix_rank(rows: Sequence[Sequence[Q]]) -> int:
     return len(rref(rows)[0])
 
 
+def hull_cone_by_h_rep(p: QPolytope) -> QPolyhedron:
+    """Reference oracle: polyhedra.hull_cone from a fresh cone_h_rep of the
+    points lifted to height 1, not from the description p keeps."""
+    return cone_h_rep([pt + (Q(1),) for pt in p.points], p.dim + 1)
+
+
+def origin_facets(hull: QPolyhedron) -> QPolyhedron:
+    """The facets of a hull_cone through the lifted origin, those with last
+    entry 0, with that entry dropped: the tangent cone at the origin."""
+    return QPolyhedron([(nrm[:-1], off) for nrm, off in hull.halfspaces
+                        if nrm[-1] == 0], hull.dim - 1)
+
+
+def _strictly_inside(cone: QPolyhedron, v: Vector) -> bool:
+    return all(dot(nrm, v) > off for nrm, off in cone.halfspaces)
+
+
+def stability_status_by_h_rep(x, rel: RelativeDatum) -> str:
+    """Reference oracle: torusgit.stability_status by halfspace tests on a
+    fresh cone_h_rep of the lifted mu_K points: stable when the lifted
+    origin is strictly inside every halfspace, strictly semistable when it
+    is inside them all."""
+    hull = hull_cone_by_h_rep(mu_K(x, rel))
+    origin = (Q(0),) * rel.rank + (Q(1),)
+    if _strictly_inside(hull, origin):
+        return "stable"
+    if hull.contains(origin):
+        return "strictly_semistable"
+    return "unstable"
+
+
+def chi_status_by_h_rep(x, rel: RelativeDatum, chi) -> str:
+    """Reference oracle: torusgit.chi_status by halfspace tests on a fresh
+    cone_h_rep of the lifted mu_K points and on its facets with last entry 0."""
+    hull = hull_cone_by_h_rep(mu_K(x, rel))
+    if not hull.contains((Q(0),) * rel.rank + (Q(1),)):
+        return "unstable"
+    cone = origin_facets(hull)
+    target = neg(qvec(chi))
+    if not cone.contains(target):
+        return "unstable"
+    if _strictly_inside(cone, target):
+        return "stable"
+    return "semistable"
+
+
 def hull_skeleton_by_rank(p: QPolytope):
     """Reference oracle: polyhedra.hull_skeleton by rank tests on the Fraction
-    facets of hull_cone.
+    facets of a fresh cone_h_rep of the lifted points.
 
     A point is a vertex when the facets through it have rank dim, and two
     vertices span an edge when the facets through both have rank dim - 1.
     """
     if p.dim > 4:
         raise ValueError("hull skeleton supported up to ambient dimension 4")
-    facets = [nrm for nrm, _ in hull_cone(p).halfspaces]
+    facets = [nrm for nrm, _ in hull_cone_by_h_rep(p).halfspaces]
     tight = {}
     for pt in p.points:
         q = pt + (Q(1),)

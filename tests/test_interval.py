@@ -163,8 +163,8 @@ def test_bounded_iff_stable_on_samples():
 
 
 def test_interval_shape_matches_lp_oracles():
-    # bounded and singleton are read off the wall bounds; is_bounded and
-    # single_point decide them by LPs along the coordinate axes
+    # bounded and singleton are read off the face's generators; is_bounded
+    # and single_point decide them by LPs along the coordinate axes
     r = rng(59)
     single = {
         "proj(2)": lambda: random_proj_point(r, 2),

@@ -7,14 +7,18 @@ import pytest
 import copy
 import pickle
 
-from helpers import (chamber_presets, classify_regular_weights_by_fractions,
-                     grid_points, integer_layer_data, mu_residue_recomputed,
-                     random_grass24_point, random_proj_point, random_sl3_flag,
+from helpers import (chamber_presets, chi_status_by_h_rep,
+                     classify_regular_weights_by_fractions, grid_points,
+                     hull_cone_by_h_rep, integer_layer_data,
+                     mu_residue_recomputed, origin_facets, random_grass24_point,
+                     random_proj_point, random_rational, random_sl3_flag,
                      random_sp4_flag, random_su3_pair, rng,
-                     root_hyperplanes_by_fractions, root_hyperplanes_by_subsets)
+                     root_hyperplanes_by_fractions, root_hyperplanes_by_subsets,
+                     stability_status_by_h_rep)
 
-from btgit.models import make_point, model_relative, weighted_coordinates
-from btgit.polyhedra import hull_member
+from btgit.models import (make_point, model_relative, project,
+                          weighted_coordinates)
+from btgit.polyhedra import hull_cone, hull_member, tangent_cone
 from btgit.qvec import dot, is_zero, qvec
 from btgit.rootdata import build_root_system, preset_relative
 from btgit.interval import interval_A
@@ -150,6 +154,69 @@ def test_chi_status_examples():
     stable = _p1(ONE, ONE)
     for chi in ((Q(1),), (Q(-2),)):
         assert chi_status(stable, REL_A1, chi) == "stable"
+
+
+def test_chi_status_rejects_a_character_of_the_wrong_length():
+    proj3 = model_relative("proj(3)")
+    stable = weighted_coordinates(make_point("proj(3)", [ONE, ONE, ONE]))
+    unstable = weighted_coordinates(make_point("proj(3)", [ONE, ONE, ZERO]))
+    assert stability_status(stable, proj3) == "stable"
+    assert stability_status(unstable, proj3) == "unstable"
+    assert stability_status(GR24_LINE, GR24_REL) == "strictly_semistable"
+    for x, rel in ((stable, proj3), (unstable, proj3), (GR24_LINE, GR24_REL)):
+        for chi in ((Q(1),), tuple(Q(k) for k in range(1, 6))):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                chi_status(x, rel, chi)
+
+
+def test_status_chi_and_cones_match_h_rep_oracles():
+    # every model, zero coordinates allowed; the two-factor models with three
+    # product weights; chi random, zero, or a restricted weight of the point
+    r = rng(43)
+    single = {
+        "proj(2)": lambda: random_proj_point(r, 2),
+        "proj(3)": lambda: random_proj_point(r, 3),
+        "proj(4)": lambda: random_proj_point(r, 4),
+        "grass(2,4)": lambda: random_grass24_point(r),
+        "sp4_line": lambda: project(random_sp4_flag(r), 1),
+        "sp4_quadric": lambda: project(random_sp4_flag(r), 2),
+    }
+    pairs = {"sp4_flag": lambda: random_sp4_flag(r),
+             "su3_pair": lambda: random_su3_pair(r),
+             "sl3_flag": lambda: random_sl3_flag(r)}
+    cases = [(m, draw, None) for m, draw in single.items()]
+    cases += [(m, draw, lam) for m, draw in pairs.items()
+              for lam in ((1, 1), (1, 2), (2, 1))]
+    statuses, chi_answers = set(), set()
+    for model, draw, lam in cases:
+        rel = model_relative(model)
+        origin = (Q(0),) * rel.rank
+        for _ in range(20):
+            wp = weighted_coordinates(draw(), lam=lam)
+            status = stability_status(wp, rel)
+            assert status == stability_status_by_h_rep(wp, rel), model
+            statuses.add(status)
+            weights = mu_K(wp, rel).points
+            for chi in (tuple(random_rational(r) for _ in range(rel.rank)),
+                        origin, r.choice(weights)):
+                answer = chi_status(wp, rel, chi)
+                assert answer == chi_status_by_h_rep(wp, rel, chi), (model, chi)
+                chi_answers.add(answer)
+            want = hull_cone_by_h_rep(mu_K(wp, rel))
+            # a fresh polytope before any hull_member query, then one queried
+            for queried in (False, True):
+                p = mu_K(wp, rel)
+                if queried:
+                    hull_member(p, r.choice(weights), "interior")
+                for _ in range(2):
+                    assert hull_cone(p) == want, model
+                    if status == "unstable":
+                        with pytest.raises(ValueError):
+                            tangent_cone(p)
+                    else:
+                        assert tangent_cone(p) == origin_facets(want), model
+    assert statuses == {"stable", "strictly_semistable", "unstable"}
+    assert chi_answers == {"stable", "semistable", "unstable"}
 
 
 def test_root_hyperplanes_counts():
