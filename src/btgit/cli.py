@@ -145,21 +145,25 @@ def compile_schema(schema: dict) -> Callable[[object], bool]:
 
 
 @functools.lru_cache(maxsize=None)
-def _validator(command: str):
-    """The command's schema, checked and compiled once per process: its
-    jsonschema validator and its predicate."""
+def _validator(command: str) -> Callable[[object], bool]:
+    """The command's schema, compiled once per process into its predicate."""
+    return compile_schema(_load_schema(command))
+
+
+@functools.lru_cache(maxsize=None)
+def _rejection_validator(command: str):
+    """jsonschema's validator for the command's schema, which words the
+    rejections; it is built on the first one."""
     schema = _load_schema(command)
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema), compile_schema(schema)
+    return jsonschema.validators.validator_for(schema)(schema)
 
 
 def validate_payload(command: str, payload) -> None:
-    validator, accepts = _validator(command)
-    if accepts(payload):
+    if _validator(command)(payload):
         return
     # the error jsonschema.validate would raise: the best match of all errors
-    exc = jsonschema.exceptions.best_match(validator.iter_errors(payload))
+    exc = jsonschema.exceptions.best_match(
+        _rejection_validator(command).iter_errors(payload))
     if exc is not None:
         raise ValidationFailure(f"payload: {exc.message}") from exc
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 from fractions import Fraction as Q
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 from operator import mul
 from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -30,12 +31,53 @@ def reflect(v: Vector, alpha: Vector) -> Vector:
 
 @dataclass(frozen=True)
 class RootDatum:
+    """A classical root system, given by its family and rank.
+
+    With e_i the ambient unit vectors (Bourbaki, Lie IV-VI, Plates I-IV):
+    the simple roots are e_i - e_{i+1} and, last, e_l (B), 2e_l (C) or
+    e_{l-1} + e_l (D); the roots are e_i - e_j (A), or +-e_i +- e_j together
+    with +-e_i (B) or +-2e_i (C); the fundamental weights are the partial
+    sums e_1 + ... + e_k, made sum-zero for A and halved at the spin nodes
+    of B and D.  Each table is built on first read.
+    """
+
     family: str
     rank: int
-    ambient_dim: int
-    simple_roots: Tuple[Vector, ...]
-    all_roots: Tuple[Vector, ...]
-    fundamental_weights: Tuple[Vector, ...]
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.rank + 1 if self.family == "A" else self.rank
+
+    @cached_property
+    def simple_roots(self) -> Tuple[Vector, ...]:
+        n, l = self.ambient_dim, self.rank
+        simple = [_ints(n, ((i, 1), (i + 1, -1))) for i in range(n - 1)]
+        if self.family != "A":
+            simple.append(_ints(n, {"B": ((l - 1, 1),), "C": ((l - 1, 2),),
+                                    "D": ((l - 2, 1), (l - 1, 1))}[self.family]))
+        return as_fractions(simple)
+
+    @cached_property
+    def all_roots(self) -> Tuple[Vector, ...]:
+        """The roots, written and sorted as integer tuples and turned into
+        Fractions once."""
+        n = self.ambient_dim
+        return as_fractions(sorted(_ints(n, a) for a in _root_entries(self)))
+
+    @cached_property
+    def fundamental_weights(self) -> Tuple[Vector, ...]:
+        n, l = self.ambient_dim, self.rank
+        if self.family == "A":
+            return tuple(tuple(Q(n - k, n) if i < k else Q(-k, n) for i in range(n))
+                         for k in range(1, l + 1))
+        weights = [tuple(Q(int(i < k)) for i in range(n)) for k in range(1, l + 1)]
+        half = Q(1, 2)
+        if self.family == "B":
+            weights[-1] = (half,) * l
+        elif self.family == "D":
+            weights[-2] = (half,) * (l - 1) + (-half,)
+            weights[-1] = (half,) * l
+        return tuple(weights)
 
 
 class UnknownGroup(ValueError):
@@ -53,58 +95,26 @@ def _ints(n: int, entries: Iterable[Tuple[int, int]]) -> Tuple[int, ...]:
     return tuple(v)
 
 
-def _root_ints(family: str, rank: int
-               ) -> Tuple[List[Tuple[int, ...]], Set[Tuple[int, ...]]]:
-    """The simple roots and the roots of a classical family, as integer
-    tuples (see build_root_system)."""
-    l = rank
-    n = l + 1 if family == "A" else l
-    simple = [_ints(n, ((i, 1), (i + 1, -1))) for i in range(n - 1)]
-    if family == "A":
-        return simple, {_ints(n, ((i, 1), (j, -1)))
-                        for i in range(n) for j in range(n) if i != j}
-    last = {"B": ((l - 1, 1),), "C": ((l - 1, 2),),
-            "D": ((l - 2, 1), (l - 1, 1))}[family]
-    simple.append(_ints(n, last))
-    roots = {_ints(n, ((i, s), (j, t))) for i in range(n)
-             for j in range(i + 1, n) for s in (1, -1) for t in (1, -1)}
-    if family != "D":
-        long = 1 if family == "B" else 2
-        roots |= {_ints(n, ((i, s * long),)) for i in range(n) for s in (1, -1)}
-    return simple, roots
+def _root_entries(datum: RootDatum) -> Iterable[Tuple[Tuple[int, int], ...]]:
+    """The roots of the datum, each by its nonzero (coordinate, entry) pairs."""
+    n = datum.ambient_dim
+    if datum.family == "A":
+        return (((i, 1), (j, -1)) for i in range(n) for j in range(n) if i != j)
+    pairs = (((i, s), (j, t)) for i in range(n) for j in range(i + 1, n)
+             for s in (1, -1) for t in (1, -1))
+    if datum.family == "D":
+        return pairs
+    long = 1 if datum.family == "B" else 2
+    return chain(pairs, (((i, s * long),) for i in range(n) for s in (1, -1)))
 
 
 def build_root_system(family: str, rank: int) -> RootDatum:
-    """The root datum of a classical family, in closed form.
-
-    With e_i the ambient unit vectors (Bourbaki, Lie IV-VI, Plates I-IV):
-    the simple roots are e_i - e_{i+1} and, last, e_l (B), 2e_l (C) or
-    e_{l-1} + e_l (D); the roots are e_i - e_j (A), or +-e_i +- e_j together
-    with +-e_i (B) or +-2e_i (C); the fundamental weights are the partial
-    sums e_1 + ... + e_k, made sum-zero for A and halved at the spin nodes
-    of B and D.  The roots are written and sorted as integer tuples, and
-    turned into Fractions once.
-    """
+    """The root datum of a classical family (see RootDatum)."""
     if family not in _FAMILIES:
         raise UnknownGroup(f"unsupported family {family!r}")
     if rank < 1 or (family != "A" and rank < 2):
         raise ValueError(f"unsupported rank {rank} for family {family}")
-    l = rank
-    n = l + 1 if family == "A" else l
-    simple, roots = _root_ints(family, rank)
-    if family == "A":
-        weights = [tuple(Q(n - k, n) if i < k else Q(-k, n) for i in range(n))
-                   for k in range(1, l + 1)]
-    else:
-        weights = [tuple(Q(int(i < k)) for i in range(n)) for k in range(1, l + 1)]
-        half = Q(1, 2)
-        if family == "B":
-            weights[-1] = (half,) * l
-        elif family == "D":
-            weights[-2] = (half,) * (l - 1) + (-half,)
-            weights[-1] = (half,) * l
-    return RootDatum(family, rank, n, as_fractions(simple),
-                     as_fractions(sorted(roots)), tuple(weights))
+    return RootDatum(family, rank)
 
 
 def _solve_columns(rows: Sequence[Sequence[Q]],
@@ -183,18 +193,54 @@ class RelativeDatum:
 
     name: str
     datum: RootDatum
-    rank: int
     dual_matrix: Tuple[Vector, ...]
-    relative_roots: Tuple[Vector, ...]
     relative_simple: Tuple[Vector, ...]
-    gamma: Tuple[Tuple[Vector, Q], ...]
     gram: Tuple[Vector, ...]
 
+    @property
+    def rank(self) -> int:
+        return len(self.dual_matrix)
+
     @cached_property
-    def _dual_support(self) -> Tuple[Tuple[Tuple[int, Q], ...], ...]:
-        """The nonzero entries of each dual row, as (column, entry) pairs."""
-        return tuple(tuple((j, x) for j, x in enumerate(row) if x)
-                     for row in self.dual_matrix)
+    def _dual_ints(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+        """The nonzero entries of each dual row as (column, entry) pairs; the
+        dual rows of every preset are integral."""
+        if any(x.denominator != 1 for r in self.dual_matrix for x in r):
+            raise ValueError("dual rows must be integral")
+        return tuple(tuple((j, x.numerator) for j, x in enumerate(r) if x)
+                     for r in self.dual_matrix)
+
+    @cached_property
+    def _root_keys(self) -> Tuple[Tuple[int, ...], ...]:
+        """The relative roots as sorted integer tuples: the nonzero
+        restrictions of the absolute roots, each read by its nonzero entries
+        against the integer dual rows gathered column by column."""
+        columns = [[] for _ in range(self.datum.ambient_dim)]
+        for k, row in enumerate(self._dual_ints):
+            for j, y in row:
+                columns[j].append((k, y))
+        images = set()
+        for root in _root_entries(self.datum):
+            img = [0] * self.rank
+            for j, c in root:
+                for k, y in columns[j]:
+                    img[k] += c * y
+            images.add(tuple(img))
+        images.discard((0,) * self.rank)
+        return tuple(sorted(images))
+
+    @cached_property
+    def relative_roots(self) -> Tuple[Vector, ...]:
+        """The sorted nonzero restrictions of the absolute roots."""
+        return as_fractions(self._root_keys)
+
+    @cached_property
+    def gamma(self) -> Tuple[Tuple[Vector, Q], ...]:
+        """Each relative root with its step: 1/2 exactly when twice the root
+        is also a root, and 1 otherwise."""
+        keys = set(self._root_keys)
+        return tuple((a, Q(1, 2) if tuple(2 * c for c in v) in keys else Q(1))
+                     for a, v in zip(self.relative_roots, self._root_keys))
 
     @cached_property
     def _reflections(self) -> Tuple[Tuple[Ray, Ray], ...]:
@@ -233,10 +279,13 @@ class RelativeDatum:
         with + before - in each sign, root by root.
         """
         lines: List[Vector] = []
-        for a in self.relative_roots:
-            if a not in lines and tuple(-c for c in a) not in lines:
+        keys: List[Ray] = []
+        seen: Set[Ray] = set()
+        for a, v in zip(self.relative_roots, self._root_keys):
+            if tuple(-c for c in v) not in seen:
+                seen.add(v)
                 lines.append(a)
-        keys = [primitive_ints(a) for a in lines]
+                keys.append(reduced_ints(v))
         rays = {}
         for imgs in relative_weyl_orbit(self, [self._fundamental_rays]):
             inside = [sum(c) for c in zip(*imgs)]
@@ -245,11 +294,11 @@ class RelativeDatum:
 
     def restrict(self, beta: Vector) -> Vector:
         """Reduced dual coordinates of the restriction of an absolute weight,
-        read through the nonzero entries of each dual row."""
+        read through the nonzero integer entries of each dual row."""
         if len(beta) != self.datum.ambient_dim:
             raise ValueError("dimension mismatch")
-        return tuple(_sum_of_products((x, beta[j]) for j, x in row)
-                     for row in self._dual_support)
+        return tuple(_sum_of_products((y, beta[j]) for j, y in row)
+                     for row in self._dual_ints)
 
     def gamma_of(self, alpha: Vector) -> Q:
         for root, step in self.gamma:
@@ -311,88 +360,41 @@ def fundamental_rays(rel: RelativeDatum) -> List[Ray]:
     return list(rel._fundamental_rays)
 
 
-def _restricted(name: str, datum: RootDatum, dual: Sequence[Vector],
-                simple: Sequence[Vector], gram: Sequence[Vector]) -> RelativeDatum:
-    """Relative data of a restriction, given by its dual rows.
-
-    The relative roots are the sorted nonzero restrictions of the absolute
-    roots; a root's step is 1/2 exactly when twice the root is also a root,
-    and 1 otherwise; the rank is the number of dual rows.  The restrictions
-    are computed on integers: the integer roots of the datum's family, each
-    read by its nonzero entries against the nonzero entries of the dual
-    rows over their common denominator, gathered column by column.  They
-    are sorted as integer tuples and turned into Fractions once.
-    """
-    dual = tuple(dual)
-    den = lcm(*(x.denominator for r in dual for x in r))
-    columns: List[List[Tuple[int, int]]] = [[] for _ in range(datum.ambient_dim)]
-    for k, r in enumerate(dual):
-        for j, x in enumerate(r):
-            if x:
-                columns[j].append((k, x.numerator * (den // x.denominator)))
-    images = set()
-    for a in _root_ints(datum.family, datum.rank)[1]:
-        img = [0] * len(dual)
-        for j, c in enumerate(a):
-            if c:
-                for k, y in columns[j]:
-                    img[k] += c * y
-        images.add(tuple(img))
-    keys = sorted(v for v in images if any(v))
-    roots = as_fractions(keys, den)
-    gamma = tuple((a, Q(1, 2) if tuple(2 * c for c in v) in images else Q(1))
-                  for a, v in zip(roots, keys))
-    return RelativeDatum(name, datum, len(dual), dual, roots, tuple(simple),
-                         gamma, tuple(gram))
-
-
 def _identity(n: int) -> Tuple[Vector, ...]:
     return tuple(tuple(Q(1) if i == j else Q(0) for j in range(n)) for i in range(n))
 
 
 def _split_relative(datum: RootDatum) -> RelativeDatum:
+    n = datum.rank
     if datum.family == "A":
         # the dual rows e_k - e_{k+1} are the simple roots, so the restricted
-        # simple roots are their pairings and the gram is half of those
-        dual = datum.simple_roots
-        simple = _root_ints("A", datum.rank)[0]
-        pairings = [[sum(map(mul, a, b)) for b in simple] for a in simple]
-        simple, gram = as_fractions(pairings), as_fractions(pairings, 2)
-    else:
-        # the dual rows are the identity
-        dual = gram = _identity(datum.rank)
-        simple = datum.simple_roots
-    return _restricted(f"split_{datum.family}{datum.rank}", datum, dual, simple, gram)
+        # simple roots are their pairings, the Cartan matrix with 2 on the
+        # diagonal and -1 beside it, and the gram is half of it
+        cartan = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)]
+                  for i in range(n)]
+        return RelativeDatum(f"split_A{n}", datum, datum.simple_roots,
+                             as_fractions(cartan), as_fractions(cartan, 2))
+    # the dual rows are the identity
+    return RelativeDatum(f"split_{datum.family}{n}", datum, _identity(n),
+                         datum.simple_roots, _identity(n))
 
 
 def _su3_relative() -> RelativeDatum:
-    rel = _restricted("su3", build_root_system("A", 2), (qvec([1, 0, -1]),),
-                      ((Q(1),),), ((Q(1),),))
-    assert rel.relative_roots == ((Q(-2),), (Q(-1),), (Q(1),), (Q(2),))
-    return rel
+    return RelativeDatum("su3", build_root_system("A", 2), (qvec([1, 0, -1]),),
+                         ((Q(1),),), ((Q(1),),))
 
 
 def _nonsplit_c_relative(rank: int) -> RelativeDatum:
     if rank < 2:
         raise ValueError("nonsplit_C needs rank >= 2")
     m = rank // 2
-    rows = []
-    for i in range(m):
-        row = [Q(0)] * rank
-        row[2 * i], row[2 * i + 1] = Q(1), Q(1)
-        rows.append(tuple(row))
+    rows = [_ints(rank, ((2 * i, 1), (2 * i + 1, 1))) for i in range(m)]
     # simple relative roots: f_i - f_{i+1} and the last one (2f_m, or f_m in
     # the odd case where f_m is multipliable)
-    simple = []
-    for i in range(m - 1):
-        v = [Q(0)] * m
-        v[i], v[i + 1] = Q(1), Q(-1)
-        simple.append(tuple(v))
-    last = [Q(0)] * m
-    last[m - 1] = Q(1) if rank % 2 else Q(2)
-    simple.append(tuple(last))
-    return _restricted(f"nonsplit_C{rank}", build_root_system("C", rank), rows,
-                       simple, _identity(m))
+    simple = [_ints(m, ((i, 1), (i + 1, -1))) for i in range(m - 1)]
+    simple.append(_ints(m, ((m - 1, 1 if rank % 2 else 2),)))
+    return RelativeDatum(f"nonsplit_C{rank}", build_root_system("C", rank),
+                         as_fractions(rows), as_fractions(simple), _identity(m))
 
 
 def _sl_skew_relative(s: int, d: int) -> RelativeDatum:
@@ -403,16 +405,11 @@ def _sl_skew_relative(s: int, d: int) -> RelativeDatum:
     datum = build_root_system("A", n - 1)
     if d == 1:
         return _split_relative(datum)
-    rows = []
-    for k in range(s):
-        row = [Q(0)] * n
-        for j in range(d):
-            row[k * d + j] = Q(1)
-            row[(k + 1) * d + j] = Q(-1)
-        rows.append(tuple(row))
+    rows = [_ints(n, [(k * d + j, 1) for j in range(d)]
+                  + [((k + 1) * d + j, -1) for j in range(d)]) for k in range(s)]
     small = _split_relative(build_root_system("A", s))
-    return _restricted(f"sl_skew_{s}_{d}", datum, rows, small.relative_simple,
-                       small.gram)
+    return RelativeDatum(f"sl_skew_{s}_{d}", datum, as_fractions(rows),
+                         small.relative_simple, small.gram)
 
 
 # the group table: each preset, the parameters it reads, and its constructor

@@ -250,9 +250,7 @@ def classify_regular_weights(family: Optional[str] = None,
     omegas = [datum.fundamental_weights[j * step - 1] for j in J]
     den = lcm(*(a.denominator for w in omegas for a in w))
     omegas = [tuple(a.numerator * (den // a.denominator) for a in w) for w in omegas]
-    dual_den = lcm(*(a.denominator for r in rel.dual_matrix for a in r))
-    dual_rows = [[(i, a.numerator * (dual_den // a.denominator))
-                  for i, a in enumerate(r) if a] for r in rel.dual_matrix]
+    dual_rows = rel._dual_ints
     covectors = []
     for h in rel._root_lines:
         g = [0] * datum.ambient_dim

@@ -700,17 +700,21 @@ def plucker_relations_by_all_subsets(vec: Sequence[PuiseuxElement], j: int,
     return True
 
 
-def restricted_by_fractions(name: str, datum, dual: Sequence[Vector],
-                            simple: Sequence[Vector],
-                            gram: Sequence[Vector]) -> RelativeDatum:
-    """Reference oracle: relative data by restricting every absolute root
-    through every dual row in Fractions and sorting the Fraction tuples."""
-    dual = tuple(dual)
+def restricted_by_fractions(datum, dual: Sequence[Vector]):
+    """Reference oracle: the relative roots and their steps, by restricting
+    every absolute root through every dual row in Fractions and sorting the
+    Fraction tuples."""
     images = {tuple(dot(r, a) for r in dual) for a in datum.all_roots}
     roots = tuple(sorted(v for v in images if any(v)))
     gamma = tuple((a, Q(1, 2) if scale(2, a) in images else Q(1)) for a in roots)
-    return RelativeDatum(name, datum, len(dual), dual, roots, tuple(simple),
-                         gamma, tuple(gram))
+    return roots, gamma
+
+
+def cartan_by_pairings(datum) -> Tuple[Tuple[int, ...], ...]:
+    """Reference oracle: the pairings of the simple roots, which are
+    integral."""
+    simple = datum.simple_roots
+    return tuple(tuple(int(dot(a, b)) for b in simple) for a in simple)
 
 
 def relative_weyl_orbit_by_fractions(rel: RelativeDatum, seeds):

@@ -2,12 +2,14 @@
 
 import ast
 import copy
+import functools
 import io
 import json
 import random
 import sys
 import time
 from fractions import Fraction as Q
+from importlib import resources
 
 import jsonschema
 import pytest
@@ -330,9 +332,11 @@ UNIPOTENT10 = [["1" if i == j else "0" if j < i else f"{i + j} + t^{{1/2}}"
     ("rootsys", {"family": "A", "rank": 12}, "hyperplanes", 4095),
     ("status", {"model": "proj(80)", "point": ["1"] + ["t"] * 79}, "status", "stable"),
     ("interval", {"model": "grass(5,10)", "point": _generic_rows(5, 10)}, "singleton", 9),
+    ("status", {"model": "proj(300)", "point": ["1"] + ["t"] * 299}, "status", "stable"),
 ], ids=["rootsys-A7", "chi-B4", "chi-D5", "status-grass48", "status-proj40",
         "tree-R800", "models-act-proj10", "models-grass612-rows",
-        "models-grass714-rows", "rootsys-A12", "status-proj80", "interval-grass510"])
+        "models-grass714-rows", "rootsys-A12", "status-proj80", "interval-grass510",
+        "status-proj300"])
 def test_chamber_requests_do_bounded_work(tmp_path, capsys, command, payload,
                                           key, want):
     req = tmp_path / "req.json"
@@ -706,9 +710,27 @@ def _fuzz_request(r: random.Random):
     return _fuzz_group_request(r) if r.random() < 0.35 else _fuzz_point_request(r)
 
 
+@functools.lru_cache(maxsize=None)
+def _jsonschema_validator(command):
+    schema = cli._load_schema(command)
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
 def _jsonschema_accepts(command, payload) -> bool:
-    validator, _ = cli._validator(command)
-    return next(validator.iter_errors(payload), None) is None
+    return next(_jsonschema_validator(command).iter_errors(payload), None) is None
+
+
+def test_schemas_are_valid_draft_2020_12():
+    """Every schema file, and every command's schema with the shared
+    definitions merged in, passes jsonschema's check_schema."""
+    root = resources.files("btgit").joinpath("schemas")
+    names = sorted(p.name[:-5] for p in root.iterdir() if p.name.endswith(".json"))
+    assert names == sorted(cli.COMMANDS + ("defs",))
+    for name in names:
+        raw = json.loads(root.joinpath(f"{name}.json").read_text())
+        schemas = [raw] if name == "defs" else [raw, cli._load_schema(name)]
+        for schema in schemas:
+            jsonschema.validators.validator_for(schema).check_schema(schema)
 
 
 def test_fuzz_verdicts_match_jsonschema_and_keep_the_exit_contract(monkeypatch,
@@ -722,7 +744,7 @@ def test_fuzz_verdicts_match_jsonschema_and_keep_the_exit_contract(monkeypatch,
     for _ in range(1000):
         command, payload = _fuzz_request(r)
         verdict = _jsonschema_accepts(command, payload)
-        assert cli._validator(command)[1](payload) == verdict, (command, payload)
+        assert cli._validator(command)(payload) == verdict, (command, payload)
         verdicts[command].add(verdict)
         text = json.dumps(payload)
         code, out, err = _serve(monkeypatch, capsys, command, text)
@@ -754,7 +776,7 @@ def test_request_literals_get_jsonschema_verdicts():
     assert len(literals) > 60
     for payload in literals:
         for command in cli.COMMANDS:
-            assert cli._validator(command)[1](payload) == \
+            assert cli._validator(command)(payload) == \
                 _jsonschema_accepts(command, payload), (command, payload)
 
 

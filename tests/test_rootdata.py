@@ -7,15 +7,17 @@ from fractions import Fraction as Q
 import pytest
 
 from btgit import torusgit
-from btgit.qvec import add, dot, primitive_ints, qvec, scale
-from btgit.rootdata import (UnknownGroup, _ray_reflection, build_root_system,
-                            dominant_weight, fundamental_rays, group_relative,
-                            preset_relative, reflect, reflection_closure,
-                            relative_weyl_orbit, simple_shuffles, weyl_orbit,
-                            weyl_order)
+from btgit.cli import run
+from btgit.models import model_relative
+from btgit.qvec import add, as_fractions, dot, primitive_ints, qvec, scale
+from btgit.rootdata import (RelativeDatum, UnknownGroup, _cached_relative,
+                            _ray_reflection, build_root_system, dominant_weight,
+                            fundamental_rays, group_relative, preset_relative,
+                            reflect, reflection_closure, relative_weyl_orbit,
+                            simple_shuffles, weyl_orbit, weyl_order)
 from btgit.torusgit import classify_regular_weights, root_hyperplanes
 from btgit.treebuilding import _chamber_rays
-from helpers import (chamber_points_by_fractions,
+from helpers import (cartan_by_pairings, chamber_points_by_fractions,
                      fundamental_points_by_fractions, integer_layer_data,
                      orbit_by_reflection, random_rational,
                      relative_weyl_orbit_by_fractions, restrict_by_dot,
@@ -118,6 +120,16 @@ def test_su3_restriction_collapses_simples():
     assert rel.gamma_of((Q(2),)) == Q(1)
 
 
+def test_fractional_dual_rows_are_refused():
+    """Every preset's dual rows are integral, and restrict reads them as
+    integers, so a fractional row is refused rather than truncated."""
+    half = Q(1, 2)
+    rel = RelativeDatum("halved", build_root_system("A", 1), ((half, -half),),
+                        ((Q(1),),), ((Q(1),),))
+    with pytest.raises(ValueError, match="integral"):
+        rel.restrict((Q(1), Q(-1)))
+
+
 def test_nonsplit_c2_preset():
     rel = preset_relative("nonsplit_C", rank=2)
     assert rel.rank == 1
@@ -165,10 +177,32 @@ def test_dominant_weight_examples():
         dominant_weight(build_root_system("A", 3), [2], [0])
 
 
+def test_status_builds_no_root_table():
+    """A status request reads only the restriction and the rank: the shared
+    datum builds neither the absolute nor the relative roots."""
+    _cached_relative.cache_clear()
+    n = 40
+    run("status", {"model": f"proj({n})", "point": ["1"] + ["t"] * (n - 1)})
+    rel = model_relative(f"proj({n})")
+    assert not {"relative_roots", "gamma", "_root_keys"} & set(rel.__dict__)
+    assert "all_roots" not in rel.datum.__dict__
+    assert repr(rel.datum) == f"RootDatum(family='A', rank={n - 1})"
+
+
 def test_restriction_matches_fraction_oracle():
     for rel in integer_layer_data():
-        assert rel == restricted_by_fractions(rel.name, rel.datum, rel.dual_matrix,
-                                              rel.relative_simple, rel.gram), rel.name
+        roots, gamma = restricted_by_fractions(rel.datum, rel.dual_matrix)
+        assert rel.relative_roots == roots, rel.name
+        assert rel.gamma == gamma, rel.name
+        assert rel.rank == len(rel.relative_simple) == len(rel.gram), rel.name
+
+
+def test_split_a_cartan_formula_matches_pairings():
+    for rank in range(1, 13):
+        rel = group_relative("split", "A", rank)
+        cartan = cartan_by_pairings(rel.datum)
+        assert rel.relative_simple == as_fractions(cartan)
+        assert rel.gram == as_fractions(cartan, 2)
 
 
 def test_restrict_matches_dense_dot_oracle():
@@ -228,20 +262,27 @@ def test_weyl_tables_are_kept_per_datum(monkeypatch):
     """A datum that has built its Weyl tables and a fresh equal one answer
     alike; a datum with built tables round-trips through pickle and
     deepcopy; and no caller can change a kept table through an answer."""
-    tables = {"_reflections", "_fundamental_rays", "_root_lines", "_chamber_table"}
+    tables = {"_reflections", "_fundamental_rays", "_root_lines", "_chamber_table",
+              "_dual_ints", "_root_keys", "relative_roots", "gamma"}
+    datum_tables = {"simple_roots", "all_roots", "fundamental_weights"}
     for family, rank in (("A", 3), ("B", 3), ("C", 2), ("D", 4)):
         J = list(range(1, rank + 1, 2))
         built = group_relative("split", family, rank)
         answer = classify_regular_weights(family, rank, J)
         _chamber_rays(built)
+        assert built.gamma and built.datum.all_roots
         assert tables <= set(built.__dict__), family
+        assert datum_tables <= set(built.datum.__dict__), family
         fresh = preset_relative("split", datum=build_root_system(family, rank))
         assert fresh is not built and not tables & set(fresh.__dict__)
+        assert "all_roots" not in fresh.datum.__dict__
         assert fresh == built and hash(fresh) == hash(built)
         assert repr(fresh) == repr(built)
         seeds = [tuple(fundamental_rays(built))]
         for rel in (fresh, pickle.loads(pickle.dumps(built)), copy.deepcopy(built)):
             assert rel == built and repr(rel) == repr(built)
+            assert rel.gamma == built.gamma
+            assert rel.datum.all_roots == built.datum.all_roots
             assert root_hyperplanes(rel) == root_hyperplanes(built)
             assert _chamber_rays(rel) == _chamber_rays(built)
             assert fundamental_rays(rel) == fundamental_rays(built)
