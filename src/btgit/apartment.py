@@ -84,10 +84,9 @@ def simplex_id(z: PointLike, rel: RelativeDatum) -> Tuple[Tuple[Vector, Q, int],
     """Signs of the nearest affine-root walls around z; zeros cut out its carrier."""
     zc = point_coords(z)
     out = []
-    for alpha in rel.relative_roots:
+    for alpha, step in rel.gamma:
         if not _positive_side(alpha):
             continue  # one functional per +/- pair
-        step = rel.gamma_of(alpha)
         val = dot(alpha, zc)
         # walls alpha(z) + n = 0 with n in step*Z bounding the cell around z
         lo = -step * (val // step)  # n with val + n in [0, step)

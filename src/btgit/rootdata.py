@@ -3,8 +3,9 @@
 Absolute data lives in the standard ambient coordinates: family A_l in the
 sum-zero subspace of Q^{l+1}, families B/C/D in Q^l, with the ambient dot
 product as the invariant inner product.  Restricted (relative) data is
-shipped as validated presets; apartment-facing quantities are expressed in
-reduced coordinates of dimension equal to the relative rank.
+shipped as validated presets, each given by its dual rows and relative type;
+apartment-facing quantities are expressed in reduced coordinates of
+dimension equal to the relative rank.
 """
 
 from __future__ import annotations
@@ -13,11 +14,10 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
 from fractions import Fraction as Q
-from math import factorial, gcd
+from math import factorial
 from operator import mul
 from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .polyhedra import QPolyhedron, cone_generators, rref
 from .qvec import (Vector, _sum_of_products, add, as_fractions, dot,
                    primitive_ints, qvec, reduced_ints, scale, sub, zero)
 
@@ -117,14 +117,6 @@ def build_root_system(family: str, rank: int) -> RootDatum:
     return RootDatum(family, rank)
 
 
-def _solve_columns(rows: Sequence[Sequence[Q]],
-                   columns: Sequence[Vector]) -> List[Vector]:
-    """The solution x of rows . x = b for each column b; rows square and nonsingular."""
-    n = len(rows)
-    red, _ = rref([list(r) + [b[i] for b in columns] for i, r in enumerate(rows)])
-    return [tuple(red[i][n + k] for i in range(n)) for k in range(len(columns))]
-
-
 def reflection_closure(seeds: Iterable, maps: Sequence[Callable]) -> Set:
     """Closure of the seeds under the maps, breadth first.
 
@@ -187,15 +179,16 @@ class RelativeDatum:
 
     dual_matrix maps an absolute weight (ambient coordinates) to its reduced
     dual coordinates; apartment points use the paired primal coordinates, so
-    that the natural pairing is the plain dot product.  gram is the
-    W_K-invariant metric on primal coordinates, used for squared distances.
+    that the natural pairing is the plain dot product.  relative_type is the
+    root datum of the relative root system; it fixes the relative simple
+    roots, the W_K-invariant metric gram on primal coordinates (used for
+    squared distances) and the relative Weyl tables (see _reflections).
     """
 
     name: str
     datum: RootDatum
     dual_matrix: Tuple[Vector, ...]
-    relative_simple: Tuple[Vector, ...]
-    gram: Tuple[Vector, ...]
+    relative_type: RootDatum
 
     @property
     def rank(self) -> int:
@@ -244,18 +237,46 @@ class RelativeDatum:
 
     @cached_property
     def _reflections(self) -> Tuple[Tuple[Ray, Ray], ...]:
-        """The primitive integer (A, X) that _ray_reflection reads, per
-        relative simple root a and its coroot direction x (gram x = a), from
-        one solve of the gram for all of them."""
-        xs = _solve_columns(self.gram, self.relative_simple)
-        return tuple((primitive_ints(a), primitive_ints(x))
-                     for a, x in zip(self.relative_simple, xs))
+        """Each relative simple root a with its integral coroot a^vee =
+        2x/(a . x), gram x = a, as integer tuples: for A_s, a is row i of the
+        Cartan matrix (2 on the diagonal, -1 beside it), the gram is half of
+        it and a^vee = e_i; otherwise a is a simple root of the type, the
+        gram is the identity and a^vee = 2a/(a . a)."""
+        t = self.relative_type
+        l = t.rank
+        if t.family == "A":
+            cartan = [tuple(2 if i == j else -1 if abs(i - j) == 1 else 0
+                            for j in range(l)) for i in range(l)]
+            return tuple((a, _ints(l, ((i, 1),))) for i, a in enumerate(cartan))
+        simple = [tuple(map(int, a)) for a in t.simple_roots]
+        return tuple((a, tuple(2 * c // sum(x * x for x in a) for c in a))
+                     for a in simple)
+
+    @cached_property
+    def relative_simple(self) -> Tuple[Vector, ...]:
+        return as_fractions(a for a, _ in self._reflections)
+
+    @cached_property
+    def gram(self) -> Tuple[Vector, ...]:
+        if self.relative_type.family == "A":
+            return as_fractions((a for a, _ in self._reflections), 2)
+        return _identity(self.rank)
 
     @cached_property
     def _fundamental_rays(self) -> Tuple[Ray, ...]:
-        """The rays of the fundamental chamber (fundamental_rays)."""
-        chamber = QPolyhedron([(a, Q(0)) for a in self.relative_simple], self.rank)
-        return tuple(primitive_ints(z) for z in cone_generators(chamber))
+        """The rays of the fundamental chamber {z : a . z >= 0, a relative
+        simple}, sorted (fundamental_rays): the columns of the inverse
+        Cartan matrix of A_s, the k-th being ((s+1) min(j, k) - jk)_j over
+        s + 1; for the other types, whose gram is the identity, the
+        fundamental weights, each orthogonal to all simple roots but one."""
+        t = self.relative_type
+        if t.family == "A":
+            n = t.rank + 1
+            rays = [[n * min(j, k) - j * k for j in range(1, n)]
+                    for k in range(1, n)]
+        else:
+            rays = t.fundamental_weights
+        return tuple(sorted(map(primitive_ints, rays)))
 
     @cached_property
     def _root_lines(self) -> Tuple[Ray, ...]:
@@ -314,44 +335,30 @@ def relative_weyl_orbit(rel: RelativeDatum,
 
     A ray is a primitive integer vector, standing for the points that are
     positive multiples of it; the seeds must be given in that form.  The
-    relative simple root a reflects z to z - (a . z) a^vee, with the coroot
-    a^vee = 2x/(a . x) where gram x = a.  With A and X the primitive integer
-    multiples of a and x, (A . X) z - 2(A . z) X is a positive multiple of
-    that image, since A . X > 0 for the positive definite gram; so the
-    reflected ray is its primitive form, and a ray with A . z = 0 is fixed.
-    The group keeps the gram norm, so an element fixing a ray fixes its
-    points: the ray orbits are the point orbits up to positive scaling.
-    The datum keeps each reflection's integers, so the gram is solved once.
+    relative simple root a reflects z to z - (a . z) a^vee, with the integral
+    coroot a^vee the datum keeps, reading only the nonzero entries of a and
+    changing only those of a^vee.  That map is integral and its own inverse,
+    so it takes primitive vectors to primitive vectors: the reflected ray
+    needs no gcd and no rescaling.  The group keeps the gram norm, so an
+    element fixing a ray fixes its points: the ray orbits are the point
+    orbits up to positive scaling.
     """
-    maps = [lambda zs, f=_ray_reflection(A, X): tuple(map(f, zs))
-            for A, X in rel._reflections]
-    return reflection_closure(seeds, maps)
+    def reflection(a: Ray, coroot: Ray) -> Callable:
+        support = tuple((k, c) for k, c in enumerate(a) if c)
+        changes = tuple((k, c) for k, c in enumerate(coroot) if c)
 
+        def reflect_ray(z: Ray) -> Ray:
+            t = sum(c * z[k] for k, c in support)
+            if not t:
+                return z
+            w = list(z)
+            for k, c in changes:
+                w[k] -= t * c
+            return tuple(w)
 
-def _ray_reflection(A: Ray, X: Ray) -> Callable[[Ray], Ray]:
-    """z -> primitive((A . X) z - 2(A . z) X), reading only the nonzero
-    entries of A and changing only those of X.
+        return lambda zs: tuple(map(reflect_ray, zs))
 
-    The common factor of A . X and 2X is taken out first.  For every preset
-    that leaves A . X = 1: the reflection preserves the integer lattice of
-    primal coordinates, as a Weyl reflection preserves the coweight lattice
-    (Humphreys 1990, 2.10; Bourbaki, Lie VI §1), so z is not rescaled."""
-    ax = sum(map(mul, A, X))
-    g = gcd(ax, *(2 * c for c in X))
-    ax //= g
-    support = tuple((k, c) for k, c in enumerate(A) if c)
-    changes = tuple((k, 2 * c // g) for k, c in enumerate(X) if c)
-
-    def reflect_ray(z: Ray) -> Ray:
-        t = sum(c * z[k] for k, c in support)
-        if not t:
-            return z
-        w = list(z) if ax == 1 else [ax * c for c in z]
-        for k, c in changes:
-            w[k] -= t * c
-        return reduced_ints(w)
-
-    return reflect_ray
+    return reflection_closure(seeds, [reflection(a, c) for a, c in rel._reflections])
 
 
 def fundamental_rays(rel: RelativeDatum) -> List[Ray]:
@@ -365,23 +372,15 @@ def _identity(n: int) -> Tuple[Vector, ...]:
 
 
 def _split_relative(datum: RootDatum) -> RelativeDatum:
-    n = datum.rank
-    if datum.family == "A":
-        # the dual rows e_k - e_{k+1} are the simple roots, so the restricted
-        # simple roots are their pairings, the Cartan matrix with 2 on the
-        # diagonal and -1 beside it, and the gram is half of it
-        cartan = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)]
-                  for i in range(n)]
-        return RelativeDatum(f"split_A{n}", datum, datum.simple_roots,
-                             as_fractions(cartan), as_fractions(cartan, 2))
-    # the dual rows are the identity
-    return RelativeDatum(f"split_{datum.family}{n}", datum, _identity(n),
-                         datum.simple_roots, _identity(n))
+    # the dual rows are the simple roots e_k - e_{k+1} for A, else the identity
+    rows = datum.simple_roots if datum.family == "A" else _identity(datum.rank)
+    return RelativeDatum(f"split_{datum.family}{datum.rank}", datum, rows, datum)
 
 
 def _su3_relative() -> RelativeDatum:
+    # BC_1, whose written simple root is B_1's
     return RelativeDatum("su3", build_root_system("A", 2), (qvec([1, 0, -1]),),
-                         ((Q(1),),), ((Q(1),),))
+                         RootDatum("B", 1))
 
 
 def _nonsplit_c_relative(rank: int) -> RelativeDatum:
@@ -389,12 +388,10 @@ def _nonsplit_c_relative(rank: int) -> RelativeDatum:
         raise ValueError("nonsplit_C needs rank >= 2")
     m = rank // 2
     rows = [_ints(rank, ((2 * i, 1), (2 * i + 1, 1))) for i in range(m)]
-    # simple relative roots: f_i - f_{i+1} and the last one (2f_m, or f_m in
-    # the odd case where f_m is multipliable)
-    simple = [_ints(m, ((i, 1), (i + 1, -1))) for i in range(m - 1)]
-    simple.append(_ints(m, ((m - 1, 1 if rank % 2 else 2),)))
+    # the relative root system is C_m, or BC_m for odd rank, whose written
+    # simple roots are B_m's (f_m is multipliable)
     return RelativeDatum(f"nonsplit_C{rank}", build_root_system("C", rank),
-                         as_fractions(rows), as_fractions(simple), _identity(m))
+                         as_fractions(rows), RootDatum("B" if rank % 2 else "C", m))
 
 
 def _sl_skew_relative(s: int, d: int) -> RelativeDatum:
@@ -407,9 +404,8 @@ def _sl_skew_relative(s: int, d: int) -> RelativeDatum:
         return _split_relative(datum)
     rows = [_ints(n, [(k * d + j, 1) for j in range(d)]
                   + [((k + 1) * d + j, -1) for j in range(d)]) for k in range(s)]
-    small = _split_relative(build_root_system("A", s))
     return RelativeDatum(f"sl_skew_{s}_{d}", datum, as_fractions(rows),
-                         small.relative_simple, small.gram)
+                         build_root_system("A", s))
 
 
 # the group table: each preset, the parameters it reads, and its constructor

@@ -733,6 +733,32 @@ def relative_weyl_orbit_by_fractions(rel: RelativeDatum, seeds):
     return reflection_closure(seeds, maps)
 
 
+def coroots_by_gram_solve(rel: RelativeDatum) -> Tuple[Vector, ...]:
+    """Reference oracle: the coroot 2x/(a . x) of each relative simple root
+    a, with gram x = a from one Fraction solve of the gram."""
+    n = rel.rank
+    columns = zip(*rel.relative_simple)
+    red, _ = rref([list(r) + list(c) for r, c in zip(rel.gram, columns)])
+    xs = [tuple(red[i][n + k] for i in range(n)) for k in range(n)]
+    return tuple(scale(2 / dot(a, x), x) for a, x in zip(rel.relative_simple, xs))
+
+
+def simplex_id_by_scan(z: Vector, rel: RelativeDatum):
+    """Reference oracle: apartment.simplex_id over relative_roots, finding
+    each root's step by a gamma_of scan."""
+    out = []
+    for alpha in rel.relative_roots:
+        if next(c for c in alpha if c) < 0:
+            continue
+        step = rel.gamma_of(alpha)
+        val = dot(alpha, z)
+        lo = -step * (val // step)
+        for n in (lo, lo - step) if val + lo > 0 else (lo,):
+            v = val + n
+            out.append((alpha, n, (v > 0) - (v < 0)))
+    return tuple(sorted(out))
+
+
 def fundamental_points_by_fractions(rel: RelativeDatum) -> Tuple[Vector, ...]:
     """The fundamental chamber's rays as the Fraction points the Fraction
     orbit starts from."""

@@ -3,7 +3,7 @@
 from fractions import Fraction as Q
 
 import pytest
-from helpers import rng
+from helpers import random_rational, rng, simplex_id_by_scan
 
 from btgit.apartment import (ApartmentPoint, InfinityPoint, distance,
                              is_vertex, nu, semi_convex_hull_sphere,
@@ -61,6 +61,20 @@ def test_simplex_id_and_vertices():
         assert is_vertex(ApartmentPoint((Q(0),) * rel.rank), rel)
     walls = simplex_id(ApartmentPoint((Q(1, 4),)), REL_A1)
     assert sorted(s for _, _, s in walls) == [-1, 1]  # open edge between 0, 1/2
+
+
+def test_simplex_id_matches_gamma_scan():
+    """Half steps (su3, nonsplit_C of odd rank) and full ones, on seeded
+    points that often lie on walls."""
+    r = rng(2207)
+    rels = [preset_relative("su3"), preset_relative("nonsplit_C", rank=3),
+            preset_relative("nonsplit_C", rank=5), REL_A2,
+            preset_relative("split", datum=build_root_system("B", 2))]
+    for rel in rels:
+        for _ in range(60):
+            z = tuple(random_rational(r, den=4) for _ in range(rel.rank))
+            assert simplex_id(ApartmentPoint(z), rel) == simplex_id_by_scan(z, rel), \
+                (rel.name, z)
 
 
 def test_infinity_point_canonical_and_antipode():

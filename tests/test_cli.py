@@ -3,6 +3,7 @@
 import ast
 import copy
 import functools
+import hashlib
 import io
 import json
 import random
@@ -23,6 +24,7 @@ from btgit.models import (ModelPoint, make_point, model_relative,
 from btgit.rootdata import build_root_system, preset_relative
 from btgit.torusgit import chi_status, stability_status
 from btgit.valfield import INF, format_rational, parse_puiseux
+from helpers import chamber_presets
 
 
 def test_rootsys_split_a2():
@@ -39,6 +41,44 @@ def test_rootsys_su3_preset():
     assert out["rank"] == 1
     assert {g["step"] for g in out["gamma"]} <= {"1/2", "1/1", "1"}
     assert len(out["relative_roots"]) == 4  # multipliable pair and its doubles
+
+
+# the payloads of chamber_presets(), in its order
+PRESET_PAYLOADS = (
+    [{"family": f, "rank": r} for f, ranks in (("A", range(1, 7)), ("B", range(2, 5)),
+                                               ("C", range(2, 4)), ("D", range(2, 6)))
+     for r in ranks]
+    + [{"preset": "su3"}]
+    + [{"preset": "nonsplit_C", "rank": r} for r in range(2, 8)]
+    + [{"preset": "sl_skew", "s": s, "d": d}
+       for s, d in ((1, 1), (1, 2), (2, 2), (2, 3), (3, 2))])
+
+# sha256 of the concatenated output of each command over PRESET_PAYLOADS,
+# recorded before the relative Weyl tables were read off the relative type
+PRESET_DIGESTS = {
+    "rootsys": "f77dc0bee654b2b387a73502a950d62664e40f896a9f6bf8e967ff23ae576275",
+    "chambers": "db2853a50db1d95fd4d65ff3f6a826bbe9571aec9f7e54887429cbc4da86ea87",
+    "chi": "5d0570c73e910c651e1e02a53902f18bd82b8b3bcfb07262f9095fb46c9def8a",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PRESET_DIGESTS))
+def test_preset_outputs_match_golden_digests(command):
+    """rootsys, chambers with one weight and chi with one character, on
+    every chamber preset, byte for byte."""
+    h = hashlib.sha256()
+    names = []
+    for payload in PRESET_PAYLOADS:
+        out = run("rootsys", payload)
+        names.append(out["name"])
+        rank = out["rank"]
+        if command == "chambers":
+            payload = dict(payload, weights=[[str(k - 1) for k in range(rank)]])
+        elif command == "chi":
+            payload = dict(payload, chi=[str(k + 1) for k in range(rank)])
+        h.update(serialize(run(command, payload)).encode())
+    assert names == [rel.name for rel in chamber_presets()]
+    assert h.hexdigest() == PRESET_DIGESTS[command]
 
 
 def test_classify_outputs():

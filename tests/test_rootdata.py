@@ -11,13 +11,14 @@ from btgit.cli import run
 from btgit.models import model_relative
 from btgit.qvec import add, as_fractions, dot, primitive_ints, qvec, scale
 from btgit.rootdata import (RelativeDatum, UnknownGroup, _cached_relative,
-                            _ray_reflection, build_root_system, dominant_weight,
+                            build_root_system, dominant_weight,
                             fundamental_rays, group_relative, preset_relative,
                             reflect, reflection_closure, relative_weyl_orbit,
                             simple_shuffles, weyl_orbit, weyl_order)
 from btgit.torusgit import classify_regular_weights, root_hyperplanes
 from btgit.treebuilding import _chamber_rays
 from helpers import (cartan_by_pairings, chamber_points_by_fractions,
+                     chamber_presets, coroots_by_gram_solve,
                      fundamental_points_by_fractions, integer_layer_data,
                      orbit_by_reflection, random_rational,
                      relative_weyl_orbit_by_fractions, restrict_by_dot,
@@ -124,8 +125,8 @@ def test_fractional_dual_rows_are_refused():
     """Every preset's dual rows are integral, and restrict reads them as
     integers, so a fractional row is refused rather than truncated."""
     half = Q(1, 2)
-    rel = RelativeDatum("halved", build_root_system("A", 1), ((half, -half),),
-                        ((Q(1),),), ((Q(1),),))
+    a1 = build_root_system("A", 1)
+    rel = RelativeDatum("halved", a1, ((half, -half),), a1)
     with pytest.raises(ValueError, match="integral"):
         rel.restrict((Q(1), Q(-1)))
 
@@ -205,6 +206,96 @@ def test_split_a_cartan_formula_matches_pairings():
         assert rel.gram == as_fractions(cartan, 2)
 
 
+# each chamber preset's relative simple roots and gram, row by row, as
+# recorded when the presets stored them
+SIMPLE_AND_GRAM = {
+    "split_A1": ("2",
+                 "1"),
+    "split_A2": ("2 -1; -1 2",
+                 "1 -1/2; -1/2 1"),
+    "split_A3": ("2 -1 0; -1 2 -1; 0 -1 2",
+                 "1 -1/2 0; -1/2 1 -1/2; 0 -1/2 1"),
+    "split_A4": ("2 -1 0 0; -1 2 -1 0; 0 -1 2 -1; 0 0 -1 2",
+                 "1 -1/2 0 0; -1/2 1 -1/2 0; 0 -1/2 1 -1/2; 0 0 -1/2 1"),
+    "split_A5": ("2 -1 0 0 0; -1 2 -1 0 0; 0 -1 2 -1 0; 0 0 -1 2 -1; 0 0 0 -1 2",
+                 "1 -1/2 0 0 0; -1/2 1 -1/2 0 0; 0 -1/2 1 -1/2 0; 0 0 -1/2 1 -1/2; "
+                 "0 0 0 -1/2 1"),
+    "split_A6": ("2 -1 0 0 0 0; -1 2 -1 0 0 0; 0 -1 2 -1 0 0; 0 0 -1 2 -1 0; "
+                 "0 0 0 -1 2 -1; 0 0 0 0 -1 2",
+                 "1 -1/2 0 0 0 0; -1/2 1 -1/2 0 0 0; 0 -1/2 1 -1/2 0 0; "
+                 "0 0 -1/2 1 -1/2 0; 0 0 0 -1/2 1 -1/2; 0 0 0 0 -1/2 1"),
+    "split_B2": ("1 -1; 0 1",
+                 "1 0; 0 1"),
+    "split_B3": ("1 -1 0; 0 1 -1; 0 0 1",
+                 "1 0 0; 0 1 0; 0 0 1"),
+    "split_B4": ("1 -1 0 0; 0 1 -1 0; 0 0 1 -1; 0 0 0 1",
+                 "1 0 0 0; 0 1 0 0; 0 0 1 0; 0 0 0 1"),
+    "split_C2": ("1 -1; 0 2",
+                 "1 0; 0 1"),
+    "split_C3": ("1 -1 0; 0 1 -1; 0 0 2",
+                 "1 0 0; 0 1 0; 0 0 1"),
+    "split_D2": ("1 -1; 1 1",
+                 "1 0; 0 1"),
+    "split_D3": ("1 -1 0; 0 1 -1; 0 1 1",
+                 "1 0 0; 0 1 0; 0 0 1"),
+    "split_D4": ("1 -1 0 0; 0 1 -1 0; 0 0 1 -1; 0 0 1 1",
+                 "1 0 0 0; 0 1 0 0; 0 0 1 0; 0 0 0 1"),
+    "split_D5": ("1 -1 0 0 0; 0 1 -1 0 0; 0 0 1 -1 0; 0 0 0 1 -1; 0 0 0 1 1",
+                 "1 0 0 0 0; 0 1 0 0 0; 0 0 1 0 0; 0 0 0 1 0; 0 0 0 0 1"),
+    "su3": ("1",
+            "1"),
+    "nonsplit_C2": ("2",
+                    "1"),
+    "nonsplit_C3": ("1",
+                    "1"),
+    "nonsplit_C4": ("1 -1; 0 2",
+                    "1 0; 0 1"),
+    "nonsplit_C5": ("1 -1; 0 1",
+                    "1 0; 0 1"),
+    "nonsplit_C6": ("1 -1 0; 0 1 -1; 0 0 2",
+                    "1 0 0; 0 1 0; 0 0 1"),
+    "nonsplit_C7": ("1 -1 0; 0 1 -1; 0 0 1",
+                    "1 0 0; 0 1 0; 0 0 1"),
+    "sl_skew_1_2": ("2",
+                    "1"),
+    "sl_skew_2_2": ("2 -1; -1 2",
+                    "1 -1/2; -1/2 1"),
+    "sl_skew_2_3": ("2 -1; -1 2",
+                    "1 -1/2; -1/2 1"),
+    "sl_skew_3_2": ("2 -1 0; -1 2 -1; 0 -1 2",
+                    "1 -1/2 0; -1/2 1 -1/2; 0 -1/2 1"),
+}
+
+
+def _rows(text):
+    return tuple(tuple(Q(x) for x in row.split()) for row in text.split(";"))
+
+
+def test_relative_simple_and_gram_match_recorded_values():
+    rels = chamber_presets()
+    assert {rel.name for rel in rels} == set(SIMPLE_AND_GRAM)
+    for rel in rels:
+        simple, gram = SIMPLE_AND_GRAM[rel.name]
+        assert rel.relative_simple == _rows(simple), rel.name
+        assert rel.gram == _rows(gram), rel.name
+
+
+def test_reflections_are_simple_roots_with_gram_solved_coroots():
+    for rel in integer_layer_data():
+        coroots = coroots_by_gram_solve(rel)
+        assert len(rel._reflections) == rel.rank, rel.name
+        for (a, coroot), simple, want in zip(rel._reflections, rel.relative_simple,
+                                              coroots):
+            assert a == simple and coroot == want, rel.name
+            assert all(type(c) is int for c in a + coroot), rel.name
+
+
+def test_chamber_count_is_the_relative_weyl_order():
+    for rel in chamber_presets():
+        _, chambers = _chamber_rays(rel)
+        assert len(chambers) == weyl_order(rel.relative_type), rel.name
+
+
 def test_restrict_matches_dense_dot_oracle():
     r = rng(1303)
     for rel in integer_layer_data():
@@ -245,25 +336,13 @@ def test_ray_orbits_are_point_orbits_up_to_scaling():
                              for tup in by_points}, rel.name
 
 
-def test_ray_reflection_rescales_off_the_lattice():
-    """Every preset's reflections keep the integer lattice; a pair (A, X)
-    that does not is reflected through (A . X) z - 2(A . z) X and the gcd,
-    and agrees with the Fraction image made primitive."""
-    A, X = (2, 1), (1, 1)
-    reflect_ray = _ray_reflection(A, X)
-    for z in ((1, 0), (0, 1), (1, -2), (3, 5)):
-        t = Q(2 * (A[0] * z[0] + A[1] * z[1]), A[0] * X[0] + A[1] * X[1])
-        image = tuple(Q(c) - t * x for c, x in zip(z, X))
-        assert reflect_ray(z) == primitive_ints(image)
-    assert reflect_ray((1, -2)) == (1, -2)
-
-
 def test_weyl_tables_are_kept_per_datum(monkeypatch):
     """A datum that has built its Weyl tables and a fresh equal one answer
     alike; a datum with built tables round-trips through pickle and
     deepcopy; and no caller can change a kept table through an answer."""
     tables = {"_reflections", "_fundamental_rays", "_root_lines", "_chamber_table",
-              "_dual_ints", "_root_keys", "relative_roots", "gamma"}
+              "_dual_ints", "_root_keys", "relative_roots", "gamma",
+              "relative_simple", "gram"}
     datum_tables = {"simple_roots", "all_roots", "fundamental_weights"}
     for family, rank in (("A", 3), ("B", 3), ("C", 2), ("D", 4)):
         J = list(range(1, rank + 1, 2))
@@ -271,6 +350,7 @@ def test_weyl_tables_are_kept_per_datum(monkeypatch):
         answer = classify_regular_weights(family, rank, J)
         _chamber_rays(built)
         assert built.gamma and built.datum.all_roots
+        assert built.relative_simple and built.gram
         assert tables <= set(built.__dict__), family
         assert datum_tables <= set(built.datum.__dict__), family
         fresh = preset_relative("split", datum=build_root_system(family, rank))
@@ -282,6 +362,7 @@ def test_weyl_tables_are_kept_per_datum(monkeypatch):
         for rel in (fresh, pickle.loads(pickle.dumps(built)), copy.deepcopy(built)):
             assert rel == built and repr(rel) == repr(built)
             assert rel.gamma == built.gamma
+            assert (rel.relative_simple, rel.gram) == (built.relative_simple, built.gram)
             assert rel.datum.all_roots == built.datum.all_roots
             assert root_hyperplanes(rel) == root_hyperplanes(built)
             assert _chamber_rays(rel) == _chamber_rays(built)
