@@ -9,7 +9,7 @@ from typing import Mapping, Optional, Sequence, Tuple
 from .apartment import ApartmentPoint, InfinityPoint
 from .polyhedra import (Generators, QPolyhedron, cone_generators, minimax_face,
                         polar_cone)
-from .qvec import Vector, dot, is_zero, primitive, qvec
+from .qvec import Vector, dot, is_zero, qvec
 from .rootdata import RelativeDatum, weyl_orbit
 from .torusgit import WeightedPoint, mu_K, point_data, stability_status
 from .valfield import INF
@@ -80,9 +80,8 @@ def _interval(profile: Mapping[Vector, object], rel: RelativeDatum) -> IntervalR
 
 def lambda_A(x: WeightedPoint, rel: RelativeDatum) -> Tuple[InfinityPoint, ...]:
     """Directions at infinity along which every support weight is nonpositive."""
-    cone = polar_cone(mu_K(x, rel).points)
-    gens = [g for g in cone_generators(cone) if not is_zero(g)]
-    return tuple(InfinityPoint(g) for g in sorted(set(primitive(g) for g in gens)))
+    # cone_generators returns sorted, distinct, primitive, nonzero vectors
+    return tuple(InfinityPoint(g) for g in cone_generators(polar_cone(mu_K(x, rel).points)))
 
 
 def interval_A_chi(x: WeightedPoint, rel: RelativeDatum, chi: Sequence):
@@ -102,10 +101,10 @@ def destabilizing_1ps(x: WeightedPoint, rel: RelativeDatum) -> Optional[Vector]:
     if status == "stable":
         return None
     verts = mu_K(x, rel).points
-    gens = [g for g in cone_generators(polar_cone(verts)) if not is_zero(g)]
+    gens = cone_generators(polar_cone(verts))
     if status == "unstable":
         for g in gens:
             if any(dot(v, g) < 0 for v in verts):
-                return primitive(g)
+                return g
         raise AssertionError("no strictly destabilizing direction found")
-    return primitive(gens[0])
+    return gens[0]

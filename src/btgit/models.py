@@ -408,17 +408,12 @@ def act(g, p: ModelPoint) -> ModelPoint:
 
 def p_epsilon_member(g, eps: Sequence, model: str, rel: RelativeDatum) -> bool:
     """Parabolic-membership test: conjugation by the cocharacter stays bounded."""
-    weights = model_spec(model).defining_weights
     m = _pmat(g)
     ev = qvec(eps)
-    for i, wi in enumerate(weights):
-        for j, wj in enumerate(weights):
-            if not m[i][j]:
-                continue
-            drop = dot(rel.restrict(wi), ev) - dot(rel.restrict(wj), ev)
-            if m[i][j].valuation() + drop < 0:
-                return False
-    return True
+    pairings = [dot(rel.restrict(w), ev) for w in model_spec(model).defining_weights]
+    return all(m[i][j].valuation() + pi - pj >= 0
+               for i, pi in enumerate(pairings)
+               for j, pj in enumerate(pairings) if m[i][j])
 
 
 def project(p: ModelPoint, which: int) -> ModelPoint:

@@ -9,7 +9,9 @@ double-description routine, with no simplex and no subset enumeration; hull
 membership and hull skeletons read its integer lines and rays directly, with
 no Fraction and no rank test, and a polytope keeps that description once it
 is built; its hull_cone and tangent cone are read off the same kept
-description.  A minimax face and its generators are read off one description
+description.  Every other reader builds each Fraction of the integer lines
+and rays once.  Minimal enclosing balls come from Welzl's algorithm, with no
+subset scan.  A minimax face and its generators are read off one description
 of the homogenized hypograph.  QPolyhedron.sup_linear and is_empty read the
 generators of the polyhedron's homogenization; solve_lp, which nothing in
 the package calls, reads its optimum or improving direction off the
@@ -29,8 +31,8 @@ from math import lcm
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
-from .qvec import (Vector, add, dot, is_zero, neg, primitive, primitive_ints, qvec,
-                   reduced_ints, scale, sub, zero)
+from .qvec import (Vector, add, as_fractions, dot, is_zero, neg, primitive,
+                   primitive_ints, qvec, reduced_ints, scale, sub, zero)
 from .valfield import INF
 
 
@@ -305,27 +307,14 @@ def _integer_double_description(rows: Sequence[Vector], dim: int
     return lines, [r for r, _ in rays]
 
 
-def _fractions(description) -> Tuple[List[Vector], List[Vector]]:
-    """An integer double description in Fractions: each line divided by its
-    entry at its free coordinate, so the lines are the reduced kernel basis
-    of the rows, and the rays as they are."""
-    lines, rays = description
-    return ([tuple(Q(x, l[i]) for x in l) for i, l in lines],
-            [tuple(Q(x) for x in r) for r in rays])
-
-
-def _double_description(rows: Sequence[Vector],
-                        dim: int) -> Tuple[List[Vector], List[Vector]]:
-    """The integer double description of the rows, in Fractions."""
-    return _fractions(_integer_double_description(rows, dim))
-
-
 def _h_rep(description, dim: int) -> QPolyhedron:
-    """The cone dual to an integer double description: its lines become
-    equality pairs and its rays, sorted, halfspaces through 0."""
-    lines, rays = _fractions(description)
+    """The cone dual to an integer double description: its lines, each
+    divided by its entry at its free coordinate, become equality pairs and
+    its rays, sorted, halfspaces through 0."""
+    lines, rays = description
+    lines = [tuple(Q(x, l[i]) for x in l) for i, l in lines]
     halfspaces = [(w, Q(0)) for v in lines for w in (v, neg(v))]
-    return QPolyhedron(halfspaces + [(r, Q(0)) for r in sorted(rays)], dim)
+    return QPolyhedron(halfspaces + [(r, Q(0)) for r in as_fractions(sorted(rays))], dim)
 
 
 def cone_h_rep(generators: Sequence[Sequence], dim: int) -> QPolyhedron:
@@ -362,8 +351,11 @@ def cone_generators(cone: QPolyhedron) -> List[Vector]:
     """
     if any(off != 0 for _, off in cone.halfspaces):
         raise ValueError("not a cone")
-    lines, rays = _double_description([nrm for nrm, _ in cone.halfspaces], cone.dim)
-    return sorted({primitive(w) for v in lines for w in (v, neg(v))} | set(rays))
+    lines, rays = _integer_double_description([nrm for nrm, _ in cone.halfspaces],
+                                              cone.dim)
+    # each line and ray is already a primitive integer vector
+    return sorted({tuple(Q(s * x) for x in l) for _, l in lines for s in (1, -1)}
+                  | set(as_fractions(rays)))
 
 
 def cone_contains(cone: QPolyhedron, v: Sequence) -> bool:
@@ -442,8 +434,15 @@ def min_enclosing_ball(points: Sequence[Sequence], gram=None) -> Tuple[Vector, Q
     """Exact minimal enclosing ball; returns (center, squared radius).
 
     The metric may be twisted by a symmetric positive-definite rational Gram
-    matrix.  Candidates are circumcenters of affinely independent support
-    subsets; the smallest covering candidate is the minimum ball.
+    matrix.  Welzl's algorithm (1991), over the points sorted: the smallest
+    ball around the first k points with a given support on its boundary is
+    grown point by point, and a point outside the current ball joins the
+    support and restarts the ball on the points before it.  A support of
+    d + 1 points fixes its ball, so the recursion is at most d + 1 deep.
+    Each support is affinely independent, since every ball with the support
+    on its boundary meets the support's affine hull in the same ball: a
+    point outside the current ball but on the boundary of the next lies off
+    that hull.  So each support's ball is its circumball.
     """
     pts = sorted({qvec(p) for p in points})
     if not pts:
@@ -455,31 +454,26 @@ def min_enclosing_ball(points: Sequence[Sequence], gram=None) -> Tuple[Vector, Q
     def gdot(x: Vector, y: Vector) -> Q:
         return sum(x[i] * gram[i][j] * y[j] for i in range(d) for j in range(d))
 
-    best: Optional[Tuple[Q, Vector]] = None
-    for size in range(1, min(len(pts), d + 1) + 1):
-        for subset in combinations(pts, size):
-            p0 = subset[0]
-            ds = [sub(p, p0) for p in subset[1:]]
-            if ds:
-                m = [[2 * gdot(a, b) for b in ds] for a in ds]
-                rhs = [gdot(a, a) for a in ds]
-                aug = [row + [rhs[i]] for i, row in enumerate(m)]
-                red, pivots = rref(aug)
-                if len(pivots) < len(ds) or len(ds) in pivots:
-                    continue  # affinely dependent subset
-                mu = [red[r][len(ds)] for r in range(len(ds))]
-                x = zero(d)
-                for c, a in zip(mu, ds):
-                    x = add(x, scale(c, a))
-                center = add(p0, x)
-                r2 = gdot(x, x)
-            else:
-                center, r2 = p0, Q(0)
-            if all(gdot(sub(p, center), sub(p, center)) <= r2 for p in pts):
-                if best is None or r2 < best[0]:
-                    best = (r2, center)
-    assert best is not None
-    return best[1], best[0]
+    def circumball(support: List[Vector]) -> Tuple[Vector, Q]:
+        p0 = support[0]
+        ds = [sub(p, p0) for p in support[1:]]
+        red, pivots = rref([[2 * gdot(a, b) for b in ds] + [gdot(a, a)] for a in ds])
+        assert pivots == list(range(len(ds))), "affinely dependent support"
+        x = zero(d)
+        for row, a in zip(red, ds):
+            x = add(x, scale(row[-1], a))
+        return add(p0, x), gdot(x, x)
+
+    def ball(k: int, support: List[Vector]) -> Tuple[Vector, Q]:
+        # with no support, the ball of the first point starts it
+        center, r2 = circumball(support or pts[:1])
+        if len(support) <= d:
+            for i, p in enumerate(pts[:k]):
+                if gdot(sub(p, center), sub(p, center)) > r2:
+                    center, r2 = ball(i, support + [p])
+        return center, r2
+
+    return ball(len(pts), [])
 
 
 # ---------------------------------------------------------------------------
@@ -552,10 +546,11 @@ def polyhedron_generators(poly: QPolyhedron) -> Generators:
     """
     rows = [nrm + (-off,) for nrm, off in poly.halfspaces]
     rows.append(zero(poly.dim) + (Q(1),))
-    lines, rays = _double_description(rows, poly.dim + 1)
-    return Generators(tuple(sorted(scale(1 / r[-1], r[:-1]) for r in rays if r[-1] > 0)),
-                      tuple(r[:-1] for r in rays if r[-1] == 0),
-                      tuple(l[:-1] for l in lines))
+    lines, rays = _integer_double_description(rows, poly.dim + 1)
+    return Generators(
+        tuple(sorted(tuple(Q(x, r[-1]) for x in r[:-1]) for r in rays if r[-1] > 0)),
+        as_fractions(r[:-1] for r in rays if r[-1] == 0),
+        tuple(tuple(Q(x, l[i]) for x in l[:-1]) for i, l in lines))
 
 
 def polyhedron_vertices(poly: QPolyhedron) -> List[Vector]:

@@ -221,8 +221,14 @@ def classify_regular_weights(family: Optional[str] = None,
     """Decide if some ample weight keeps its whole orbit off every root hyperplane.
 
     Returns (table_answer, scan_answer): a closed-form case table, and an
-    independent search over chamber representatives of the pulled-back
-    arrangement; the two must agree.
+    independent scan of the joint Weyl orbit of the fundamental weights
+    omega_j (j in J); the two must agree.  The scan answers False when some
+    tuple of the orbit has all its weights on one root hyperplane, and True
+    otherwise.  No second orbit is needed for True: for a covector g pulled
+    back from a hyperplane and base = 1 + max |g . w omega_k| over the orbit,
+    g . w lambda = sum_k base^k (g . w omega_k) for lambda = sum_k base^k
+    omega_k, and a sum of signed base-ary digits that are not all zero is
+    not zero, so lambda's whole orbit stays off every hyperplane.
     """
     J = sorted(set(int(j) for j in J))
     rel = group_relative(preset, family, rank, s, d)
@@ -244,7 +250,7 @@ def classify_regular_weights(family: Optional[str] = None,
     else:
         table = False
 
-    # Both orbits run on integer tuples: the weights over one common
+    # The orbit runs on integer tuples: the weights over one common
     # denominator, and each hyperplane h pulled back once to a primitive
     # integer covector g with g . v a positive multiple of h . restrict(v).
     omegas = [datum.fundamental_weights[j * step - 1] for j in J]
@@ -260,31 +266,18 @@ def classify_regular_weights(family: Optional[str] = None,
                     g[i] += hk * a
         covectors.append(reduced_ints(g))
     # A weight recurs in many orbit tuples, so it is paired with the
-    # covectors once: the largest absolute pairing is kept, and a bit mask of
-    # the covectors vanishing on it.  A tuple lies in a hyperplane when the
-    # masks of its weights share a bit.
-    max_num = 1
+    # covectors once, into a bit mask of the covectors vanishing on it.  A
+    # tuple lies in a hyperplane when the masks of its weights share a bit.
     zeros: Dict[Ray, int] = {}
-    shuffles = simple_shuffles(datum)
-    reflections = [lambda tup, f=f: tuple(map(f, tup)) for f in shuffles]
+    reflections = [lambda tup, f=f: tuple(map(f, tup)) for f in simple_shuffles(datum)]
     for tup in reflection_closure([tuple(omegas)], reflections):
         common = -1
         for v in tup:
             mask = zeros.get(v)
             if mask is None:
-                coeffs = [sum(map(mul, g, v)) for g in covectors]
-                mask = zeros[v] = sum(1 << i for i, c in enumerate(coeffs) if not c)
-                max_num = max(max_num, max(map(abs, coeffs)))
+                mask = zeros[v] = sum(1 << i for i, g in enumerate(covectors)
+                                      if not sum(map(mul, g, v)))
             common &= mask
         if common:
             return table, False
-    # powers of a base exceeding every coefficient give a regular representative
-    base = max_num + 1
-    lam = tuple(sum(base ** k * w[i] for k, w in enumerate(omegas))
-                for i in range(datum.ambient_dim))
-    scan = True
-    for v in reflection_closure([lam], shuffles):
-        if any(sum(map(mul, g, v)) == 0 for g in covectors):
-            scan = False
-            break
-    return table, scan
+    return table, True

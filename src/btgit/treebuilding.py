@@ -322,11 +322,6 @@ def _chamber_rays(rel: RelativeDatum):
     return list(lines), dict(chambers)
 
 
-def _chamber_cone(signs: Tuple[int, ...], lines: Sequence[Vector]) -> Tuple:
-    """Halfspaces of the chamber on the given sides of the root lines."""
-    return tuple((tuple(x * c for c in a), Q(0)) for x, a in zip(signs, lines))
-
-
 @dataclass(frozen=True)
 class PChiData:
     """Parabolic subgroup attached to a character: chambers, face, test direction."""

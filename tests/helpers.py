@@ -11,14 +11,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from btgit.models import make_point, model_relative, symplectic_form
 from btgit.polyhedra import (LPResult, MinimaxResult, QPolyhedron, QPolytope,
-                             cone_h_rep, polyhedron_generators, rref)
+                             _integer_double_description, cone_h_rep,
+                             polyhedron_generators, rref)
 from btgit.qvec import Vector, add, dot, neg, primitive, qvec, scale, sub
 from btgit.rootdata import (RelativeDatum, build_root_system, fundamental_rays,
                             preset_relative, reflect, reflection_closure,
                             simple_shuffles)
 from btgit.torusgit import mu_K
 from btgit.treebuilding import (ApartmentChart, TreeInterval, TreePoint,
-                                _chamber_cone, _chamber_rays, _proj2_coords)
+                                _chamber_rays, _proj2_coords)
 from btgit.valfield import INF, ONE, ZERO, PuiseuxElement, _canonical
 
 
@@ -236,10 +237,15 @@ def root_hyperplanes_by_subsets(rel):
     return tuple(sorted(normals))
 
 
+def chamber_cone(signs: Tuple[int, ...], lines: Sequence[Vector]) -> Tuple:
+    """Halfspaces of the chamber on the given sides of the root lines."""
+    return tuple((tuple(x * c for c in a), Q(0)) for x, a in zip(signs, lines))
+
+
 def weyl_chambers(rel: RelativeDatum):
     """Full-dimensional sign cones of the relative root arrangement."""
     lines, rays = _chamber_rays(rel)
-    return lines, [(s, QPolyhedron(_chamber_cone(s, lines))) for s in rays]
+    return lines, [(s, QPolyhedron(chamber_cone(s, lines))) for s in rays]
 
 
 def _pivot(rows: List[List[Q]], r: int, col: int) -> None:
@@ -472,6 +478,47 @@ def hull_member_by_lp(p: QPolytope, q, mode: str = "closure") -> bool:
     return True
 
 
+def min_enclosing_ball_by_scan(points: Sequence[Sequence], gram=None) -> Tuple[Vector, Q]:
+    """Reference oracle: the minimal enclosing ball as the smallest covering
+    circumball over every affinely independent subset of at most d + 1
+    points."""
+    pts = sorted({qvec(p) for p in points})
+    if not pts:
+        raise ValueError("need at least one point")
+    d = len(pts[0])
+    if gram is None:
+        gram = [[Q(1) if i == j else Q(0) for j in range(d)] for i in range(d)]
+
+    def gdot(x: Vector, y: Vector) -> Q:
+        return sum(x[i] * gram[i][j] * y[j] for i in range(d) for j in range(d))
+
+    best: Optional[Tuple[Q, Vector]] = None
+    for size in range(1, min(len(pts), d + 1) + 1):
+        for subset in combinations(pts, size):
+            p0 = subset[0]
+            ds = [sub(p, p0) for p in subset[1:]]
+            if ds:
+                m = [[2 * gdot(a, b) for b in ds] for a in ds]
+                rhs = [gdot(a, a) for a in ds]
+                aug = [row + [rhs[i]] for i, row in enumerate(m)]
+                red, pivots = rref(aug)
+                if len(pivots) < len(ds) or len(ds) in pivots:
+                    continue  # affinely dependent subset
+                mu = [red[r][len(ds)] for r in range(len(ds))]
+                x = tuple(Q(0) for _ in range(d))
+                for c, a in zip(mu, ds):
+                    x = add(x, scale(c, a))
+                center = add(p0, x)
+                r2 = gdot(x, x)
+            else:
+                center, r2 = p0, Q(0)
+            if all(gdot(sub(p, center), sub(p, center)) <= r2 for p in pts):
+                if best is None or r2 < best[0]:
+                    best = (r2, center)
+    assert best is not None
+    return best[1], best[0]
+
+
 def minimax_face_by_lp(affine_forms) -> MinimaxResult:
     """Oracle: sup_z min_i (offset_i + normal_i . z) and its argmax face by the
     minimax simplex: maximize s subject to s <= offset_i + normal_i . z."""
@@ -597,9 +644,9 @@ def double_description_by_fractions(rows: Sequence[Vector], dim: int
                                     ) -> Tuple[List[Vector], List[Vector]]:
     """Reference oracle: the double description carried out in Fraction
     arithmetic, with the same row order, pivot choice and adjacency test as
-    polyhedra._double_description, so its lines and rays match in order; its
-    adjacency test scans every pair, with no count of shared tight rows
-    first.
+    polyhedra._integer_double_description, so its lines and rays match
+    integer_description_in_fractions in order; its adjacency test scans every
+    pair, with no count of shared tight rows first.
 
     Lines stay the reduced kernel basis of the rows, one unit entry per free
     coordinate; rays are rescaled to primitive integer vectors."""
@@ -633,6 +680,17 @@ def double_description_by_fractions(rows: Sequence[Vector], dim: int
                                  common | {k}))
         rays = kept
     return lines, [r for r, _ in rays]
+
+
+def integer_description_in_fractions(rows: Sequence[Vector], dim: int
+                                    ) -> Tuple[List[Vector], List[Vector]]:
+    """polyhedra._integer_double_description read in Fractions, as the
+    Fraction oracle keeps it: each line divided by its entry at its free
+    coordinate, so the lines are the reduced kernel basis of the rows, and
+    the rays as they are."""
+    lines, rays = _integer_double_description(rows, dim)
+    return ([tuple(Q(x, l[i]) for x in l) for i, l in lines],
+            [tuple(map(Q, r)) for r in rays])
 
 
 def puiseux_by_dict_merge(pairs) -> Tuple[Tuple[Q, Q], ...]:

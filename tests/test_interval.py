@@ -4,10 +4,11 @@ from fractions import Fraction as Q
 
 import pytest
 from helpers import (double_description_by_fractions, grid_points,
-                     interval_by_lp, is_bounded, random_element,
-                     random_grass24_point, random_proj_point, random_sl3_flag,
-                     random_sp4_flag, random_su3_pair, rng, single_point,
-                     sup_linear_by_lp, wall_h_rep)
+                     integer_description_in_fractions, interval_by_lp,
+                     is_bounded, random_element, random_grass24_point,
+                     random_proj_point, random_sl3_flag, random_sp4_flag,
+                     random_su3_pair, rng, single_point, sup_linear_by_lp,
+                     wall_h_rep)
 
 from btgit import interval, polyhedra
 from btgit.apartment import InfinityPoint, nu
@@ -366,7 +367,7 @@ def test_interval_description_stays_small(monkeypatch, j, n, count, ray_limit,
         monkeypatch.delenv("BTGIT_DD_RAY_LIMIT")
         assert not res.is_empty()
         ((rows, dim),) = described
-        assert polyhedra._double_description(rows, dim) == \
+        assert integer_description_in_fractions(rows, dim) == \
             double_description_by_fractions(rows, dim)
         if oracle:
             _assert_interval_matches_oracle(wp, rel, singleton_by_lp=False)

@@ -5,18 +5,20 @@ from itertools import combinations
 
 import pytest
 from helpers import (double_description_by_fractions, hull_member_by_lp,
-                     hull_skeleton_by_rank, is_empty_by_lp, line_rep,
-                     matrix_rank, rng, single_point, solve_lp_by_simplex,
-                     sup_linear_by_lp)
+                     hull_skeleton_by_rank, integer_description_in_fractions,
+                     is_empty_by_lp, line_rep, matrix_rank,
+                     min_enclosing_ball_by_scan, rng, single_point,
+                     solve_lp_by_simplex, sup_linear_by_lp)
 
 from btgit.polyhedra import (QPolyhedron, QPolytope, WorkLimitExceeded,
-                             _double_description, cone_contains,
+                             cone_contains,
                              cone_generators, cone_h_rep, hull_member,
                              hull_member_bruteforce, hull_skeleton,
                              min_enclosing_ball, minimax_face, polar_cone,
                              polyhedron_generators, polyhedron_vertices, rref,
                              solve_lp, tangent_cone)
-from btgit.qvec import dot, neg, primitive, qvec, scale, sub
+from btgit.qvec import add, dot, neg, primitive, qvec, scale, sub
+from btgit.rootdata import build_root_system, preset_relative
 from btgit.valfield import INF
 
 
@@ -201,6 +203,45 @@ def test_min_enclosing_ball_support_condition():
         assert max(d2) == r2  # radius is attained and no point lies outside
 
 
+def _reflect(v, a, gram):
+    """v reflected in the hyperplane orthogonal to a, an isometry of gram."""
+    def g(x, y):
+        return sum(x[i] * gram[i][j] * y[j] for i in range(len(x)) for j in range(len(x)))
+    return sub(v, scale(2 * g(v, a) / g(a, a), a))
+
+
+def test_min_enclosing_ball_matches_subset_scan():
+    # dimensions 1 to 3 under the identity and the relative grams of A2 and
+    # A3, with repeated points and cospherical sets: a center plus images of
+    # one vector under reflections that preserve the gram
+    grams = {d: [None] for d in (1, 2, 3)}
+    for d in (2, 3):
+        grams[d].append(preset_relative("split", datum=build_root_system("A", d)).gram)
+    r = rng(43)
+    kinds = set()
+    for case in range(2001):
+        d = r.randint(1, 3)
+        gram = r.choice(grams[d])
+        identity = [[Q(int(i == j)) for j in range(d)] for i in range(d)]
+        pts = [_rand_vec(r, d) for _ in range(r.randint(1, 4))]
+        kind = case % 3
+        if kind == 1:
+            pts += r.choices(pts, k=r.randint(1, 2))
+        elif kind == 2:
+            # points on the sphere around pts[0] through pts[0] + v
+            c, v = pts.pop(0), _rand_vec(r, d)
+            pts.append(add(c, v))
+            for _ in range(r.randint(1, 3)):
+                a = _rand_vec(r, d)
+                if any(a):
+                    v = _reflect(v, a, gram or identity)
+                pts.append(r.choice((add, sub))(c, v))
+        kinds.add((d, gram is None, kind))
+        assert min_enclosing_ball(pts, gram=gram) == \
+            min_enclosing_ball_by_scan(pts, gram=gram), (pts, gram)
+    assert len(kinds) == 15
+
+
 def test_hull_skeleton_examples():
     tri = QPolytope([(1, 0), (0, 1), (-1, -1)])
     verts, edges = hull_skeleton(tri)
@@ -351,14 +392,37 @@ def test_integer_double_description_matches_fraction_oracle():
             elif pick < 0.4:
                 rows.append(tuple(Q(r.randint(1, 5), r.randint(1, 5)) * x
                                   for x in a))
-        lines, rays = _double_description(rows, dim)
+        lines, rays = integer_description_in_fractions(rows, dim)
         want_lines, want_rays = double_description_by_fractions(rows, dim)
         assert lines == want_lines
         assert rays == want_rays
         assert all(type(x) is Q for v in lines + rays for x in v)
     for short_or_long in ([(Q(1),)], [(Q(1), Q(2), Q(3))]):
         with pytest.raises(ValueError):
-            _double_description(short_or_long, 2)
+            integer_description_in_fractions(short_or_long, 2)
+
+
+def test_cone_generators_match_fraction_oracle():
+    # cones with lineality: up to dim + 2 rows spanning fewer than dim
+    # dimensions, half the time with a row and its negative; the generators
+    # are the oracle's rays and both primitive signs of each of its lines
+    r = rng(41)
+    for _ in range(300):
+        dim = r.randint(1, 5)
+        span = [_rand_vec(r, dim) for _ in range(r.randint(0, dim - 1))]
+        rows = []
+        for _ in range(r.randint(0, dim + 2)):
+            coeffs = [r.randint(-2, 2) for _ in span]
+            rows.append(tuple(sum(c * v[i] for c, v in zip(coeffs, span)) + Q(0)
+                              for i in range(dim)))
+        if rows and r.random() < 0.5:
+            rows.append(neg(rows[0]))
+        lines, rays = double_description_by_fractions(rows, dim)
+        assert lines
+        want = sorted({primitive(w) for l in lines for w in (l, neg(l))} | set(rays))
+        gens = cone_generators(QPolyhedron([(a, 0) for a in rows], dim))
+        assert gens == want, rows
+        assert all(type(x) is Q for g in gens for x in g)
 
 
 def _random_polyhedron(r, dim, kind):

@@ -3,7 +3,7 @@
 from fractions import Fraction as Q
 
 import pytest
-from helpers import (chamber_presets, chamber_rays_by_fractions,
+from helpers import (chamber_cone, chamber_presets, chamber_rays_by_fractions,
                      eval_monomials_by_products, integer_layer_data,
                      interval_tree_by_series, random_element, random_p1_point,
                      random_rational, rng, weyl_chambers,
@@ -13,8 +13,8 @@ from btgit.models import act, adjugate, make_point, model_relative
 from btgit.polyhedra import QPolyhedron, cone_generators
 from btgit.qvec import dot, primitive_ints
 from btgit.rootdata import build_root_system, preset_relative
-from btgit.treebuilding import (ApartmentChart, TreePoint, _chamber_cone,
-                                _chamber_rays, _eval_monomials, act_tree,
+from btgit.treebuilding import (ApartmentChart, TreePoint, _chamber_rays,
+                                _eval_monomials, act_tree,
                                 chi_parabolic_member, circumcenter, f_chi_tree,
                                 interval_chi, interval_tree,
                                 invariant_monomials, p_chi_data, r_log,
@@ -429,7 +429,7 @@ def test_chamber_rays_and_p_chi_data_match_fraction_oracle():
             data = p_chi_data(chi, rel)
             kept = tuple(s for s, gens in want_rays.items()
                          if all(dot(chi, g) >= 0 for g in gens))
-            halves = {h for s in kept for h in _chamber_cone(s, lines)}
+            halves = {h for s in kept for h in chamber_cone(s, lines)}
             assert data.chambers == kept, (rel.name, chi)
             assert data.tau == QPolyhedron(tuple(sorted(halves))), (rel.name, chi)
 
