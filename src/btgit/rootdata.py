@@ -12,21 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import accumulate, chain
 from fractions import Fraction as Q
 from math import factorial
 from operator import mul
 from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .qvec import (Vector, _sum_of_products, add, as_fractions, dot,
-                   primitive_ints, qvec, reduced_ints, scale, sub, zero)
+from .qvec import (Vector, _sum_of_products, add, as_fractions,
+                   primitive_ints, qvec, reduced_ints, scale, zero)
 
 Ray = Tuple[int, ...]  # a primitive integer vector, up to positive scaling
-
-
-def reflect(v: Vector, alpha: Vector) -> Vector:
-    """Reflection of v in the hyperplane orthogonal to alpha."""
-    return sub(v, scale(2 * dot(v, alpha) / dot(alpha, alpha), alpha))
 
 
 @dataclass(frozen=True)
@@ -143,8 +138,10 @@ def simple_shuffles(datum: RootDatum) -> List[Callable[[Vector], Vector]]:
     Reflecting in e_i - e_{i+1} swaps coordinates i and i+1; in e_l or 2e_l
     it negates the last coordinate (B, C); in e_{l-1} + e_l it swaps the last
     two and negates both (D).  So the Weyl group acts by permutations (A),
-    signed permutations (B, C) and evenly signed permutations (D), and each
-    shuffle gives the value `reflect` gives, with no arithmetic.
+    signed permutations (B, C) and evenly signed permutations (D), with no
+    arithmetic.  These are the only Weyl action: a relative Weyl group is
+    that of its relative type, acting on its ambient coordinates (see
+    relative_weyl_orbit).
     """
     maps: List[Callable[[Vector], Vector]] = [
         lambda v, i=i: v[:i] + (v[i + 1], v[i]) + v[i + 2:]
@@ -156,11 +153,19 @@ def simple_shuffles(datum: RootDatum) -> List[Callable[[Vector], Vector]]:
     return maps
 
 
+def tuple_orbit(datum: RootDatum, seeds: Iterable[Tuple[Vector, ...]]
+                ) -> Set[Tuple[Vector, ...]]:
+    """Union of the Weyl orbits of tuples of ambient vectors, the group
+    acting on each vector of a tuple: the closure under the simple shuffles."""
+    maps = [lambda tup, f=f: tuple(map(f, tup)) for f in simple_shuffles(datum)]
+    return reflection_closure(seeds, maps)
+
+
 def weyl_orbit(datum: RootDatum, weight: Vector) -> Tuple[Vector, ...]:
-    """Full Weyl-group orbit of a weight, by closure under the simple shuffles."""
+    """Full Weyl-group orbit of a weight, sorted."""
     if len(weight) != datum.ambient_dim:
         raise ValueError("weight has wrong ambient dimension")
-    return tuple(sorted(reflection_closure([tuple(weight)], simple_shuffles(datum))))
+    return tuple(sorted(v for (v,) in tuple_orbit(datum, [(tuple(weight),)])))
 
 
 def weyl_order(datum: RootDatum) -> int:
@@ -182,7 +187,8 @@ class RelativeDatum:
     that the natural pairing is the plain dot product.  relative_type is the
     root datum of the relative root system; it fixes the relative simple
     roots, the W_K-invariant metric gram on primal coordinates (used for
-    squared distances) and the relative Weyl tables (see _reflections).
+    squared distances) and the relative Weyl tables, read in the type's
+    ambient coordinates (see _to_type).
     """
 
     name: str
@@ -235,48 +241,48 @@ class RelativeDatum:
         return tuple((a, Q(1, 2) if tuple(2 * c for c in v) in keys else Q(1))
                      for a, v in zip(self.relative_roots, self._root_keys))
 
-    @cached_property
-    def _reflections(self) -> Tuple[Tuple[Ray, Ray], ...]:
-        """Each relative simple root a with its integral coroot a^vee =
-        2x/(a . x), gram x = a, as integer tuples: for A_s, a is row i of the
-        Cartan matrix (2 on the diagonal, -1 beside it), the gram is half of
-        it and a^vee = e_i; otherwise a is a simple root of the type, the
-        gram is the identity and a^vee = 2a/(a . a)."""
-        t = self.relative_type
-        l = t.rank
-        if t.family == "A":
-            cartan = [tuple(2 if i == j else -1 if abs(i - j) == 1 else 0
-                            for j in range(l)) for i in range(l)]
-            return tuple((a, _ints(l, ((i, 1),))) for i, a in enumerate(cartan))
-        simple = [tuple(map(int, a)) for a in t.simple_roots]
-        return tuple((a, tuple(2 * c // sum(x * x for x in a) for c in a))
-                     for a in simple)
+    def _to_type(self, z: Ray) -> Ray:
+        """A primal point in the relative type's ambient coordinates.  For
+        B, C and D the gram is the identity and these are z itself.  For A_s
+        the primal coordinates are on the simple coroots, and the point is
+        x = (z_1, z_2 - z_1, ..., z_s - z_{s-1}, -z_s)."""
+        if self.relative_type.family != "A":
+            return z
+        return tuple(b - a for a, b in zip((0,) + z, z + (0,)))
+
+    def _from_type(self, x: Ray) -> Ray:
+        """The inverse of _to_type: z_k = x_1 + ... + x_k for A_s."""
+        if self.relative_type.family != "A":
+            return x
+        return tuple(accumulate(x[:-1]))
 
     @cached_property
     def relative_simple(self) -> Tuple[Vector, ...]:
-        return as_fractions(a for a, _ in self._reflections)
+        """The type's simple roots as covectors on primal coordinates: for
+        A_s, e_i - e_{i+1} pairs with z as x_i - x_{i+1} = 2z_i - z_{i-1} -
+        z_{i+1}, row i of the Cartan matrix."""
+        t = self.relative_type
+        if t.family != "A":
+            return t.simple_roots
+        l = t.rank
+        return as_fractions(tuple(2 if i == j else -1 if abs(i - j) == 1 else 0
+                                  for j in range(l)) for i in range(l))
 
     @cached_property
     def gram(self) -> Tuple[Vector, ...]:
         if self.relative_type.family == "A":
-            return as_fractions((a for a, _ in self._reflections), 2)
+            return tuple(tuple(c / 2 for c in a) for a in self.relative_simple)
         return _identity(self.rank)
 
     @cached_property
     def _fundamental_rays(self) -> Tuple[Ray, ...]:
         """The rays of the fundamental chamber {z : a . z >= 0, a relative
-        simple}, sorted (fundamental_rays): the columns of the inverse
-        Cartan matrix of A_s, the k-th being ((s+1) min(j, k) - jk)_j over
-        s + 1; for the other types, whose gram is the identity, the
-        fundamental weights, each orthogonal to all simple roots but one."""
-        t = self.relative_type
-        if t.family == "A":
-            n = t.rank + 1
-            rays = [[n * min(j, k) - j * k for j in range(1, n)]
-                    for k in range(1, n)]
-        else:
-            rays = t.fundamental_weights
-        return tuple(sorted(map(primitive_ints, rays)))
+        simple}, sorted (fundamental_rays): the type's fundamental weights,
+        each orthogonal to all simple roots but one, made primitive and read
+        in primal coordinates.  For A_s the k-th is ((s+1) min(j, k) - jk)_j
+        over its gcd."""
+        return tuple(sorted(self._from_type(primitive_ints(w))
+                            for w in self.relative_type.fundamental_weights))
 
     @cached_property
     def _root_lines(self) -> Tuple[Ray, ...]:
@@ -335,30 +341,16 @@ def relative_weyl_orbit(rel: RelativeDatum,
 
     A ray is a primitive integer vector, standing for the points that are
     positive multiples of it; the seeds must be given in that form.  The
-    relative simple root a reflects z to z - (a . z) a^vee, with the integral
-    coroot a^vee the datum keeps, reading only the nonzero entries of a and
-    changing only those of a^vee.  That map is integral and its own inverse,
-    so it takes primitive vectors to primitive vectors: the reflected ray
-    needs no gcd and no rescaling.  The group keeps the gram norm, so an
-    element fixing a ray fixes its points: the ray orbits are the point
-    orbits up to positive scaling.
+    group is the relative type's Weyl group, acting by its simple shuffles
+    on the type's ambient coordinates: read back on primal coordinates, the
+    shuffle of the simple root a is z - (a . z) a^vee.  The coordinate maps
+    and the shuffles are unimodular, so primitive rays stay primitive.  The
+    group keeps the gram norm, so an element fixing a ray fixes its points:
+    the ray orbits are the point orbits up to positive scaling.
     """
-    def reflection(a: Ray, coroot: Ray) -> Callable:
-        support = tuple((k, c) for k, c in enumerate(a) if c)
-        changes = tuple((k, c) for k, c in enumerate(coroot) if c)
-
-        def reflect_ray(z: Ray) -> Ray:
-            t = sum(c * z[k] for k, c in support)
-            if not t:
-                return z
-            w = list(z)
-            for k, c in changes:
-                w[k] -= t * c
-            return tuple(w)
-
-        return lambda zs: tuple(map(reflect_ray, zs))
-
-    return reflection_closure(seeds, [reflection(a, c) for a, c in rel._reflections])
+    orbit = tuple_orbit(rel.relative_type,
+                        (tuple(map(rel._to_type, zs)) for zs in seeds))
+    return {tuple(map(rel._from_type, xs)) for xs in orbit}
 
 
 def fundamental_rays(rel: RelativeDatum) -> List[Ray]:

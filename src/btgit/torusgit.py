@@ -13,8 +13,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .polyhedra import (QPolytope, cone_contains, cone_h_rep,
                         cone_interior_contains, hull_member, tangent_cone)
 from .qvec import Vector, as_fractions, dot, neg, qvec, reduced_ints
-from .rootdata import (Ray, RelativeDatum, group_relative, reflection_closure,
-                       simple_shuffles)
+from .rootdata import Ray, RelativeDatum, group_relative, tuple_orbit
 from .valfield import PuiseuxElement, parse_rational, format_rational
 
 
@@ -269,8 +268,7 @@ def classify_regular_weights(family: Optional[str] = None,
     # covectors once, into a bit mask of the covectors vanishing on it.  A
     # tuple lies in a hyperplane when the masks of its weights share a bit.
     zeros: Dict[Ray, int] = {}
-    reflections = [lambda tup, f=f: tuple(map(f, tup)) for f in simple_shuffles(datum)]
-    for tup in reflection_closure([tuple(omegas)], reflections):
+    for tup in tuple_orbit(datum, [tuple(omegas)]):
         common = -1
         for v in tup:
             mask = zeros.get(v)

@@ -15,8 +15,7 @@ from btgit.polyhedra import (LPResult, MinimaxResult, QPolyhedron, QPolytope,
                              polyhedron_generators, rref)
 from btgit.qvec import Vector, add, dot, neg, primitive, qvec, scale, sub
 from btgit.rootdata import (RelativeDatum, build_root_system, fundamental_rays,
-                            preset_relative, reflect, reflection_closure,
-                            simple_shuffles)
+                            preset_relative, reflection_closure, simple_shuffles)
 from btgit.torusgit import mu_K
 from btgit.treebuilding import (ApartmentChart, TreeInterval, TreePoint,
                                 _chamber_rays, _proj2_coords)
@@ -176,6 +175,11 @@ def integer_layer_data():
     models = [f"proj({n})" for n in range(2, 11)]
     models += ["grass(2,4)", "grass(3,6)", "su3_pair", "sl3_flag", "sp4_flag"]
     return chamber_presets() + [model_relative(m) for m in models]
+
+
+def reflect(v: Vector, alpha: Vector) -> Vector:
+    """Reflection of v in the hyperplane orthogonal to alpha."""
+    return sub(v, scale(2 * dot(v, alpha) / dot(alpha, alpha), alpha))
 
 
 def roots_by_reflection(datum) -> Tuple[Vector, ...]:

@@ -18,7 +18,7 @@ from btgit.models import (ModelPoint, UnknownModel, _plucker,
                           make_point, model_relative, model_spec,
                           p_epsilon_member, project, symplectic_form,
                           weighted_coordinates)
-from btgit.qvec import dot, qvec
+from btgit.qvec import dot
 from btgit.rootdata import build_root_system, group_relative, preset_relative
 from btgit.torusgit import mu_K, stability_status
 from btgit.valfield import ONE, ZERO, PuiseuxElement

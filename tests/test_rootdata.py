@@ -9,18 +9,18 @@ import pytest
 from btgit import torusgit
 from btgit.cli import run
 from btgit.models import model_relative
-from btgit.qvec import add, as_fractions, dot, primitive_ints, qvec, scale
+from btgit.qvec import add, as_fractions, dot, primitive_ints, qvec, scale, sub
 from btgit.rootdata import (RelativeDatum, UnknownGroup, _cached_relative,
                             build_root_system, dominant_weight,
                             fundamental_rays, group_relative, preset_relative,
-                            reflect, reflection_closure, relative_weyl_orbit,
-                            simple_shuffles, weyl_orbit, weyl_order)
+                            relative_weyl_orbit, simple_shuffles, tuple_orbit,
+                            weyl_orbit, weyl_order)
 from btgit.torusgit import classify_regular_weights, root_hyperplanes
 from btgit.treebuilding import _chamber_rays
 from helpers import (cartan_by_pairings, chamber_points_by_fractions,
                      chamber_presets, coroots_by_gram_solve,
                      fundamental_points_by_fractions, integer_layer_data,
-                     orbit_by_reflection, random_rational,
+                     orbit_by_reflection, random_rational, reflect,
                      relative_weyl_orbit_by_fractions, restrict_by_dot,
                      restricted_by_fractions, rng, roots_by_reflection,
                      weights_by_solve)
@@ -78,9 +78,7 @@ def test_closed_forms_match_reflection_oracles(family, rank):
     # the joint orbit of a tuple of weights, as classify_regular_weights
     # lists it, for J = {1, 2} (J = {1} on A1)
     omegas = datum.fundamental_weights[:2]
-    lifted = [lambda tup, f=f: tuple(f(v) for v in tup)
-              for f in simple_shuffles(datum)]
-    assert reflection_closure([omegas], lifted) == orbit_by_reflection(datum, omegas)
+    assert tuple_orbit(datum, [omegas]) == orbit_by_reflection(datum, omegas)
     # the orbit of rho is regular, so its size is the group order; the
     # reflection oracle lists it only while the group is small
     if weyl_order(datum) <= 1920:
@@ -280,14 +278,43 @@ def test_relative_simple_and_gram_match_recorded_values():
         assert rel.gram == _rows(gram), rel.name
 
 
-def test_reflections_are_simple_roots_with_gram_solved_coroots():
+def test_shuffles_are_reflections_in_gram_solved_coroots():
+    """Each simple shuffle of the relative type, read through the coordinate
+    maps, is z -> z - (a . z) a^vee on primal coordinates, with a the
+    relative simple root and a^vee its coroot from a Fraction gram solve."""
+    r = rng(2511)
     for rel in integer_layer_data():
+        shuffles = simple_shuffles(rel.relative_type)
         coroots = coroots_by_gram_solve(rel)
-        assert len(rel._reflections) == rel.rank, rel.name
-        for (a, coroot), simple, want in zip(rel._reflections, rel.relative_simple,
-                                              coroots):
-            assert a == simple and coroot == want, rel.name
-            assert all(type(c) is int for c in a + coroot), rel.name
+        assert len(shuffles) == len(coroots) == rel.rank, rel.name
+        points = [tuple(int(i == j) for j in range(rel.rank)) for i in range(rel.rank)]
+        points += [tuple(r.randint(-9, 9) for _ in range(rel.rank)) for _ in range(20)]
+        for z in points:
+            x = rel._to_type(z)
+            assert len(x) == rel.relative_type.ambient_dim, rel.name
+            assert rel._from_type(x) == z, rel.name
+            for f, a, coroot in zip(shuffles, rel.relative_simple, coroots):
+                got = rel._from_type(f(x))
+                assert all(type(c) is int for c in got), rel.name
+                assert qvec(got) == sub(qvec(z), scale(dot(a, qvec(z)), coroot)), rel.name
+
+
+def _hyperplane_count(t):
+    """The number of root hyperplanes of a relative type by formula: the
+    orbits of its fundamental rays, up to sign."""
+    l = t.rank
+    if t.family == "A":
+        return 2 ** l - 1
+    if t.family == "D":
+        return (3 ** l - 1 - l * 2 ** (l - 1)) // 2
+    return (3 ** l - 1) // 2
+
+
+def test_root_hyperplane_counts_match_formula():
+    rels = chamber_presets() + [group_relative("split", f, l)
+                                for f, l in (("A", 8), ("B", 6), ("D", 6))]
+    for rel in rels:
+        assert len(root_hyperplanes(rel)) == _hyperplane_count(rel.relative_type), rel.name
 
 
 def test_chamber_count_is_the_relative_weyl_order():
@@ -340,7 +367,7 @@ def test_weyl_tables_are_kept_per_datum(monkeypatch):
     """A datum that has built its Weyl tables and a fresh equal one answer
     alike; a datum with built tables round-trips through pickle and
     deepcopy; and no caller can change a kept table through an answer."""
-    tables = {"_reflections", "_fundamental_rays", "_root_lines", "_chamber_table",
+    tables = {"_fundamental_rays", "_root_lines", "_chamber_table",
               "_dual_ints", "_root_keys", "relative_roots", "gamma",
               "relative_simple", "gram"}
     datum_tables = {"simple_roots", "all_roots", "fundamental_weights"}

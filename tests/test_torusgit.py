@@ -19,7 +19,7 @@ from helpers import (chamber_presets, chi_status_by_h_rep,
 from btgit.models import (make_point, model_relative, project,
                           weighted_coordinates)
 from btgit.polyhedra import hull_cone, hull_member, tangent_cone
-from btgit.qvec import dot, is_zero, qvec
+from btgit.qvec import qvec
 from btgit.rootdata import build_root_system, preset_relative
 from btgit.interval import interval_A
 from btgit.torusgit import (WeightedPoint, chamber_leq, chamber_of, chi_status,
