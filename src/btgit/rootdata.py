@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, product
 from fractions import Fraction as Q
 from math import factorial
-from operator import mul
 from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .qvec import (Vector, _sum_of_products, add, as_fractions,
@@ -139,9 +138,7 @@ def simple_shuffles(datum: RootDatum) -> List[Callable[[Vector], Vector]]:
     it negates the last coordinate (B, C); in e_{l-1} + e_l it swaps the last
     two and negates both (D).  So the Weyl group acts by permutations (A),
     signed permutations (B, C) and evenly signed permutations (D), with no
-    arithmetic.  These are the only Weyl action: a relative Weyl group is
-    that of its relative type, acting on its ambient coordinates (see
-    relative_weyl_orbit).
+    arithmetic.
     """
     maps: List[Callable[[Vector], Vector]] = [
         lambda v, i=i: v[:i] + (v[i + 1], v[i]) + v[i + 2:]
@@ -188,7 +185,7 @@ class RelativeDatum:
     root datum of the relative root system; it fixes the relative simple
     roots, the W_K-invariant metric gram on primal coordinates (used for
     squared distances) and the relative Weyl tables, read in the type's
-    ambient coordinates (see _to_type).
+    ambient coordinates (see _from_type and _on_type).
     """
 
     name: str
@@ -241,20 +238,21 @@ class RelativeDatum:
         return tuple((a, Q(1, 2) if tuple(2 * c for c in v) in keys else Q(1))
                      for a, v in zip(self.relative_roots, self._root_keys))
 
-    def _to_type(self, z: Ray) -> Ray:
-        """A primal point in the relative type's ambient coordinates.  For
-        B, C and D the gram is the identity and these are z itself.  For A_s
-        the primal coordinates are on the simple coroots, and the point is
-        x = (z_1, z_2 - z_1, ..., z_s - z_{s-1}, -z_s)."""
-        if self.relative_type.family != "A":
-            return z
-        return tuple(b - a for a, b in zip((0,) + z, z + (0,)))
-
     def _from_type(self, x: Ray) -> Ray:
-        """The inverse of _to_type: z_k = x_1 + ... + x_k for A_s."""
+        """A point of the type's ambient space in primal coordinates: x for
+        B, C and D (gram 1), z_k = x_1 + ... + x_k for A_s (on the coroots)."""
         if self.relative_type.family != "A":
             return x
         return tuple(accumulate(x[:-1]))
+
+    def _on_type(self, c: Ray) -> Ray:
+        """A covector on primal coordinates read on the type's ambient ones,
+        up to a positive factor on sum-zero points: for A_s, y_i = c_i + ...
+        + c_s and y_{s+1} = 0, made sum-zero as (s+1) y - sum(y)."""
+        if self.relative_type.family != "A":
+            return c
+        y = tuple(accumulate(reversed(c)))[::-1] + (0,)
+        return tuple(len(y) * v - sum(y) for v in y)
 
     @cached_property
     def relative_simple(self) -> Tuple[Vector, ...]:
@@ -286,38 +284,68 @@ class RelativeDatum:
 
     @cached_property
     def _root_lines(self) -> Tuple[Ray, ...]:
-        """The primitive normals of the root hyperplanes as integer tuples:
-        the orbit of the fundamental rays, each with its first nonzero entry
-        made positive, sorted (see torusgit.root_hyperplanes)."""
-        lines = set()
-        for (z,) in relative_weyl_orbit(self, [(z,) for z in self._fundamental_rays]):
-            lines.add(z if next(c for c in z if c) > 0 else tuple(-c for c in z))
+        """The primitive normals of the root hyperplanes (the fundamental
+        rays' orbits), first nonzero entry positive, sorted.  In the type's
+        coordinates: the nonzero {0, +-1} vectors for B, C and BC_m, less
+        those with l - 1 nonzero entries for D_l; for A_s, n = s + 1, the
+        (n [i in S] - |S|)_i over the proper subsets S holding coordinate 0."""
+        t = self.relative_type
+        n = t.ambient_dim
+        if t.family != "A":
+            return tuple(v for v in product((-1, 0, 1), repeat=n)
+                         if v > (0,) * n and (t.family != "D" or v.count(0) != 1))
+        lines = []
+        for bits in product((0, 1), repeat=n - 1):
+            k = 1 + sum(bits)
+            if k < n:
+                x = (n - k,) + tuple(n * b - k for b in bits)
+                lines.append(self._from_type(reduced_ints(x)))
         return tuple(sorted(lines))
 
     @cached_property
-    def _chamber_table(self) -> Tuple[Tuple[Vector, ...],
-                                      Tuple[Tuple[Tuple[int, ...], Tuple[Ray, ...]], ...]]:
-        """Root lines, and the rays of every chamber of their arrangement by
-        sign vector (see treebuilding._chamber_rays).
+    def _chamber_lines(self) -> Tuple[Ray, ...]:
+        """The relative roots up to sign, sorted, that chambers' sign vectors
+        are read on: of each pair +-a the one with first nonzero entry < 0."""
+        return tuple(v for v in self._root_keys if v < (0,) * self.rank)
 
-        The chambers are the Weyl translates of the fundamental one, so their
-        rays are the orbit images of its rays, as primitive integer vectors,
-        and their sign vectors those of the images' sums.  They are listed
-        with + before - in each sign, root by root.
-        """
-        lines: List[Vector] = []
-        keys: List[Ray] = []
-        seen: Set[Ray] = set()
-        for a, v in zip(self.relative_roots, self._root_keys):
-            if tuple(-c for c in v) not in seen:
-                seen.add(v)
-                lines.append(a)
-                keys.append(reduced_ints(v))
-        rays = {}
-        for imgs in relative_weyl_orbit(self, [self._fundamental_rays]):
-            inside = [sum(c) for c in zip(*imgs)]
-            rays[tuple(1 if sum(map(mul, a, inside)) > 0 else -1 for a in keys)] = imgs
-        return tuple(lines), tuple((s, rays[s]) for s in sorted(rays, reverse=True))
+    def nonnegative_chambers(self, c: Ray) -> List[Tuple[int, ...]]:
+        """The sign vectors of the chambers on whose rays the integer
+        character c is nonnegative, reverse sorted (all of them for c = 0).
+
+        With c read as y on the type's coordinates, the chamber of w has
+        rays w omega_k, and w^-1 is a signed ordering (i_k, e_k) of the
+        coordinates (unsigned for A, evenly signed for D).  y . w omega_k is
+        a positive multiple of the k-th prefix sum of u_k = e_k y_{i_k}, or
+        for D_l's spin weights of sum(u) and sum(u) - 2u_l, whose mean is
+        the (l-1)-th (Bjorner & Brenti 2005, ch. 8).  So a prefix with a
+        negative sum is dropped; for A, B and C every other one extends.
+        A chamber's sign on a line a is that of a . w x0, x0 the sum of the
+        primitive fundamental weights."""
+        t = self.relative_type
+        n, spin = t.ambient_dim, t.family == "D"
+        y = self._on_type(c)
+        x0 = [sum(col) for col in zip(*map(primitive_ints, t.fundamental_weights))]
+        # a classical root has at most two nonzero coordinates, i and j
+        lines = [([(i, v) for i, v in enumerate(self._on_type(a)) if v] + [(0, 0)])[:2]
+                 for a in self._chamber_lines]
+        point, found = [0] * n, []
+
+        def extend(k, free, total, odd, last):
+            if k == n:
+                if not spin or (not odd and total >= 2 * last):
+                    found.append(tuple(1 if point[i] * v + point[j] * w > 0 else -1
+                                       for (i, v), (j, w) in lines))
+                return
+            for i in free:
+                rest = [j for j in free if j != i]
+                for e in (1,) if t.family == "A" else (1, -1):
+                    u = e * y[i]
+                    if total + u >= 0:
+                        point[i] = e * x0[k]
+                        extend(k + 1, rest, total + u, odd ^ (e < 0), u)
+
+        extend(0, range(n), 0, False, 0)
+        return sorted(found, reverse=True)
 
     def restrict(self, beta: Vector) -> Vector:
         """Reduced dual coordinates of the restriction of an absolute weight,
@@ -332,25 +360,6 @@ class RelativeDatum:
             if root == alpha:
                 return step
         raise ValueError(f"{alpha} is not a relative root")
-
-
-def relative_weyl_orbit(rel: RelativeDatum,
-                        seeds: Iterable[Tuple[Ray, ...]]) -> Set[Tuple[Ray, ...]]:
-    """Union of the orbits of tuples of apartment (primal) rays under the
-    relative Weyl group, which acts on each ray of a tuple.
-
-    A ray is a primitive integer vector, standing for the points that are
-    positive multiples of it; the seeds must be given in that form.  The
-    group is the relative type's Weyl group, acting by its simple shuffles
-    on the type's ambient coordinates: read back on primal coordinates, the
-    shuffle of the simple root a is z - (a . z) a^vee.  The coordinate maps
-    and the shuffles are unimodular, so primitive rays stay primitive.  The
-    group keeps the gram norm, so an element fixing a ray fixes its points:
-    the ray orbits are the point orbits up to positive scaling.
-    """
-    orbit = tuple_orbit(rel.relative_type,
-                        (tuple(map(rel._to_type, zs)) for zs in seeds))
-    return {tuple(map(rel._from_type, xs)) for xs in orbit}
 
 
 def fundamental_rays(rel: RelativeDatum) -> List[Ray]:

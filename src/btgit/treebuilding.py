@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import combinations
 from math import lcm
-from operator import mul
 from typing import Optional, Sequence, Tuple
 
 from .apartment import ApartmentPoint
@@ -314,14 +313,6 @@ def interval_chi(x: ModelPoint, chi, R=Q(4), rel: Optional[RelativeDatum] = None
     return n, face
 
 
-def _chamber_rays(rel: RelativeDatum):
-    """Root lines, and the rays of every chamber of their arrangement by sign
-    vector, as a fresh list and dict over the table the datum keeps
-    (RelativeDatum._chamber_table)."""
-    lines, chambers = rel._chamber_table
-    return list(lines), dict(chambers)
-
-
 @dataclass(frozen=True)
 class PChiData:
     """Parabolic subgroup attached to a character: chambers, face, test direction."""
@@ -332,22 +323,21 @@ class PChiData:
 
 
 def p_chi_data(chi: Sequence, rel: RelativeDatum) -> PChiData:
-    """Chambers at infinity where the character stays nonnegative, and their face."""
+    """Chambers at infinity where the character stays nonnegative (only
+    these are built, by RelativeDatum.nonnegative_chambers), and their face."""
     chiv = qvec(chi) if isinstance(chi, (tuple, list)) else (Q(chi),)
     if is_zero(chiv):
         raise ValueError("the character must be nonzero")
     if len(chiv) != rel.rank:
         raise ValueError("dimension mismatch")
-    lines, chambers = rel._chamber_table
-    # the rays are read only through signs, so chi is scaled to integers
-    c = primitive_ints(chiv)
-    kept = [s for s, gens in chambers
-            if all(sum(map(mul, c, g)) >= 0 for g in gens)]
+    # the chambers are read only through signs, so chi is scaled to integers
+    kept = rel.nonnegative_chambers(primitive_ints(chiv))
     if not kept:
         raise AssertionError("the character is negative on every chamber")
     # the kept chambers' halfspaces, built once per root line and side
-    sides = {(i, x) for s in kept for i, x in enumerate(s)}
-    halves = {(tuple(x * c for c in lines[i]), Q(0)) for i, x in sides}
+    halves = {(tuple(Q(x * c) for c in line), Q(0))
+              for line, signs in zip(rel._chamber_lines, zip(*kept))
+              for x in set(signs)}
     tau = QPolyhedron(tuple(sorted(halves)))
     delta = tuple(sum(g[i] for g in cone_generators(tau)) or Q(0)
                   for i in range(rel.rank))

@@ -13,12 +13,13 @@ from btgit.models import make_point, model_relative, symplectic_form
 from btgit.polyhedra import (LPResult, MinimaxResult, QPolyhedron, QPolytope,
                              _integer_double_description, cone_h_rep,
                              polyhedron_generators, rref)
-from btgit.qvec import Vector, add, dot, neg, primitive, qvec, scale, sub
+from btgit.qvec import (Vector, add, as_fractions, dot, neg, primitive, qvec,
+                        scale, sub)
 from btgit.rootdata import (RelativeDatum, build_root_system, fundamental_rays,
                             preset_relative, reflection_closure, simple_shuffles)
 from btgit.torusgit import mu_K
 from btgit.treebuilding import (ApartmentChart, TreeInterval, TreePoint,
-                                _chamber_rays, _proj2_coords)
+                                _proj2_coords)
 from btgit.valfield import INF, ONE, ZERO, PuiseuxElement, _canonical
 
 
@@ -247,9 +248,11 @@ def chamber_cone(signs: Tuple[int, ...], lines: Sequence[Vector]) -> Tuple:
 
 
 def weyl_chambers(rel: RelativeDatum):
-    """Full-dimensional sign cones of the relative root arrangement."""
-    lines, rays = _chamber_rays(rel)
-    return lines, [(s, QPolyhedron(chamber_cone(s, lines))) for s in rays]
+    """Full-dimensional sign cones of the relative root arrangement: the
+    chambers the zero character keeps, which are all of them."""
+    lines = list(as_fractions(rel._chamber_lines))
+    return lines, [(s, QPolyhedron(chamber_cone(s, lines)))
+                   for s in rel.nonnegative_chambers((0,) * rel.rank)]
 
 
 def _pivot(rows: List[List[Q]], r: int, col: int) -> None:
@@ -791,8 +794,22 @@ def relative_weyl_orbit_by_fractions(rel: RelativeDatum, seeds):
         x = tuple(red[i][n + k] for i in range(n))
         coroot = scale(2 / dot(a, x), x)
         maps.append(lambda zs, a=a, c=coroot:
-                    tuple(sub(z, scale(dot(a, z), c)) for z in zs))
+                    tuple(_reflect_by(z, dot(a, z), c) for z in zs))
     return reflection_closure(seeds, maps)
+
+
+def _reflect_by(z: Vector, d: Q, coroot: Vector) -> Vector:
+    """z - d coroot; a point on the mirror (d = 0) is its own image."""
+    return sub(z, scale(d, coroot)) if d else z
+
+
+def to_type(rel: RelativeDatum, z):
+    """A primal point in the relative type's ambient coordinates, the
+    inverse of RelativeDatum._from_type: z itself for B, C and D, and
+    x = (z_1, z_2 - z_1, ..., z_s - z_{s-1}, -z_s) for A_s."""
+    if rel.relative_type.family != "A":
+        return z
+    return tuple(b - a for a, b in zip((0,) + z, z + (0,)))
 
 
 def coroots_by_gram_solve(rel: RelativeDatum) -> Tuple[Vector, ...]:
@@ -845,8 +862,9 @@ def chamber_points_by_fractions(rel: RelativeDatum):
 
 
 def chamber_rays_by_fractions(rel: RelativeDatum):
-    """Reference oracle: treebuilding._chamber_rays on the Fraction orbit of
-    the fundamental points, with Fraction sign tests."""
+    """Reference oracle: the root lines, and every chamber's rays by sign
+    vector, from the Fraction orbit of the fundamental points, with Fraction
+    sign tests."""
     lines = []
     for a in rel.relative_roots:
         if a not in lines and neg(a) not in lines:

@@ -373,10 +373,11 @@ UNIPOTENT10 = [["1" if i == j else "0" if j < i else f"{i + j} + t^{{1/2}}"
     ("status", {"model": "proj(80)", "point": ["1"] + ["t"] * 79}, "status", "stable"),
     ("interval", {"model": "grass(5,10)", "point": _generic_rows(5, 10)}, "singleton", 9),
     ("status", {"model": "proj(300)", "point": ["1"] + ["t"] * 299}, "status", "stable"),
+    ("chi", {"family": "A", "rank": 8, "chi": [1] * 8}, "chambers", 53109),
 ], ids=["rootsys-A7", "chi-B4", "chi-D5", "status-grass48", "status-proj40",
         "tree-R800", "models-act-proj10", "models-grass612-rows",
         "models-grass714-rows", "rootsys-A12", "status-proj80", "interval-grass510",
-        "status-proj300"])
+        "status-proj300", "chi-A8"])
 def test_chamber_requests_do_bounded_work(tmp_path, capsys, command, payload,
                                           key, want):
     req = tmp_path / "req.json"

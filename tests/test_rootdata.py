@@ -13,17 +13,13 @@ from btgit.qvec import add, as_fractions, dot, primitive_ints, qvec, scale, sub
 from btgit.rootdata import (RelativeDatum, UnknownGroup, _cached_relative,
                             build_root_system, dominant_weight,
                             fundamental_rays, group_relative, preset_relative,
-                            relative_weyl_orbit, simple_shuffles, tuple_orbit,
-                            weyl_orbit, weyl_order)
+                            simple_shuffles, tuple_orbit, weyl_orbit, weyl_order)
 from btgit.torusgit import classify_regular_weights, root_hyperplanes
-from btgit.treebuilding import _chamber_rays
-from helpers import (cartan_by_pairings, chamber_points_by_fractions,
-                     chamber_presets, coroots_by_gram_solve,
-                     fundamental_points_by_fractions, integer_layer_data,
-                     orbit_by_reflection, random_rational, reflect,
-                     relative_weyl_orbit_by_fractions, restrict_by_dot,
-                     restricted_by_fractions, rng, roots_by_reflection,
-                     weights_by_solve)
+from helpers import (cartan_by_pairings, chamber_presets,
+                     coroots_by_gram_solve, fundamental_points_by_fractions,
+                     integer_layer_data, orbit_by_reflection, random_rational,
+                     reflect, restrict_by_dot, restricted_by_fractions, rng,
+                     roots_by_reflection, to_type, weights_by_solve)
 
 ROOT_COUNTS = {"A": lambda l: l * (l + 1), "B": lambda l: 2 * l * l,
                "C": lambda l: 2 * l * l, "D": lambda l: 2 * l * (l - 1)}
@@ -290,7 +286,7 @@ def test_shuffles_are_reflections_in_gram_solved_coroots():
         points = [tuple(int(i == j) for j in range(rel.rank)) for i in range(rel.rank)]
         points += [tuple(r.randint(-9, 9) for _ in range(rel.rank)) for _ in range(20)]
         for z in points:
-            x = rel._to_type(z)
+            x = to_type(rel, z)
             assert len(x) == rel.relative_type.ambient_dim, rel.name
             assert rel._from_type(x) == z, rel.name
             for f, a, coroot in zip(shuffles, rel.relative_simple, coroots):
@@ -319,7 +315,7 @@ def test_root_hyperplane_counts_match_formula():
 
 def test_chamber_count_is_the_relative_weyl_order():
     for rel in chamber_presets():
-        _, chambers = _chamber_rays(rel)
+        chambers = rel.nonnegative_chambers((0,) * rel.rank)
         assert len(chambers) == weyl_order(rel.relative_type), rel.name
 
 
@@ -341,33 +337,22 @@ def test_restrict_matches_dense_dot_oracle():
 
 
 def test_ray_orbits_are_point_orbits_up_to_scaling():
-    """Up to rank 5, each ray orbit is the Fraction point orbit with every
-    point made primitive, element for element: the orbit of each fundamental
-    ray alone and, up to rank 4, the orbit of the tuple of all of them
-    (test_root_hyperplanes_match_fraction_oracle covers the single orbits
-    of the larger ranks through their lines)."""
+    """The fundamental rays are the Fraction fundamental points made
+    primitive, in order; the oracles start their Fraction orbits from those
+    points (test_root_hyperplanes_match_fraction_oracle and
+    test_chamber_rays_and_p_chi_data_match_fraction_oracle compare the
+    orbits' lines and chambers)."""
     for rel in integer_layer_data():
         rays = fundamental_rays(rel)
         points = fundamental_points_by_fractions(rel)
         assert [tuple(primitive_ints(z)) for z in points] == rays
-        if rel.rank > 5:
-            continue
-        cases = [((z,), relative_weyl_orbit_by_fractions(rel, [(q,)]))
-                 for z, q in zip(rays, points)]
-        if rel.rank <= 4:
-            cases.append((tuple(rays), chamber_points_by_fractions(rel)))
-        for seed, by_points in cases:
-            orbit = relative_weyl_orbit(rel, [seed])
-            assert len(orbit) == len(by_points), rel.name
-            assert orbit == {tuple(primitive_ints(z) for z in tup)
-                             for tup in by_points}, rel.name
 
 
 def test_weyl_tables_are_kept_per_datum(monkeypatch):
     """A datum that has built its Weyl tables and a fresh equal one answer
     alike; a datum with built tables round-trips through pickle and
     deepcopy; and no caller can change a kept table through an answer."""
-    tables = {"_fundamental_rays", "_root_lines", "_chamber_table",
+    tables = {"_fundamental_rays", "_root_lines", "_chamber_lines",
               "_dual_ints", "_root_keys", "relative_roots", "gamma",
               "relative_simple", "gram"}
     datum_tables = {"simple_roots", "all_roots", "fundamental_weights"}
@@ -375,7 +360,9 @@ def test_weyl_tables_are_kept_per_datum(monkeypatch):
         J = list(range(1, rank + 1, 2))
         built = group_relative("split", family, rank)
         answer = classify_regular_weights(family, rank, J)
-        _chamber_rays(built)
+        zero = (0,) * built.rank
+        built.nonnegative_chambers(zero)
+        fundamental_rays(built)
         assert built.gamma and built.datum.all_roots
         assert built.relative_simple and built.gram
         assert tables <= set(built.__dict__), family
@@ -385,24 +372,21 @@ def test_weyl_tables_are_kept_per_datum(monkeypatch):
         assert "all_roots" not in fresh.datum.__dict__
         assert fresh == built and hash(fresh) == hash(built)
         assert repr(fresh) == repr(built)
-        seeds = [tuple(fundamental_rays(built))]
         for rel in (fresh, pickle.loads(pickle.dumps(built)), copy.deepcopy(built)):
             assert rel == built and repr(rel) == repr(built)
             assert rel.gamma == built.gamma
             assert (rel.relative_simple, rel.gram) == (built.relative_simple, built.gram)
             assert rel.datum.all_roots == built.datum.all_roots
             assert root_hyperplanes(rel) == root_hyperplanes(built)
-            assert _chamber_rays(rel) == _chamber_rays(built)
+            assert rel.nonnegative_chambers(zero) == built.nonnegative_chambers(zero)
             assert fundamental_rays(rel) == fundamental_rays(built)
-            assert relative_weyl_orbit(rel, seeds) == relative_weyl_orbit(built, seeds)
         with monkeypatch.context() as m:
             m.setattr(torusgit, "group_relative", lambda *args: fresh)
             assert classify_regular_weights(family, rank, J) == answer
         rays = fundamental_rays(built)
         rays.append(rays[0])
         rays.reverse()
-        lines, chambers = _chamber_rays(built)
-        lines.clear()
+        chambers = built.nonnegative_chambers(zero)
         chambers.clear()
         assert fundamental_rays(built) == fundamental_rays(fresh)
-        assert _chamber_rays(built) == _chamber_rays(fresh)
+        assert built.nonnegative_chambers(zero) == fresh.nonnegative_chambers(zero)

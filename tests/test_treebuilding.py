@@ -11,10 +11,10 @@ from helpers import (chamber_cone, chamber_presets, chamber_rays_by_fractions,
 
 from btgit.models import act, adjugate, make_point, model_relative
 from btgit.polyhedra import QPolyhedron, cone_generators
-from btgit.qvec import dot, primitive_ints
-from btgit.rootdata import build_root_system, preset_relative
-from btgit.treebuilding import (ApartmentChart, TreePoint, _chamber_rays,
-                                _eval_monomials, act_tree,
+from btgit.qvec import as_fractions, dot
+from btgit.rootdata import build_root_system, group_relative, preset_relative
+from btgit.treebuilding import (ApartmentChart, TreePoint, _eval_monomials,
+                                act_tree,
                                 chi_parabolic_member, circumcenter, f_chi_tree,
                                 interval_chi, interval_tree,
                                 invariant_monomials, p_chi_data, r_log,
@@ -409,27 +409,41 @@ def test_weyl_chambers_match_sign_pattern_scan():
 
 
 def test_chamber_rays_and_p_chi_data_match_fraction_oracle():
-    """Up to rank 4: the root lines, the chambers' sign vectors in order
-    (all that weyl_chambers reads), and their rays up to positive scaling;
-    and for three seeded characters per datum, the kept chambers and their
-    face."""
+    """On every chamber preset, split A5, B5 and D5 and the point models'
+    data up to rank 4: the root lines and every chamber's sign vector in
+    order (the zero character keeps them all; weyl_chambers reads them).
+    Then, against the chambers' Fraction rays, the kept chambers and their
+    face for three seeded characters, chi all ones, seeded characters with
+    zero entries and relative roots as characters, which lie on root lines
+    (these reach the D parity and spin checks and the A transform)."""
     r = rng(1201)
-    for rel in integer_layer_data():
-        if rel.rank > 4:
-            continue
-        lines, rays = _chamber_rays(rel)
+    rels = chamber_presets() + [group_relative("split", f, 5) for f in "ABD"]
+    rels += [rel for rel in integer_layer_data() if rel.rank <= 4]
+    for rel in dict.fromkeys(rels):
         want_lines, want_rays = chamber_rays_by_fractions(rel)
-        assert lines == want_lines and list(rays) == list(want_rays), rel.name
-        for signs, gens in want_rays.items():
-            assert rays[signs] == tuple(primitive_ints(g) for g in gens), rel.name
+        lines = list(as_fractions(rel._chamber_lines))
+        assert lines == want_lines, rel.name
+        assert rel.nonnegative_chambers((0,) * rel.rank) == list(want_rays), rel.name
+        chis = []
         for _ in range(3):
             chi = (Q(0),) * rel.rank
             while not any(chi):
                 chi = tuple(random_rational(r) for _ in range(rel.rank))
+            chis.append(chi)
+        chis.append((Q(1),) * rel.rank)
+        for _ in range(2):
+            chi = tuple(Q(r.randint(-3, 3)) for _ in range(rel.rank))
+            chis.append(chi[:-1] + (Q(0),) if any(chi[:-1]) else chi)
+        chis += r.sample(rel.relative_roots, min(3, len(rel.relative_roots)))
+        for chi in chis:
+            if not any(chi):
+                continue
             data = p_chi_data(chi, rel)
             kept = tuple(s for s, gens in want_rays.items()
                          if all(dot(chi, g) >= 0 for g in gens))
-            halves = {h for s in kept for h in chamber_cone(s, lines)}
+            # each side of a line that a kept chamber lies on, once
+            sides = {(i, x) for s in kept for i, x in enumerate(s)}
+            halves = {chamber_cone((x,), [lines[i]])[0] for i, x in sides}
             assert data.chambers == kept, (rel.name, chi)
             assert data.tau == QPolyhedron(tuple(sorted(halves))), (rel.name, chi)
 
