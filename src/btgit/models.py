@@ -5,7 +5,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from math import comb
 from typing import Dict, Optional, Sequence, Tuple
@@ -82,7 +82,8 @@ class ModelSpec:
     of j of them for grass(j,n) ("wedge") or those over _SP4_PLANE ("plane").
     A JSON point lists rows = (count, length) coordinate rows, or, with one
     factor, one flat vector.  factor_models names each factor's own model.
-    The group and the weights are built when asked for.
+    The weights are built once per model, behind a small LRU (model_spec),
+    on first read; the group comes from group_relative's own cache.
     """
 
     kind: str
@@ -99,7 +100,7 @@ class ModelSpec:
         group, shared by every model of that group)."""
         return group_relative(*self.group)
 
-    @property
+    @cached_property
     def defining_weights(self) -> Tuple[Vector, ...]:
         """Torus weights of the group's defining representation."""
         if self.kind.startswith("sp4_"):
@@ -107,7 +108,7 @@ class ModelSpec:
         return tuple(tuple(Q(int(k == i)) for k in range(self.dim))
                      for i in range(self.dim))
 
-    @property
+    @cached_property
     def factor_weights(self) -> Tuple[Tuple[Vector, ...], ...]:
         """Torus weights of the coordinates of each factor of a point."""
         w = self.defining_weights
@@ -124,11 +125,15 @@ def _weigh(how: str, w: Sequence[Vector], args) -> Tuple[Vector, ...]:
     return tuple(reduce(add, (w[i] for i in s), zero(len(w[0]))) for s in subsets)
 
 
+@lru_cache(maxsize=16)
 def model_spec(model: str) -> ModelSpec:
-    """The table entry of a model name.
+    """The table entry of a model name, one per name, so each model's weight
+    tables are built once.  proj(n) and grass(j,n) make the names unbounded
+    in number, so only the most recent are kept.
 
     Raises UnknownModel for a name outside the table, and a plain ValueError
-    for a known prefix with malformed arguments."""
+    for a known prefix with malformed arguments (on every call: a refusal is
+    not kept)."""
     kind, args = _parse_model(model)
     if kind == "proj":
         (n,) = args

@@ -273,16 +273,6 @@ class RelativeDatum:
         return _identity(self.rank)
 
     @cached_property
-    def _fundamental_rays(self) -> Tuple[Ray, ...]:
-        """The rays of the fundamental chamber {z : a . z >= 0, a relative
-        simple}, sorted (fundamental_rays): the type's fundamental weights,
-        each orthogonal to all simple roots but one, made primitive and read
-        in primal coordinates.  For A_s the k-th is ((s+1) min(j, k) - jk)_j
-        over its gcd."""
-        return tuple(sorted(self._from_type(primitive_ints(w))
-                            for w in self.relative_type.fundamental_weights))
-
-    @cached_property
     def _root_lines(self) -> Tuple[Ray, ...]:
         """The primitive normals of the root hyperplanes (the fundamental
         rays' orbits), first nonzero entry positive, sorted.  In the type's
@@ -360,12 +350,6 @@ class RelativeDatum:
             if root == alpha:
                 return step
         raise ValueError(f"{alpha} is not a relative root")
-
-
-def fundamental_rays(rel: RelativeDatum) -> List[Ray]:
-    """Primitive integer rays of the fundamental chamber {z : a . z >= 0, a
-    relative simple}, described once per datum."""
-    return list(rel._fundamental_rays)
 
 
 def _identity(n: int) -> Tuple[Vector, ...]:

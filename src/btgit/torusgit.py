@@ -78,8 +78,9 @@ class PointData:
     def residue_table(self) -> Tuple[Tuple[Vector, ...], List[Tuple[int, ...]],
                                      List[int]]:
         """The profile's weights, sorted, with the weights and their
-        valuations as integers over one common denominator (built by the
-        first mu_residue call)."""
+        valuations as integers over one common denominator: built by the
+        first mu_residue call, then read row by row, once per grid point,
+        by every later one."""
         weights = tuple(sorted(self.profile))
         vals = [self.profile[w] for w in weights]
         den = lcm(*(a.denominator for w in weights for a in w),
@@ -116,19 +117,25 @@ def mu_residue(x: WeightedPoint, rel: RelativeDatum, z: Sequence) -> QPolytope:
     """Hull of the restricted weights whose shifted valuation is minimal.
 
     A weight that repeats with a larger valuation never attains the minimum,
-    so only each weight's least valuation is shifted.  The shifted values are
-    compared as integers, scaled by the table's denominator and z's, and the
-    point keeps one polytope per index set of the minimum."""
-    zc = qvec(z)
-    if len(zc) != rel.rank:
+    so only each weight's least valuation is shifted.  z is read once as
+    integer ratios over one common denominator; one pass over the point's
+    integer residue table keeps the least shifted value, scaled by the
+    table's denominator and z's, and the indices that reach it.  The point
+    keeps one polytope per index set of the minimum."""
+    ratios = [(a if isinstance(a, Q) else Q(a)).as_integer_ratio() for a in z]
+    if len(ratios) != rel.rank:
         raise ValueError("dimension mismatch")
     data = point_data(x, rel)
     weights, rows, offsets = data.residue_table
-    den = lcm(*(a.denominator for a in zc))
-    zi = [a.numerator * (den // a.denominator) for a in zc]
-    shifted = [den * n + sum(map(mul, row, zi)) for row, n in zip(rows, offsets)]
-    m = min(shifted)
-    key = tuple(i for i, v in enumerate(shifted) if v == m)
+    den = lcm(*(d for _, d in ratios))
+    zi = [n * (den // d) for n, d in ratios]
+    m = key = None
+    for i, (row, n) in enumerate(zip(rows, offsets)):
+        v = sum(map(mul, row, zi), den * n)
+        if m is None or v < m:
+            m, key = v, (i,)
+        elif v == m:
+            key += (i,)
     poly = data.residues.get(key)
     if poly is None:
         poly = data.residues[key] = QPolytope([weights[i] for i in key])

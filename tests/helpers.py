@@ -13,9 +13,9 @@ from btgit.models import make_point, model_relative, symplectic_form
 from btgit.polyhedra import (LPResult, MinimaxResult, QPolyhedron, QPolytope,
                              _integer_double_description, cone_h_rep,
                              polyhedron_generators, rref)
-from btgit.qvec import (Vector, add, as_fractions, dot, neg, primitive, qvec,
-                        scale, sub)
-from btgit.rootdata import (RelativeDatum, build_root_system, fundamental_rays,
+from btgit.qvec import (Vector, add, as_fractions, dot, neg, primitive,
+                        primitive_ints, qvec, scale, sub)
+from btgit.rootdata import (Ray, RelativeDatum, build_root_system,
                             preset_relative, reflection_closure, simple_shuffles)
 from btgit.torusgit import mu_K
 from btgit.treebuilding import (ApartmentChart, TreeInterval, TreePoint,
@@ -836,6 +836,16 @@ def simplex_id_by_scan(z: Vector, rel: RelativeDatum):
             v = val + n
             out.append((alpha, n, (v > 0) - (v < 0)))
     return tuple(sorted(out))
+
+
+def fundamental_rays(rel: RelativeDatum) -> List[Ray]:
+    """The rays of the fundamental chamber {z : a . z >= 0, a relative
+    simple}, sorted: the relative type's fundamental weights, each
+    orthogonal to all simple roots but one, made primitive and read in
+    primal coordinates.  For A_s the k-th is ((s+1) min(j, k) - jk)_j over
+    its gcd.  The Fraction orbits of the oracles start from them."""
+    return sorted(rel._from_type(primitive_ints(w))
+                  for w in rel.relative_type.fundamental_weights)
 
 
 def fundamental_points_by_fractions(rel: RelativeDatum) -> Tuple[Vector, ...]:

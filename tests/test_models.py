@@ -10,10 +10,10 @@ from helpers import (determinant_by_permutations,
                      random_grass24_point, random_proj_point, random_sl3_flag,
                      random_sp4_flag, random_su3_pair, rng)
 
-from btgit import cli
+from btgit import cli, models
 from btgit.cli import main, run
 from btgit.interval import destabilizing_1ps
-from btgit.models import (ModelPoint, UnknownModel, _plucker,
+from btgit.models import (_FIXED_MODELS, ModelPoint, UnknownModel, _plucker,
                           _plucker_relations_hold, act, adjugate, determinant,
                           make_point, model_relative, model_spec,
                           p_epsilon_member, project, symplectic_form,
@@ -36,6 +36,43 @@ def test_model_table_tells_unknown_from_malformed_names():
         with pytest.raises(ValueError) as info:
             model_spec(name)
         assert not isinstance(info.value, UnknownModel)
+
+
+def test_model_tables_are_built_once_per_name(monkeypatch):
+    names = (list(_FIXED_MODELS) + [f"proj({n})" for n in range(2, 8)]
+             + [f"grass({j},{n})" for n in range(2, 7) for j in range(1, n)])
+    for name in names:
+        spec = model_spec(name)
+        assert model_spec(name) is spec
+        fresh = model_spec.__wrapped__(name)
+        assert fresh == spec and fresh is not spec
+        assert spec.defining_weights == fresh.defining_weights, name
+        assert spec.factor_weights == fresh.factor_weights, name
+        assert spec.factor_weights is spec.factor_weights
+        assert all(type(a) is Q for ws in spec.factor_weights
+                   for w in ws for a in w)
+    # proj(n) and grass(j,n) make the names unbounded, so the cache is bounded
+    maxsize = model_spec.cache_info().maxsize
+    assert maxsize is not None and len(names) > maxsize
+    assert model_spec.cache_info().currsize == maxsize
+    # a refused name is refused again, not kept
+    for name in ("flag(7)", "grass(2)", "proj(1)"):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                model_spec(name)
+    # points and their weights read the kept tables
+    model_spec.cache_clear()
+    built = []
+    weigh = models._weigh
+    monkeypatch.setattr(models, "_weigh",
+                        lambda how, *rest: built.append(how) or weigh(how, *rest))
+    for _ in range(3):
+        weighted_coordinates(make_point("grass(2,5)", [[ONE, t, ZERO, ONE, th],
+                                                      [ZERO, ONE, t, t, ONE]]))
+        weighted_coordinates(make_point("sl3_flag", [[ONE, t, ONE],
+                                                     [ONE, ONE, -ONE - t]]),
+                             lam=(1, 1))
+    assert built == ["wedge", "defining", "dual"]
 
 
 def test_model_relative_is_one_datum_per_group(monkeypatch):

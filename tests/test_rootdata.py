@@ -11,15 +11,16 @@ from btgit.cli import run
 from btgit.models import model_relative
 from btgit.qvec import add, as_fractions, dot, primitive_ints, qvec, scale, sub
 from btgit.rootdata import (RelativeDatum, UnknownGroup, _cached_relative,
-                            build_root_system, dominant_weight,
-                            fundamental_rays, group_relative, preset_relative,
-                            simple_shuffles, tuple_orbit, weyl_orbit, weyl_order)
+                            build_root_system, dominant_weight, group_relative,
+                            preset_relative, simple_shuffles, tuple_orbit,
+                            weyl_orbit, weyl_order)
 from btgit.torusgit import classify_regular_weights, root_hyperplanes
 from helpers import (cartan_by_pairings, chamber_presets,
                      coroots_by_gram_solve, fundamental_points_by_fractions,
-                     integer_layer_data, orbit_by_reflection, random_rational,
-                     reflect, restrict_by_dot, restricted_by_fractions, rng,
-                     roots_by_reflection, to_type, weights_by_solve)
+                     fundamental_rays, integer_layer_data, orbit_by_reflection,
+                     random_rational, reflect, restrict_by_dot,
+                     restricted_by_fractions, rng, roots_by_reflection,
+                     to_type, weights_by_solve)
 
 ROOT_COUNTS = {"A": lambda l: l * (l + 1), "B": lambda l: 2 * l * l,
                "C": lambda l: 2 * l * l, "D": lambda l: 2 * l * (l - 1)}
@@ -352,9 +353,8 @@ def test_weyl_tables_are_kept_per_datum(monkeypatch):
     """A datum that has built its Weyl tables and a fresh equal one answer
     alike; a datum with built tables round-trips through pickle and
     deepcopy; and no caller can change a kept table through an answer."""
-    tables = {"_fundamental_rays", "_root_lines", "_chamber_lines",
-              "_dual_ints", "_root_keys", "relative_roots", "gamma",
-              "relative_simple", "gram"}
+    tables = {"_root_lines", "_chamber_lines", "_dual_ints", "_root_keys",
+              "relative_roots", "gamma", "relative_simple", "gram"}
     datum_tables = {"simple_roots", "all_roots", "fundamental_weights"}
     for family, rank in (("A", 3), ("B", 3), ("C", 2), ("D", 4)):
         J = list(range(1, rank + 1, 2))
@@ -362,7 +362,6 @@ def test_weyl_tables_are_kept_per_datum(monkeypatch):
         answer = classify_regular_weights(family, rank, J)
         zero = (0,) * built.rank
         built.nonnegative_chambers(zero)
-        fundamental_rays(built)
         assert built.gamma and built.datum.all_roots
         assert built.relative_simple and built.gram
         assert tables <= set(built.__dict__), family
@@ -383,10 +382,6 @@ def test_weyl_tables_are_kept_per_datum(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(torusgit, "group_relative", lambda *args: fresh)
             assert classify_regular_weights(family, rank, J) == answer
-        rays = fundamental_rays(built)
-        rays.append(rays[0])
-        rays.reverse()
         chambers = built.nonnegative_chambers(zero)
         chambers.clear()
-        assert fundamental_rays(built) == fundamental_rays(fresh)
         assert built.nonnegative_chambers(zero) == fresh.nonnegative_chambers(zero)

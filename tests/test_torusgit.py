@@ -107,6 +107,51 @@ def test_mu_residue_matches_recomputed_oracle():
                     mu_residue_recomputed(wp, rel, z).points, (model, z)
 
 
+def test_mu_residue_reads_z_in_every_rational_form():
+    # z as Fractions, ints and strings, with mixed denominators and at tied
+    # minima, against the Fraction oracle; an equal minimal set reads the
+    # same kept polytope, and a z of the wrong length is refused
+    r = rng(2701)
+    draws = [("proj(2)", lambda: random_proj_point(r, 2), None),
+             ("proj(3)", lambda: random_proj_point(r, 3), None),
+             ("proj(4)", lambda: random_proj_point(r, 4), None),
+             ("grass(2,4)", lambda: random_grass24_point(r), None),
+             ("sl3_flag", lambda: random_sl3_flag(r), (1, 1)),
+             ("sp4_flag", lambda: random_sp4_flag(r), (1, 1))]
+    # all valuations equal, so every weight ties at z = 0
+    points = [("proj(3)", weighted_coordinates(make_point("proj(3)", [ONE] * 3))),
+              ("proj(4)", weighted_coordinates(make_point("proj(4)", [ONE] * 4)))]
+    points += [(model, weighted_coordinates(draw(), lam=lam))
+               for model, draw, lam in draws for _ in range(3)]
+    mixed = (Q(1, 3), Q(1, 2), Q(2))
+    ties = 0
+    for model, wp in points:
+        rel = model_relative(model)
+        zs = [(Q(0),) * rel.rank, mixed[:rel.rank], tuple(-a for a in mixed[:rel.rank])]
+        zs += [tuple(random_rational(r) for _ in range(rel.rank)) for _ in range(6)]
+        zs += [tuple(Q(r.randint(-3, 3)) for _ in range(rel.rank)) for _ in range(3)]
+        for z in zs:
+            want = mu_residue_recomputed(wp, rel, z).points
+            got = mu_residue(wp, rel, z)
+            assert got.points == want, (model, z)
+            ties += len(want) > 1
+            forms = [list(map(str, z)),
+                     tuple(f"{a.numerator}/{a.denominator}" for a in z)]
+            if all(a.denominator == 1 for a in z):
+                forms.append([int(a) for a in z])
+            for form in forms:
+                assert mu_residue(wp, rel, form) is got, (model, form)
+        for z in (zs[1][:-1], zs[1] + (Q(1),)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                mu_residue(wp, rel, z)
+    assert ties >= 10
+    assert len(mu_residue(points[0][1], REL_A2, [0, 0]).points) == 3
+    # a proj(2) point keeps its minimal set's polytope across the grid
+    x = _p1(ONE, P.t_power(Q(1, 2)))
+    assert mu_residue(x, REL_A1, (Q(0),)) is mu_residue(x, REL_A1, ["1/100"])
+    assert mu_residue(x, REL_A1, [0]) is not mu_residue(x, REL_A1, ["1/4"])
+
+
 def test_point_memo_never_leaks_across_data():
     r = rng(1105)
     p = random_proj_point(r, 3)
