@@ -7,7 +7,7 @@ from types import MappingProxyType
 from typing import Mapping, Optional, Sequence, Tuple
 
 from .apartment import ApartmentPoint, InfinityPoint
-from .polyhedra import (Generators, QPolyhedron, cone_generators, minimax_face,
+from .polyhedra import (Generators, MinimaxResult, QPolyhedron, cone_generators,
                         polar_cone)
 from .qvec import Vector, dot, is_zero, qvec
 from .rootdata import RelativeDatum, weyl_orbit
@@ -49,9 +49,9 @@ def interval_A(x: WeightedPoint, rel: RelativeDatum) -> IntervalResult:
     """Apartment points where the reduction of x stays semistable.
 
     The locus is the argmax face of sup_z min_w (v_w + w . z) over the
-    restricted weights w of x and their least valuations v_w.  One double
-    description of the hypograph (minimax_face) gives the face and its
-    generators, with no LP; every wall bound is the face's support function,
+    restricted weights w of x and their least valuations v_w.  The point
+    keeps the face and its generators (PointData.minimax, with no LP), which
+    the statuses read too; every wall bound is the face's support function,
     read off those generators.  The face is bounded when it has no recession
     ray or line, and then a point when it has one generator point.  The
     relative roots are symmetric and span the dual space, so this is the
@@ -60,12 +60,11 @@ def interval_A(x: WeightedPoint, rel: RelativeDatum) -> IntervalResult:
     """
     data = point_data(x, rel)
     if data.interval is None:
-        data.interval = _interval(data.profile, rel)
+        data.interval = _interval(data.minimax, rel)
     return data.interval
 
 
-def _interval(profile: Mapping[Vector, object], rel: RelativeDatum) -> IntervalResult:
-    res = minimax_face(sorted(profile.items()))
+def _interval(res: MinimaxResult, rel: RelativeDatum) -> IntervalResult:
     if res.value == INF:
         return IntervalResult(None, INF, False, None, MappingProxyType({}), None)
     gens = res.generators

@@ -362,16 +362,6 @@ def cone_contains(cone: QPolyhedron, v: Sequence) -> bool:
     return cone.contains(qvec(v))
 
 
-def cone_interior_contains(cone: QPolyhedron, v: Sequence) -> bool:
-    """Membership in the ambient-space interior of a cone given by halfspaces.
-
-    A lower-dimensional cone, one with an equality pair for instance, has no
-    point strictly inside every halfspace, so it has no interior here.
-    """
-    v = qvec(v)
-    return all(dot(nrm, v) > off for nrm, off in cone.halfspaces)
-
-
 # ---------------------------------------------------------------------------
 # minimax
 

@@ -10,9 +10,8 @@ from operator import mul
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .polyhedra import (QPolytope, cone_contains, cone_h_rep,
-                        cone_interior_contains, hull_member, tangent_cone)
-from .qvec import Vector, as_fractions, dot, neg, qvec, reduced_ints
+from .polyhedra import MinimaxResult, QPolytope, cone_h_rep, minimax_face
+from .qvec import Vector, as_fractions, dot, qvec, reduced_ints
 from .rootdata import Ray, RelativeDatum, group_relative, tuple_orbit
 from .valfield import PuiseuxElement, parse_rational, format_rational
 
@@ -58,8 +57,8 @@ def translate(x: WeightedPoint, vals: Sequence) -> WeightedPoint:
 
 class PointData:
     """What a point determines under one relative datum, built on first use:
-    its valuation profile, its residue table and residue polytopes, and its
-    interval (stored by interval_A)."""
+    its valuation profile, its minimax face, its residue table and residue
+    polytopes, and its interval (stored by interval_A)."""
 
     def __init__(self, x: WeightedPoint, rel: RelativeDatum):
         profile: Dict[Vector, Q] = {}
@@ -73,6 +72,12 @@ class PointData:
         self.profile: Mapping[Vector, Q] = MappingProxyType(profile)
         self.residues: Dict[Tuple[int, ...], QPolytope] = {}
         self.interval = None  # the IntervalResult, once interval_A has run
+
+    @cached_property
+    def minimax(self) -> MinimaxResult:
+        """The argmax face of min_w (v_w + w . z) over the profile, with its
+        generators: the one description interval_A and both statuses read."""
+        return minimax_face(sorted(self.profile.items()))
 
     @cached_property
     def residue_table(self) -> Tuple[Tuple[Vector, ...], List[Tuple[int, ...]],
@@ -144,34 +149,39 @@ def mu_residue(x: WeightedPoint, rel: RelativeDatum, z: Sequence) -> QPolytope:
 
 def stability_status(x: WeightedPoint, rel: RelativeDatum) -> str:
     """The torus Hilbert-Mumford criterion (Mumford-Fogarty-Kirwan, GIT §2):
-    x is stable when the origin lies in the interior of its weight polytope
-    mu_K (in the whole space), strictly semistable when it lies in mu_K but
-    not its interior, and unstable otherwise.  Both tests read the
-    polytope's one description."""
-    p = mu_K(x, rel)
-    origin = (Q(0),) * rel.rank
-    if hull_member(p, origin, "interior"):
-        return "stable"
-    if hull_member(p, origin):
+    x is stable when the origin lies in the interior of the hull of its
+    restricted weights W, strictly semistable when in the hull, else
+    unstable.  Read off the point's kept minimax face F (Gordan, Farkas):
+    F is empty exactly when 0 is not in conv W, and its recession cone
+    {z : w . z >= 0 for all w} is dual to cone(W), so 0 is interior exactly
+    when F has no ray and no line."""
+    gens = point_data(x, rel).minimax.generators
+    if gens is None:
+        return "unstable"
+    if gens.rays or gens.lines:
         return "strictly_semistable"
-    return "unstable"
+    return "stable"
 
 
 def chi_status(x: WeightedPoint, rel: RelativeDatum, chi: Sequence) -> str:
     """Stability after shifting the reference point by a rational character:
-    only the tangent cone of mu_K at the origin decides it."""
-    target = neg(qvec(chi))
-    if len(target) != rel.rank:
+    -chi in the tangent cone of conv W at 0, cone(W), or its interior.  With
+    0 in conv W, cone(W) is dual to the kept face's recession cone, so -chi
+    lies in it exactly when chi <= 0 on the face's rays and chi = 0 on its
+    lines, and inside it when, in addition, there is no line and chi < 0 on
+    every ray."""
+    chiv = qvec(chi)
+    if len(chiv) != rel.rank:
         raise ValueError("dimension mismatch")
-    p = mu_K(x, rel)
-    if not hull_member(p, (Q(0),) * rel.rank):
+    gens = point_data(x, rel).minimax.generators
+    if gens is None or any(dot(chiv, l) for l in gens.lines):
         return "unstable"
-    cone = tangent_cone(p)
-    if not cone_contains(cone, target):
+    values = [dot(chiv, r) for r in gens.rays]
+    if any(v > 0 for v in values):
         return "unstable"
-    if cone_interior_contains(cone, target):
-        return "stable"
-    return "semistable"
+    if gens.lines or 0 in values:
+        return "semistable"
+    return "stable"
 
 
 def root_hyperplanes(rel: RelativeDatum) -> Tuple[Vector, ...]:

@@ -843,15 +843,22 @@ def fundamental_rays(rel: RelativeDatum) -> List[Ray]:
     simple}, sorted: the relative type's fundamental weights, each
     orthogonal to all simple roots but one, made primitive and read in
     primal coordinates.  For A_s the k-th is ((s+1) min(j, k) - jk)_j over
-    its gcd.  The Fraction orbits of the oracles start from them."""
+    its gcd."""
     return sorted(rel._from_type(primitive_ints(w))
                   for w in rel.relative_type.fundamental_weights)
 
 
 def fundamental_points_by_fractions(rel: RelativeDatum) -> Tuple[Vector, ...]:
-    """The fundamental chamber's rays as the Fraction points the Fraction
-    orbit starts from."""
-    return tuple(tuple(map(Q, z)) for z in fundamental_rays(rel))
+    """Reference oracle: the fundamental chamber's rays as the Fraction
+    points the Fraction orbits start from, each z_k with a_i . z_k = [i = k]
+    on the relative simple roots a_i: the columns of the inverse of the
+    relative_simple matrix, from one Fraction rref of it beside the
+    identity.  Sorted as their primitive rays are (fundamental_rays)."""
+    n = rel.rank
+    red, _ = rref([list(a) + [Q(int(i == k)) for k in range(n)]
+                   for i, a in enumerate(rel.relative_simple)])
+    columns = [tuple(red[i][n + k] for i in range(n)) for k in range(n)]
+    return tuple(sorted(columns, key=primitive_ints))
 
 
 @lru_cache(maxsize=None)

@@ -10,7 +10,7 @@ from helpers import (double_description_by_fractions, grid_points,
                      random_su3_pair, rng, single_point, sup_linear_by_lp,
                      wall_h_rep)
 
-from btgit import interval, polyhedra
+from btgit import polyhedra, torusgit
 from btgit.apartment import InfinityPoint, nu
 from btgit.cli import run
 from btgit.interval import (destabilizing_1ps, fixed_locus_possible,
@@ -20,7 +20,8 @@ from btgit.models import (make_point, model_relative, model_spec, project,
 from btgit.polyhedra import hull_member, minimax_face
 from btgit.qvec import add, dot, neg, primitive, qvec, scale
 from btgit.rootdata import build_root_system, preset_relative
-from btgit.torusgit import mu_residue, point_data, stability_status, translate
+from btgit.torusgit import (chi_status, mu_residue, point_data, stability_status,
+                            translate)
 from btgit.valfield import INF, ONE, ZERO, PuiseuxElement, format_rational
 
 P = PuiseuxElement
@@ -197,10 +198,11 @@ def test_interval_shape_matches_lp_oracles():
 
 
 def test_interval_and_character_run_one_lp(monkeypatch):
-    # one double description of the hypograph finds the face and its
-    # generators, with no LP; wall bounds, shape and the character optimum
-    # are read off those generators
-    lps, minimax = [], []
+    # the point keeps one double description of the hypograph, which finds
+    # the face and its generators with no LP; stability, the character
+    # statuses, wall bounds, shape and the character optimum are all read
+    # off it, and the lifted hull of mu_K is never described
+    lps, minimax, described, lifted = [], [], [], []
 
     def counting(real, calls):
         def wrapped(*args, **kwargs):
@@ -209,11 +211,20 @@ def test_interval_and_character_run_one_lp(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(polyhedra, "solve_lp", counting(polyhedra.solve_lp, lps))
-    monkeypatch.setattr(interval, "minimax_face",
-                        counting(interval.minimax_face, minimax))
+    monkeypatch.setattr(torusgit, "minimax_face",
+                        counting(torusgit.minimax_face, minimax))
+    monkeypatch.setattr(polyhedra, "_integer_double_description",
+                        counting(polyhedra._integer_double_description, described))
+    real_lifted = polyhedra.QPolytope._lifted_description
+    monkeypatch.setattr(polyhedra.QPolytope, "_lifted_description",
+                        property(lambda p: lifted.append(p) or real_lifted.__get__(p)))
+
+    def clear():
+        for calls in (lps, minimax, described, lifted):
+            calls.clear()
 
     def counts():
-        return len(lps), len(minimax)
+        return len(lps), len(minimax), len(described), len(lifted)
 
     r = rng(61)
     cases = [("proj(3)", lambda: random_proj_point(r, 3), None),
@@ -222,14 +233,17 @@ def test_interval_and_character_run_one_lp(monkeypatch):
     for model, draw, lam in cases:
         rel = model_relative(model)
         for _ in range(4):
-            lps.clear()
-            minimax.clear()
             wp = weighted_coordinates(draw(), lam=lam)
+            clear()
+            stability_status(wp, rel)
+            weight = next(iter(point_data(wp, rel).profile))
+            for chi in (rel.relative_roots[0], (0,) * rel.rank, weight):
+                chi_status(wp, rel, chi)
             res = interval_A(wp, rel)
-            assert counts() == (0, 1), model
+            assert counts() == (0, 1, 1, 0), model
             if not res.is_empty():
                 res.chi_optimum(rel.relative_roots[0])
-                assert counts() == (0, 1), model
+                assert counts() == (0, 1, 1, 0), model
                 # the point keeps its interval, also for an equal datum
                 # built anew
                 _, family, rank = model_spec(model).group
@@ -237,7 +251,7 @@ def test_interval_and_character_run_one_lp(monkeypatch):
                 assert fresh == rel and fresh is not rel
                 for again in (rel, fresh):
                     interval_A_chi(wp, again, rel.relative_roots[0])
-                    assert counts() == (0, 1), model
+                    assert counts() == (0, 1, 1, 0), model
     chi = [format_rational(c) for c in GR24_REL.restrict((1, 1, 0, 0))]
     requests = [
         ("interval", {"model": "proj(2)", "point": ["1", "t^{1/2}"], "chi": ["3"]}),
@@ -248,11 +262,12 @@ def test_interval_and_character_run_one_lp(monkeypatch):
         ("chi", {"model": "sp4_flag", "point": [["1", "0", "t", "0"], ["0", "1", "0", "t"]],
                  "chi": ["1", "0"]}),
     ]
+    requests.append(("status", dict(requests[-1][1])))
     for command, payload in requests:
-        lps.clear()
-        minimax.clear()
+        clear()
         run(command, payload)
-        assert counts() == (0, 1), (command, payload)
+        # the chi command also describes the character's p_chi data
+        assert (len(lps), len(minimax), len(lifted)) == (0, 1, 0), (command, payload)
 
 
 def _assert_interval_matches_oracle(wp, rel, chis=(), singleton_by_lp=True):

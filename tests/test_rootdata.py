@@ -338,7 +338,8 @@ def test_restrict_matches_dense_dot_oracle():
 
 
 def test_ray_orbits_are_point_orbits_up_to_scaling():
-    """The fundamental rays are the Fraction fundamental points made
+    """The fundamental rays, read through RelativeDatum._from_type, are the
+    Fraction fundamental points, solved from relative_simple alone, made
     primitive, in order; the oracles start their Fraction orbits from those
     points (test_root_hyperplanes_match_fraction_oracle and
     test_chamber_rays_and_p_chi_data_match_fraction_oracle compare the

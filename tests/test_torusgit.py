@@ -19,7 +19,7 @@ from helpers import (chamber_presets, chi_status_by_h_rep,
 from btgit.models import (make_point, model_relative, project,
                           weighted_coordinates)
 from btgit.polyhedra import hull_cone, hull_member, tangent_cone
-from btgit.qvec import qvec
+from btgit.qvec import neg, qvec
 from btgit.rootdata import build_root_system, preset_relative
 from btgit.interval import interval_A
 from btgit.torusgit import (WeightedPoint, chamber_leq, chamber_of, chi_status,
@@ -216,7 +216,9 @@ def test_chi_status_rejects_a_character_of_the_wrong_length():
 
 def test_status_chi_and_cones_match_h_rep_oracles():
     # every model, zero coordinates allowed; the two-factor models with three
-    # product weights; chi random, zero, or a restricted weight of the point
+    # product weights; chi random, zero, a restricted weight of the point, or
+    # plus or minus a recession ray or line of its kept face, so that every
+    # branch of chi_status is asked, semistable through a ray and a line
     r = rng(43)
     single = {
         "proj(2)": lambda: random_proj_point(r, 2),
@@ -232,7 +234,7 @@ def test_status_chi_and_cones_match_h_rep_oracles():
     cases = [(m, draw, None) for m, draw in single.items()]
     cases += [(m, draw, lam) for m, draw in pairs.items()
               for lam in ((1, 1), (1, 2), (2, 1))]
-    statuses, chi_answers = set(), set()
+    statuses, chi_answers, semistable_through = set(), set(), set()
     for model, draw, lam in cases:
         rel = model_relative(model)
         origin = (Q(0),) * rel.rank
@@ -242,11 +244,15 @@ def test_status_chi_and_cones_match_h_rep_oracles():
             assert status == stability_status_by_h_rep(wp, rel), model
             statuses.add(status)
             weights = mu_K(wp, rel).points
-            for chi in (tuple(random_rational(r) for _ in range(rel.rank)),
-                        origin, r.choice(weights)):
+            gens = interval_A(wp, rel).generators
+            face = [c for v in gens.rays + gens.lines for c in (v, neg(v))] if gens else []
+            for chi in [tuple(random_rational(r) for _ in range(rel.rank)),
+                        origin, r.choice(weights)] + face:
                 answer = chi_status(wp, rel, chi)
                 assert answer == chi_status_by_h_rep(wp, rel, chi), (model, chi)
                 chi_answers.add(answer)
+                if answer == "semistable":
+                    semistable_through.add("line" if gens.lines else "ray")
             want = hull_cone_by_h_rep(mu_K(wp, rel))
             # a fresh polytope before any hull_member query, then one queried
             for queried in (False, True):
@@ -262,6 +268,7 @@ def test_status_chi_and_cones_match_h_rep_oracles():
                         assert tangent_cone(p) == origin_facets(want), model
     assert statuses == {"stable", "strictly_semistable", "unstable"}
     assert chi_answers == {"stable", "semistable", "unstable"}
+    assert semistable_through == {"ray", "line"}
 
 
 def test_root_hyperplanes_counts():
